@@ -8,7 +8,6 @@ from .errors import (
     NotHermitian,
     NotPositiveDefinite,
     QuenchThermError,
-    StepTooLarge,
     SupportMismatch,
 )
 from .operators import (
@@ -25,6 +24,7 @@ from .operators import (
 from .thermo import (
     GibbsEnsemble,
     MeanForceBundle,
+    ThermalContext,
     effective_energy_operator,
     embed_reservoir,
     embed_system,
@@ -36,6 +36,7 @@ from .thermo import (
     log_partition,
     mean_force_bundle,
     mean_force_hamiltonian,
+    thermal_context,
     thermal_entropy,
 )
 from .quench import (

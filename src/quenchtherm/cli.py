@@ -26,6 +26,7 @@ from .quench import (
     INTERACTION_QUENCH,
     SYSTEM_QUENCH,
     GENERAL_QUENCH,
+    VIOLATION_THRESHOLD,
     QuenchSpec,
     ThermoLedger,
     run_quench,
@@ -224,7 +225,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         rows.append(row)
         for name in min_diss:
             min_diss[name] = min(min_diss[name], eng[name])
-        if eng["diss_estar"] < -1e-6:
+        if eng["diss_estar"] < -VIOLATION_THRESHOLD:
             estar_violations.append(float(value))
 
     try:

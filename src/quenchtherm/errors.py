@@ -25,10 +25,6 @@ class NotPositiveDefinite(QuenchThermError):
     """An operator that must be positive definite has a nonpositive eigenvalue."""
 
 
-class StepTooLarge(QuenchThermError):
-    """Finite-difference step is too large for the given inverse temperature."""
-
-
 class SupportMismatch(QuenchThermError):
     """Relative entropy diverges: second state lacks support where the first has weight."""
 

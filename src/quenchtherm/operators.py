@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BadFactorCount, DomainError, NotHermitian
+from .errors import BadFactorCount, DimensionMismatch, DomainError, NotHermitian
 
 HERMITICITY_TOL = 1e-12
 EIG_RECONSTRUCTION_TOL = 1e-10
@@ -66,8 +66,6 @@ class Operator:
     def expectation(self, rho: "Operator") -> float:
         """Real part of Tr(self @ rho); imaginary part must be round-off."""
         if self.dims != rho.dims:
-            from .errors import DimensionMismatch
-
             raise DimensionMismatch(f"dims {self.dims} vs {rho.dims}")
         val = np.trace(self.matrix @ rho.matrix)
         return float(val.real)
@@ -90,8 +88,6 @@ class Operator:
         return Operator(self.matrix @ other.matrix, self.dims)
 
     def _check_same_space(self, other: "Operator"):
-        from .errors import DimensionMismatch
-
         if self.dims != other.dims:
             raise DimensionMismatch(f"dims {self.dims} vs {other.dims}")
 

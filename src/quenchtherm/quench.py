@@ -9,25 +9,27 @@ definitions (diff, H*, E*) give three parallel ledgers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidSpec, QuenchThermError, SupportMismatch
+from .errors import DimensionMismatch, InvalidSpec, QuenchThermError, SupportMismatch
 from .operators import (
     DensityMatrix,
     Operator,
+    SpectralDecomposition,
     hermitian_eig,
     partial_trace,
     tensor_product,
     identity,
 )
 from .thermo import (
-    MeanForceBundle,
+    GibbsEnsemble,
+    ThermalContext,
     gibbs,
-    internal_energy_diff,
     internal_energy_estar,
     internal_energy_hstar,
-    mean_force_bundle,
+    thermal_entropy,
 )
 
 SYSTEM_QUENCH = "system"
@@ -42,6 +44,9 @@ UNITARY = "unitary"
 VIOLATION_THRESHOLD = 1e-6
 
 _STRUCTURE_TOL = 1e-10
+
+#: Sigma eigenvalues at or below this count as outside its support.
+_SUPPORT_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,20 @@ class QuenchSpec:
             d_s, d_r = self.h_sur_a.dims
             bare = self.h_sur_a - tensor_product(identity(d_s), self.h_r)
             self._check_acts_on_s_only(bare)
+
+    @cached_property
+    def _reservoir(self) -> GibbsEnsemble:
+        return gibbs(self.h_r, self.beta)
+
+    @cached_property
+    def context_a(self) -> ThermalContext:
+        """Equilibrium quantities of the pre-quench Hamiltonian, computed once."""
+        return ThermalContext.build(self.h_sur_a, self._reservoir)
+
+    @cached_property
+    def context_b(self) -> ThermalContext:
+        """Equilibrium quantities of the post-quench Hamiltonian, computed once."""
+        return ThermalContext.build(self.h_sur_b, self._reservoir)
 
     @staticmethod
     def _check_acts_on_s_only(op: Operator):
@@ -125,29 +144,37 @@ class ThermoLedger:
         return {name: getattr(self, name) for name in self.FIELDS}
 
 
-def evolve_unitary(rho: DensityMatrix, h: Operator, t: float) -> DensityMatrix:
-    """Conjugate rho by e^{-iHt}, via the spectral decomposition of H."""
-    dec = hermitian_eig(h)
+def _evolve(rho: DensityMatrix, dec: SpectralDecomposition, t: float) -> DensityMatrix:
     u = dec.eigenvectors * np.exp(-1j * dec.eigenvalues * t)
     evolved = u @ (dec.eigenvectors.conj().T @ rho.matrix @ dec.eigenvectors) @ u.conj().T
     return DensityMatrix(Operator(evolved, rho.dims))
+
+
+def evolve_unitary(rho: DensityMatrix, h: Operator, t: float) -> DensityMatrix:
+    """Conjugate rho by e^{-iHt}, via the spectral decomposition of H."""
+    return _evolve(rho, hermitian_eig(h), t)
 
 
 def _reduced(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(partial_trace(rho.op, "S"))
 
 
-def run_quench(spec: QuenchSpec, step: float | None = None) -> ThermoLedger:
+def _energies(ctx: ThermalContext, rho: DensityMatrix, rho_s: DensityMatrix):
+    """(U_diff, U_H*, U_E*) of a global state and its reduced state under ctx."""
+    return (
+        ctx.u_diff(rho),
+        internal_energy_hstar(rho_s, ctx.bundle.h_star),
+        internal_energy_estar(rho_s, ctx.bundle.e_star),
+    )
+
+
+def run_quench(spec: QuenchSpec) -> ThermoLedger:
     """Execute a sudden quench and assemble its three-way thermodynamic ledger."""
     beta = spec.beta
-    ens_a = gibbs(spec.h_sur_a, beta)
-    ens_b = gibbs(spec.h_sur_b, beta)
-    pi_a = ens_a.state
-    pi_s_a = _reduced(pi_a)
-    pi_s_b = _reduced(ens_b.state)
-
-    bun_a = mean_force_bundle(spec.h_sur_a, spec.h_r, beta, step)
-    bun_b = mean_force_bundle(spec.h_sur_b, spec.h_r, beta, step)
+    ctx_a, ctx_b = spec.context_a, spec.context_b
+    bun_a, bun_b = ctx_a.bundle, ctx_b.bundle
+    pi_a = ctx_a.ensemble.state
+    pi_s_a, pi_s_b = ctx_a.reduced, ctx_b.reduced
 
     # Work: energy jump at t = 0 with the state frozen at pi_A.
     w_diff = (spec.h_sur_b - spec.h_sur_a).expectation(pi_a.op)
@@ -155,10 +182,10 @@ def run_quench(spec: QuenchSpec, step: float | None = None) -> ThermoLedger:
     w_estar = (bun_b.e_star - bun_a.e_star).expectation(pi_s_a.op)
 
     if spec.final_mode == EQUILIBRATED:
-        rho_f = ens_b.state
+        rho_f = ctx_b.ensemble.state
         rho_s_f = pi_s_b
     else:
-        rho_f = evolve_unitary(pi_a, spec.h_sur_b, spec.t_f)
+        rho_f = _evolve(pi_a, ctx_b.spectrum, spec.t_f)
         rho_s_f = _reduced(rho_f)
 
     # Heat: energy change from t = 0+ to t_f under the fixed Hamiltonian B.
@@ -168,14 +195,17 @@ def run_quench(spec: QuenchSpec, step: float | None = None) -> ThermoLedger:
 
     delta_f_s = bun_b.f_s - bun_a.f_s
 
-    _check_first_law(
-        spec, bun_a, bun_b, pi_a, pi_s_a, rho_f, rho_s_f,
-        (w_diff, w_hstar, w_estar), (q_diff, q_hstar, q_estar),
-    )
+    # pi_A is A's equilibrium state; the final state is B's when equilibrated
+    u_a = _energies(ctx_a, pi_a, pi_s_a)
+    u_b = _energies(ctx_b, ctx_b.ensemble.state, pi_s_b)
+    u_f = u_b if spec.final_mode == EQUILIBRATED else _energies(ctx_b, rho_f, rho_s_f)
+    _check_first_law((w_diff, w_hstar, w_estar), (q_diff, q_hstar, q_estar), u_a, u_f)
 
     # Entropy changes between the equilibrium endpoints (independent of t_f).
-    delta_s = _entropy_changes(spec, bun_a, bun_b, ens_a, ens_b, pi_s_a, pi_s_b)
-
+    delta_s = tuple(
+        thermal_entropy(ub, bun_b.f_s, beta) - thermal_entropy(ua, bun_a.f_s, beta)
+        for ua, ub in zip(u_a, u_b)
+    )
     diss = (w_diff - delta_f_s, w_hstar - delta_f_s, w_estar - delta_f_s)
     flags_w = tuple(d >= -VIOLATION_THRESHOLD for d in diss)
     if spec.final_mode == EQUILIBRATED:
@@ -196,18 +226,7 @@ def run_quench(spec: QuenchSpec, step: float | None = None) -> ThermoLedger:
     )
 
 
-def _check_first_law(spec, bun_a, bun_b, pi_a, pi_s_a, rho_f, rho_s_f, works, heats):
-    beta = spec.beta
-    u_initial = (
-        internal_energy_diff(pi_a, spec.h_sur_a, spec.h_r, beta),
-        internal_energy_hstar(pi_s_a, bun_a.h_star),
-        internal_energy_estar(pi_s_a, bun_a.e_star),
-    )
-    u_final = (
-        internal_energy_diff(rho_f, spec.h_sur_b, spec.h_r, beta),
-        internal_energy_hstar(rho_s_f, bun_b.h_star),
-        internal_energy_estar(rho_s_f, bun_b.e_star),
-    )
+def _check_first_law(works, heats, u_initial, u_final):
     for name, w, q, u0, u1 in zip(("diff", "hstar", "estar"), works, heats,
                                   u_initial, u_final):
         residual = abs(w + q - (u1 - u0))
@@ -217,43 +236,11 @@ def _check_first_law(spec, bun_a, bun_b, pi_a, pi_s_a, rho_f, rho_s_f, works, he
             )
 
 
-def _entropy_changes(spec, bun_a, bun_b, ens_a, ens_b, pi_s_a, pi_s_b):
-    beta = spec.beta
-    out = []
-    for u_a, u_b in (
-        (
-            internal_energy_diff(ens_a.state, spec.h_sur_a, spec.h_r, beta),
-            internal_energy_diff(ens_b.state, spec.h_sur_b, spec.h_r, beta),
-        ),
-        (
-            internal_energy_hstar(pi_s_a, bun_a.h_star),
-            internal_energy_hstar(pi_s_b, bun_b.h_star),
-        ),
-        (
-            internal_energy_estar(pi_s_a, bun_a.e_star),
-            internal_energy_estar(pi_s_b, bun_b.e_star),
-        ),
-    ):
-        s_a = beta * (u_a - bun_a.f_s)
-        s_b = beta * (u_b - bun_b.f_s)
-        out.append(s_b - s_a)
-    return tuple(out)
-
-
-def relative_entropy(
-    rho: DensityMatrix, sigma: DensityMatrix, floor: float = 1e-14
+def _relative_entropy(
+    dec_r: SpectralDecomposition, dec_s: SpectralDecomposition,
+    floor: float = _SUPPORT_FLOOR,
 ) -> float:
-    """Quantum relative entropy Tr(rho (ln rho - ln sigma)), nonnegative.
-
-    Raises SupportMismatch when sigma is effectively rank-deficient where
-    rho carries weight, signalling a divergent value.
-    """
-    if rho.dims != sigma.dims:
-        from .errors import DimensionMismatch
-
-        raise DimensionMismatch(f"dims {rho.dims} vs {sigma.dims}")
-    dec_r = hermitian_eig(rho.op)
-    dec_s = hermitian_eig(sigma.op)
+    """Tr(rho (ln rho - ln sigma)) from the eigenpairs of rho and sigma."""
     p = np.clip(dec_r.eigenvalues, 0.0, None)
     q = dec_s.eigenvalues
 
@@ -271,6 +258,19 @@ def relative_entropy(
     if value < -1e-12:
         raise QuenchThermError(f"relative entropy {value:.3e} below -1e-12")
     return max(value, 0.0)
+
+
+def relative_entropy(
+    rho: DensityMatrix, sigma: DensityMatrix, floor: float = _SUPPORT_FLOOR
+) -> float:
+    """Quantum relative entropy Tr(rho (ln rho - ln sigma)), nonnegative.
+
+    Raises SupportMismatch when sigma is effectively rank-deficient where
+    rho carries weight, signalling a divergent value.
+    """
+    if rho.dims != sigma.dims:
+        raise DimensionMismatch(f"dims {rho.dims} vs {sigma.dims}")
+    return _relative_entropy(hermitian_eig(rho.op), hermitian_eig(sigma.op), floor)
 
 
 @dataclass(frozen=True)
@@ -309,10 +309,9 @@ def second_law_audit(
     else:
         q_flags = None
 
-    pi_a = gibbs(spec.h_sur_a, beta).state
-    pi_b = gibbs(spec.h_sur_b, beta).state
-    d_global = relative_entropy(pi_a, pi_b)
-    d_reduced = relative_entropy(_reduced(pi_a), _reduced(pi_b))
+    ctx_a, ctx_b = spec.context_a, spec.context_b
+    d_global = _relative_entropy(ctx_a.state_spectrum, ctx_b.state_spectrum)
+    d_reduced = relative_entropy(ctx_a.reduced, ctx_b.reduced)
     residual_diff = abs(beta * (ledger.w_diff - ledger.delta_f_s) - d_global)
     residual_hstar = abs(beta * (ledger.w_hstar - ledger.delta_f_s) - d_reduced)
     return SecondLawAudit(w_flags, q_flags, residual_diff, residual_hstar)

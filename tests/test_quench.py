@@ -10,11 +10,17 @@ from quenchtherm import (
     evolve_unitary,
     gibbs,
     identity,
+    internal_energy_diff,
+    internal_energy_estar,
+    internal_energy_hstar,
+    mean_force_bundle,
+    partial_trace,
     pauli,
     relative_entropy,
     run_quench,
     second_law_audit,
     tensor_product,
+    thermal_entropy,
 )
 from quenchtherm.audits import random_bipartite
 from quenchtherm.quench import EQUILIBRATED, SYSTEM_QUENCH, INTERACTION_QUENCH, UNITARY
@@ -209,6 +215,75 @@ class TestSecondLawAudit:
             assert ledger.diss_hstar >= -1e-10
             flags.append(ledger.diss_estar < -1e-6)
         assert any(flags)
+
+
+class TestThermalContextSharing:
+    """run_quench and second_law_audit share one thermal context per Hamiltonian."""
+
+    D_S, D_R, BETA = 4, 8, 0.8
+
+    def spec(self, final_mode):
+        rng = np.random.default_rng(89)
+        h_a, _, h_r, _ = random_bipartite(rng, self.D_S, self.D_R, scale=0.5)
+        h_b, _, _, _ = random_bipartite(rng, self.D_S, self.D_R, scale=0.5)
+        return QuenchSpec(h_a, h_b, h_r, self.BETA, final_mode=final_mode, t_f=1.3)
+
+    @pytest.mark.parametrize("mode", [EQUILIBRATED, UNITARY])
+    def test_two_global_eigh_per_quench_and_audit(self, monkeypatch, mode):
+        spec = self.spec(mode)
+        sides = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            sides.append(np.shape(a)[-1])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        second_law_audit(spec, run_quench(spec))
+        assert sides.count(self.D_S * self.D_R) == 2
+
+    @pytest.mark.parametrize("mode", [EQUILIBRATED, UNITARY])
+    def test_ledger_matches_public_statics(self, mode):
+        spec = self.spec(mode)
+        beta, h_a, h_b, h_r = spec.beta, spec.h_sur_a, spec.h_sur_b, spec.h_r
+        ledger = run_quench(spec)
+        audit = second_law_audit(spec, ledger)
+
+        pi_a, pi_b = gibbs(h_a, beta).state, gibbs(h_b, beta).state
+        bun_a, bun_b = mean_force_bundle(h_a, h_r, beta), mean_force_bundle(h_b, h_r, beta)
+        pi_s_a = DensityMatrix(partial_trace(pi_a.op, "S"))
+        pi_s_b = DensityMatrix(partial_trace(pi_b.op, "S"))
+        rho_f = pi_b if mode == EQUILIBRATED else evolve_unitary(pi_a, h_b, spec.t_f)
+        rho_s_f = DensityMatrix(partial_trace(rho_f.op, "S"))
+
+        def energies(rho, rho_s, h, bun):
+            return (
+                internal_energy_diff(rho, h, h_r, beta),
+                internal_energy_hstar(rho_s, bun.h_star),
+                internal_energy_estar(rho_s, bun.e_star),
+            )
+
+        u_0 = energies(pi_a, pi_s_a, h_a, bun_a)
+        u_jump = energies(pi_a, pi_s_a, h_b, bun_b)
+        u_f = energies(rho_f, rho_s_f, h_b, bun_b)
+        u_eq_b = energies(pi_b, pi_s_b, h_b, bun_b)
+        delta_f_s = bun_b.f_s - bun_a.f_s
+        expected = {"delta_f_s": delta_f_s}
+        for k, name in enumerate(("diff", "hstar", "estar")):
+            expected[f"w_{name}"] = u_jump[k] - u_0[k]
+            expected[f"q_{name}"] = u_f[k] - u_jump[k]
+            expected[f"delta_s_{name}"] = (thermal_entropy(u_eq_b[k], bun_b.f_s, beta)
+                                           - thermal_entropy(u_0[k], bun_a.f_s, beta))
+            expected[f"diss_{name}"] = expected[f"w_{name}"] - delta_f_s
+        for name, value in ledger.numeric_fields().items():
+            assert abs(value - expected[name]) <= 1e-12, name
+
+        d_global = relative_entropy(pi_a, pi_b)
+        d_reduced = relative_entropy(pi_s_a, pi_s_b)
+        assert abs(audit.residual_diff
+                   - abs(beta * expected["diss_diff"] - d_global)) <= 1e-12
+        assert abs(audit.residual_hstar
+                   - abs(beta * expected["diss_hstar"] - d_reduced)) <= 1e-12
 
 
 class TestEvolveUnitary:
