@@ -51,6 +51,7 @@ from .quench import (
     evolve_unitary,
     relative_entropy,
     run_quench,
+    run_sweep,
     second_law_audit,
 )
 from .twospin import (
@@ -63,6 +64,7 @@ from .twospin import (
     reservoir_hamiltonian,
     system_quench_ledger,
     two_spin_hamiltonian,
+    two_spin_matrices,
 )
 
 __version__ = "0.1.0"

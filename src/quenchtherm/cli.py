@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audits import run_invariant_audit
+from .audits import DEFAULT_TOLERANCES, run_invariant_audit
 from .operators import Operator
 from .quench import (
-    EQUILIBRATED,
     INTERACTION_QUENCH,
     SYSTEM_QUENCH,
     GENERAL_QUENCH,
@@ -30,6 +29,7 @@ from .quench import (
     QuenchSpec,
     ThermoLedger,
     run_quench,
+    run_sweep,
 )
 from .thermo import embed_reservoir, embed_system
 from .twospin import (
@@ -38,6 +38,7 @@ from .twospin import (
     reservoir_hamiltonian,
     system_quench_ledger,
     two_spin_hamiltonian,
+    two_spin_matrices,
 )
 
 EXIT_OK = 0
@@ -47,6 +48,14 @@ EXIT_CONFIG = 2
 DEFAULT_TOL = {
     "oracle_match_rel": 1e-8,
     "oracle_match_abs": 1e-10,
+}
+
+#: Tolerance names each subcommand accepts from --tol and [tolerances]
+TOLERANCE_TABLES = {
+    "run": {},
+    "sweep": DEFAULT_TOL,
+    "compare": DEFAULT_TOL,
+    "audit": DEFAULT_TOLERANCES,
 }
 
 FMT = "%.17g"
@@ -157,28 +166,28 @@ def _require(cfg: RunConfig, *names: str) -> list[float]:
     return out
 
 
-def _two_spin_point(cfg: RunConfig, value: float):
-    """Build (engine spec, oracle ledger) for one sweep point."""
+def _two_spin_sweep(cfg: RunConfig, values: np.ndarray):
+    """(H_A, stack of post-quench H_B, H_R, oracle ledgers) over sweep `values`.
+
+    The oracle stays per point and scalar, independent of the engine.
+    """
     beta = cfg.beta
+    if not np.all(np.isfinite(values)):
+        raise ConfigError("sweep values must be finite")
     if cfg.quench == SYSTEM_QUENCH:
         eps_a, alpha, gamma, chi = _require(cfg, "epsilon_a", "alpha", "gamma", "chi")
         p_a = TwoSpinParams(eps_a, alpha, gamma, chi, beta)
-        p_b = TwoSpinParams(value, alpha, gamma, chi, beta)
-        oracle = system_quench_ledger(p_a, value)
-        kind = SYSTEM_QUENCH
+        h_b = two_spin_matrices(values, alpha, gamma, chi)
+        oracles = [system_quench_ledger(p_a, v) for v in values.tolist()]
     elif cfg.quench == INTERACTION_QUENCH:
         eps, alpha, chi_b = _require(cfg, "epsilon", "alpha", "chi_b")
         p_a = TwoSpinParams(eps, alpha, 0.0, 0.0, beta)
-        p_b = TwoSpinParams(eps, alpha, value, chi_b, beta)
-        oracle = interaction_quench_ledger(eps, alpha, value, chi_b, beta)
-        kind = INTERACTION_QUENCH
+        h_b = two_spin_matrices(eps, alpha, values, chi_b)
+        oracles = [interaction_quench_ledger(eps, alpha, v, chi_b, beta)
+                   for v in values.tolist()]
     else:
         raise ConfigError(f"two_spin sweeps support system or interaction quenches")
-    spec = QuenchSpec(
-        two_spin_hamiltonian(p_a), two_spin_hamiltonian(p_b),
-        reservoir_hamiltonian(p_a), beta, kind=kind, final_mode=EQUILIBRATED,
-    )
-    return spec, oracle
+    return two_spin_hamiltonian(p_a), h_b, reservoir_hamiltonian(p_a), oracles
 
 
 def _flag_columns(ledger: ThermoLedger) -> list[str]:
@@ -199,7 +208,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     tol.update(cfg.tolerances)
 
     grid = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
+    h_a, h_b, h_r, oracles = _two_spin_sweep(cfg, grid)
+    ledgers = run_sweep(h_a, h_b, h_r, cfg.beta, cfg.quench)
+
     fields = ThermoLedger.FIELDS
+    eng = np.array([[getattr(led, name) for name in fields] for led in ledgers])
+    ora = np.array([[getattr(led, name) for name in fields] for led in oracles])
     header = ["value"]
     for name in fields:
         header += [f"eng_{name}", f"ora_{name}"]
@@ -207,26 +221,20 @@ def cmd_sweep(cfg: RunConfig) -> int:
         "flag_w_diff", "flag_w_hstar", "flag_w_estar",
         "flag_q_diff", "flag_q_hstar", "flag_q_estar",
     ]
-
     rows = []
-    max_diff = {name: 0.0 for name in fields}
-    min_diss = {"diss_diff": np.inf, "diss_hstar": np.inf, "diss_estar": np.inf}
-    estar_violations: list[float] = []
-    for value in grid:
-        spec, oracle = _two_spin_point(cfg, float(value))
-        ledger = run_quench(spec)
-        eng = ledger.numeric_fields()
-        ora = oracle.numeric_fields()
+    for value, e_row, o_row, ledger in zip(grid.tolist(), eng.tolist(), ora.tolist(), ledgers):
         row = [FMT % value]
-        for name in fields:
-            row += [FMT % eng[name], FMT % ora[name]]
-            max_diff[name] = max(max_diff[name], abs(eng[name] - ora[name]))
-        row += _flag_columns(ledger)
-        rows.append(row)
-        for name in min_diss:
-            min_diss[name] = min(min_diss[name], eng[name])
-        if eng["diss_estar"] < -VIOLATION_THRESHOLD:
-            estar_violations.append(float(value))
+        for e, o in zip(e_row, o_row):
+            row += [FMT % e, FMT % o]
+        rows.append(row + _flag_columns(ledger))
+
+    # NaN propagates through these reductions, so a non-finite engine or
+    # oracle value shows in the summary and fails the gate below
+    max_diff = np.abs(eng - ora).max(axis=0)
+    scale = np.abs(ora).max(axis=0)
+    diss_cols = [fields.index(name) for name in ("diss_diff", "diss_hstar", "diss_estar")]
+    min_diss = eng[:, diss_cols].min(axis=0)
+    estar_violations = grid[eng[:, fields.index("diss_estar")] < -VIOLATION_THRESHOLD]
 
     try:
         with open(cfg.output_path, "w") as fh:
@@ -241,23 +249,21 @@ def cmd_sweep(cfg: RunConfig) -> int:
                f"points={cfg.sweep_count} range=[{FMT % cfg.sweep_start},"
                f"{FMT % cfg.sweep_stop}]"]
     failed = False
-    for name in fields:
-        summary.append(f"max_abs_diff {name} = {FMT % max_diff[name]}")
-    for name, v in min_diss.items():
+    for name, v in zip(fields, max_diff.tolist()):
+        summary.append(f"max_abs_diff {name} = {FMT % v}")
+    for name, v in zip(("diss_diff", "diss_hstar", "diss_estar"), min_diss.tolist()):
         summary.append(f"min {name} = {FMT % v}")
-    for lo, hi in _intervals(estar_violations, grid):
+    for lo, hi in _intervals(estar_violations.tolist(), grid):
         summary.append(f"diss_estar_violation [{FMT % lo}, {FMT % hi}]")
 
     # oracle mismatch gate: each field must track the oracle on the whole grid
-    scale = {name: max(
-        (abs(float(r[1 + 2 * i + 1])) for r in rows), default=0.0
-    ) for i, name in enumerate(fields)}
-    for name in fields:
-        limit = tol["oracle_match_abs"] + tol["oracle_match_rel"] * scale[name]
-        if max_diff[name] > limit:
-            summary.append(
-                f"ORACLE MISMATCH {name}: {max_diff[name]:.3e} > {limit:.3e}"
-            )
+    limits = tol["oracle_match_abs"] + tol["oracle_match_rel"] * scale
+    for name, diff, limit in zip(fields, max_diff.tolist(), limits.tolist()):
+        if not np.isfinite(diff):
+            summary.append(f"ORACLE MISMATCH {name}: non-finite engine or oracle value")
+            failed = True
+        elif diff > limit:
+            summary.append(f"ORACLE MISMATCH {name}: {diff:.3e} > {limit:.3e}")
             failed = True
 
     summary_text = "\n".join(summary) + "\n"
@@ -368,12 +374,9 @@ def _custom_spec(cfg: RunConfig) -> QuenchSpec:
 
 def cmd_run(cfg: RunConfig) -> int:
     if cfg.model == "two_spin":
-        if cfg.quench == SYSTEM_QUENCH:
-            eps_b = _require(cfg, "epsilon_b")[0]
-            spec, oracle = _two_spin_point(cfg, eps_b)
-        else:
-            gamma_b = _require(cfg, "gamma_b")[0]
-            spec, oracle = _two_spin_point(cfg, gamma_b)
+        name = "epsilon_b" if cfg.quench == SYSTEM_QUENCH else "gamma_b"
+        h_a, h_b, h_r, _ = _two_spin_sweep(cfg, np.array(_require(cfg, name)))
+        spec = QuenchSpec(h_a, Operator(h_b[0], h_a.dims), h_r, cfg.beta, kind=cfg.quench)
     else:
         spec = _custom_spec(cfg)
     ledger = run_quench(spec)
@@ -426,6 +429,13 @@ def main(argv=None) -> int:
                 raise ConfigError(f"bad --tol override {item!r}")
             name, _, value = item.partition("=")
             cfg.tolerances[name] = float(value)
+        known = TOLERANCE_TABLES[args.command]
+        for name in cfg.tolerances:
+            if name not in known:
+                raise ConfigError(
+                    f"unknown tolerance {name!r} for {args.command}; known: "
+                    f"{', '.join(sorted(known)) or 'none'}"
+                )
         handler = {
             "run": cmd_run, "sweep": cmd_sweep,
             "audit": cmd_audit, "compare": cmd_compare,

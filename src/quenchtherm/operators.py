@@ -44,17 +44,13 @@ class Operator:
         return self.matrix.shape[0]
 
     def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+        return float(_hermiticity(self.matrix, HERMITICITY_TOL)[0])
 
     def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        scale = max(1.0, float(np.max(np.abs(self.matrix))) if self.matrix.size else 1.0)
-        return self.hermiticity_defect() <= tol * scale
+        return bool(_hermiticity(self.matrix, tol)[1])
 
     def require_hermitian(self, tol: float = HERMITICITY_TOL) -> "Operator":
-        if not self.is_hermitian(tol):
-            raise NotHermitian(
-                f"hermiticity defect {self.hermiticity_defect():.3e} exceeds tolerance"
-            )
+        require_hermitian_stack(self.matrix[None], tol)
         return self
 
     def dagger(self) -> "Operator":
@@ -67,8 +63,7 @@ class Operator:
         """Real part of Tr(self @ rho); imaginary part must be round-off."""
         if self.dims != rho.dims:
             raise DimensionMismatch(f"dims {self.dims} vs {rho.dims}")
-        val = np.trace(self.matrix @ rho.matrix)
-        return float(val.real)
+        return float(expectation(self.matrix, rho.matrix))
 
     def __add__(self, other: "Operator") -> "Operator":
         self._check_same_space(other)
@@ -94,21 +89,51 @@ class Operator:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A unit-trace, positive-semidefinite Hermitian operator."""
+    """A unit-trace, positive-semidefinite Hermitian operator.
+
+    `spectrum` holds its eigenvalues.  A state built from outside input is
+    checked for hermiticity and gets its spectrum from `eigvalsh`; the engine
+    passes the spectrum it already holds (Gibbs populations, a unitarily
+    evolved state's populations), which is Hermitian by construction.  The
+    trace and positivity checks then run on that spectrum.
+    """
 
     op: Operator
+    spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     TRACE_TOL = 1e-12
     EIGENVALUE_FLOOR = -1e-12
 
     def __post_init__(self):
-        self.op.require_hermitian()
-        tr = self.op.trace()
-        if abs(tr - 1.0) > self.TRACE_TOL:
-            raise ValueError(f"trace {tr} differs from 1 beyond tolerance")
-        evals = np.linalg.eigvalsh(_symmetrized(self.op.matrix))
-        if evals.min() < self.EIGENVALUE_FLOOR:
-            raise ValueError(f"negative eigenvalue {evals.min():.3e}")
+        if self.spectrum is None:
+            self.op.require_hermitian()
+            evals = np.linalg.eigvalsh(_symmetrized(self.op.matrix))
+            object.__setattr__(self, "spectrum", evals)
+            trace = self.op.trace()
+        else:
+            trace = self.spectrum.sum()
+        self.check_spectra(self.spectrum[None], np.array([trace]))
+
+    @classmethod
+    def check_spectra(cls, spectra: np.ndarray, traces: np.ndarray | None = None):
+        """Unit trace and no eigenvalue below EIGENVALUE_FLOOR, for each row.
+
+        `spectra` is a (N, d) stack of state spectra; the traces default to
+        their row sums.  Raises ValueError naming the first bad member.
+        """
+        if traces is None:
+            traces = spectra.sum(axis=-1)
+        lowest = spectra.min(axis=-1)
+        bad_trace = np.abs(traces - 1.0) > cls.TRACE_TOL
+        bad_min = lowest < cls.EIGENVALUE_FLOOR
+        if np.any(bad_trace):
+            n = int(np.argmax(bad_trace))
+            raise ValueError(f"trace {traces[n]} differs from 1 beyond tolerance"
+                             f"{at_index(n, len(traces))}")
+        if np.any(bad_min):
+            n = int(np.argmax(bad_min))
+            raise ValueError(f"negative eigenvalue {lowest[n]:.3e}"
+                             f"{at_index(n, len(traces))}")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -140,9 +165,40 @@ class SpectralDecomposition:
         return (U * f(self.eigenvalues)) @ U.conj().T
 
 
+def dagger(mat: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the last two axes."""
+    return mat.conj().swapaxes(-1, -2)
+
+
 def _symmetrized(mat: np.ndarray) -> np.ndarray:
     # absorbs round-off from tensor assembly before eigendecomposition
-    return 0.5 * (mat + mat.conj().T)
+    return 0.5 * (mat + dagger(mat))
+
+
+def expectation(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Re Tr(A rho) = Re sum_ij A_ij rho_ji over the last two axes, broadcasting."""
+    return (a * rho.swapaxes(-1, -2)).sum(axis=(-2, -1)).real
+
+
+def at_index(n: int, size: int) -> str:
+    """Error-message suffix naming member n of a stack; empty for a single one."""
+    return f" at stack index {n}" if size > 1 else ""
+
+
+def _hermiticity(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per member: max |A - A^dag|, and whether it is within tol * max(1, max |A|)."""
+    defect = np.abs(mats - dagger(mats)).max(axis=(-2, -1))
+    scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
+    return defect, defect <= tol * scale
+
+
+def require_hermitian_stack(mats: np.ndarray, tol: float = HERMITICITY_TOL):
+    """Raise NotHermitian naming the first member of a (N, d, d) stack that is not."""
+    defect, ok = _hermiticity(mats, tol)
+    if not np.all(ok):
+        n = int(np.argmin(ok))
+        raise NotHermitian(f"hermiticity defect {defect[n]:.3e} exceeds tolerance"
+                           f"{at_index(n, len(mats))}")
 
 
 _PAULI = {
@@ -198,9 +254,16 @@ def partial_trace(o: Operator, keep: str) -> Operator:
     if len(o.dims) != 2:
         raise BadFactorCount(f"need exactly two factors, got dims {o.dims}")
     d_s, d_r = o.dims
-    four = o.matrix.reshape(d_s, d_r, d_s, d_r)
     if keep == "S":
-        return Operator(np.trace(four, axis1=1, axis2=3), (d_s,))
+        return Operator(trace_out_reservoir(o.matrix, o.dims), (d_s,))
     if keep == "R":
+        four = o.matrix.reshape(d_s, d_r, d_s, d_r)
         return Operator(np.trace(four, axis1=0, axis2=2), (d_r,))
     raise ValueError(f"keep must be 'S' or 'R', got {keep!r}")
+
+
+def trace_out_reservoir(mats: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """Tr_R over the last two axes of a stack of (d_s d_r)-sided matrices."""
+    d_s, d_r = dims
+    four = mats.reshape(mats.shape[:-2] + (d_s, d_r, d_s, d_r))
+    return np.trace(four, axis1=-3, axis2=-1)

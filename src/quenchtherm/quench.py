@@ -18,17 +18,17 @@ from .operators import (
     DensityMatrix,
     Operator,
     SpectralDecomposition,
+    at_index,
+    dagger,
+    expectation,
     hermitian_eig,
-    partial_trace,
-    tensor_product,
-    identity,
+    trace_out_reservoir,
 )
 from .thermo import (
     GibbsEnsemble,
     ThermalContext,
+    embed_reservoir,
     gibbs,
-    internal_energy_estar,
-    internal_energy_hstar,
     thermal_entropy,
 )
 
@@ -45,8 +45,51 @@ VIOLATION_THRESHOLD = 1e-6
 
 _STRUCTURE_TOL = 1e-10
 
+#: First-law residuals above this mean the ledger is inconsistent.
+_FIRST_LAW_TOL = 1e-9
+
 #: Sigma eigenvalues at or below this count as outside its support.
 _SUPPORT_FLOOR = 1e-14
+
+
+def _check_quench(kind: str, final_mode: str, h_sur_a: Operator,
+                  h_sur_b: np.ndarray, dims_b: tuple[int, ...], h_r: Operator):
+    """Protocol names, shared spaces and kind structure for a stack of B's."""
+    if kind not in (SYSTEM_QUENCH, INTERACTION_QUENCH, GENERAL_QUENCH):
+        raise InvalidSpec(f"unknown quench kind {kind!r}")
+    if final_mode not in (EQUILIBRATED, UNITARY):
+        raise InvalidSpec(f"unknown final mode {final_mode!r}")
+    if len(h_sur_a.dims) != 2 or h_sur_a.dims != dims_b:
+        raise InvalidSpec(
+            f"global Hamiltonians must share a bipartite space, got "
+            f"{h_sur_a.dims} and {dims_b}"
+        )
+    if h_r.dims != (h_sur_a.dims[1],):
+        raise InvalidSpec(
+            f"reservoir dims {h_r.dims} inconsistent with "
+            f"global dims {h_sur_a.dims}"
+        )
+    if kind == SYSTEM_QUENCH:
+        _check_acts_on_s_only(h_sur_b - h_sur_a.matrix, h_sur_a.dims)
+    elif kind == INTERACTION_QUENCH:
+        bare = h_sur_a - embed_reservoir(h_r, h_sur_a.dims[0])
+        _check_acts_on_s_only(bare.matrix[None], h_sur_a.dims)
+
+
+def _check_acts_on_s_only(ops: np.ndarray, dims: tuple[int, int]):
+    """Each member of a stack must be (S operator) x identity."""
+    d_r = dims[1]
+    on_s = trace_out_reservoir(ops, dims) * (1.0 / d_r)
+    lifted = (on_s[:, :, None, :, None] * np.eye(d_r)[:, None, :]).reshape(ops.shape)
+    defect = np.abs(ops - lifted).max(axis=(-2, -1))
+    scale = np.maximum(1.0, np.abs(ops).max(axis=(-2, -1)))
+    bad = defect > _STRUCTURE_TOL * scale
+    if np.any(bad):
+        n = int(np.argmax(bad))
+        raise InvalidSpec(
+            f"operator is not of the form (S operator) x identity; "
+            f"defect {defect[n]:.3e}{at_index(n, len(ops))}"
+        )
 
 
 @dataclass(frozen=True)
@@ -62,26 +105,8 @@ class QuenchSpec:
     t_f: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in (SYSTEM_QUENCH, INTERACTION_QUENCH, GENERAL_QUENCH):
-            raise InvalidSpec(f"unknown quench kind {self.kind!r}")
-        if self.final_mode not in (EQUILIBRATED, UNITARY):
-            raise InvalidSpec(f"unknown final mode {self.final_mode!r}")
-        if len(self.h_sur_a.dims) != 2 or self.h_sur_a.dims != self.h_sur_b.dims:
-            raise InvalidSpec(
-                f"global Hamiltonians must share a bipartite space, got "
-                f"{self.h_sur_a.dims} and {self.h_sur_b.dims}"
-            )
-        if self.h_r.dims != (self.h_sur_a.dims[1],):
-            raise InvalidSpec(
-                f"reservoir dims {self.h_r.dims} inconsistent with "
-                f"global dims {self.h_sur_a.dims}"
-            )
-        if self.kind == SYSTEM_QUENCH:
-            self._check_acts_on_s_only(self.h_sur_b - self.h_sur_a)
-        elif self.kind == INTERACTION_QUENCH:
-            d_s, d_r = self.h_sur_a.dims
-            bare = self.h_sur_a - tensor_product(identity(d_s), self.h_r)
-            self._check_acts_on_s_only(bare)
+        _check_quench(self.kind, self.final_mode, self.h_sur_a,
+                      self.h_sur_b.matrix[None], self.h_sur_b.dims, self.h_r)
 
     @cached_property
     def _reservoir(self) -> GibbsEnsemble:
@@ -90,25 +115,14 @@ class QuenchSpec:
     @cached_property
     def context_a(self) -> ThermalContext:
         """Equilibrium quantities of the pre-quench Hamiltonian, computed once."""
-        return ThermalContext.build(self.h_sur_a, self._reservoir)
+        return ThermalContext.build(self.h_sur_a.matrix[None], self.h_sur_a.dims,
+                                    self._reservoir)
 
     @cached_property
     def context_b(self) -> ThermalContext:
         """Equilibrium quantities of the post-quench Hamiltonian, computed once."""
-        return ThermalContext.build(self.h_sur_b, self._reservoir)
-
-    @staticmethod
-    def _check_acts_on_s_only(op: Operator):
-        d_s, d_r = op.dims
-        on_s = partial_trace(op, "S") * (1.0 / d_r)
-        lifted = tensor_product(on_s, identity(d_r))
-        defect = float(np.max(np.abs(op.matrix - lifted.matrix)))
-        scale = max(1.0, float(np.max(np.abs(op.matrix))))
-        if defect > _STRUCTURE_TOL * scale:
-            raise InvalidSpec(
-                f"operator is not of the form (S operator) x identity; "
-                f"defect {defect:.3e}"
-            )
+        return ThermalContext.build(self.h_sur_b.matrix[None], self.h_sur_b.dims,
+                                    self._reservoir)
 
 
 @dataclass(frozen=True)
@@ -144,96 +158,126 @@ class ThermoLedger:
         return {name: getattr(self, name) for name in self.FIELDS}
 
 
-def _evolve(rho: DensityMatrix, dec: SpectralDecomposition, t: float) -> DensityMatrix:
-    u = dec.eigenvectors * np.exp(-1j * dec.eigenvalues * t)
-    evolved = u @ (dec.eigenvectors.conj().T @ rho.matrix @ dec.eigenvectors) @ u.conj().T
-    return DensityMatrix(Operator(evolved, rho.dims))
+def _evolve(rho: np.ndarray, evals: np.ndarray, evecs: np.ndarray, t: float) -> np.ndarray:
+    """rho conjugated by e^{-iHt} from H's eigenpairs, over leading axes."""
+    u = evecs * np.exp(-1j * evals * t)[..., None, :]
+    return u @ (dagger(evecs) @ rho @ evecs) @ dagger(u)
 
 
 def evolve_unitary(rho: DensityMatrix, h: Operator, t: float) -> DensityMatrix:
     """Conjugate rho by e^{-iHt}, via the spectral decomposition of H."""
-    return _evolve(rho, hermitian_eig(h), t)
+    dec = hermitian_eig(h)
+    evolved = _evolve(rho.matrix, dec.eigenvalues, dec.eigenvectors, t)
+    return DensityMatrix(Operator(evolved, rho.dims), rho.spectrum)
 
 
-def _reduced(rho: DensityMatrix) -> DensityMatrix:
-    return DensityMatrix(partial_trace(rho.op, "S"))
+def _expectations(ctx: ThermalContext, rho: np.ndarray, rho_s: np.ndarray) -> np.ndarray:
+    """(3, N) values of <H>, <H*>, <E*> under ctx in global and reduced states."""
+    return np.stack((
+        expectation(ctx.hamiltonians, rho),
+        expectation(ctx.h_star, rho_s),
+        expectation(ctx.e_star, rho_s),
+    ))
 
 
-def _energies(ctx: ThermalContext, rho: DensityMatrix, rho_s: DensityMatrix):
-    """(U_diff, U_H*, U_E*) of a global state and its reduced state under ctx."""
-    return (
-        ctx.u_diff(rho),
-        internal_energy_hstar(rho_s, ctx.bundle.h_star),
-        internal_energy_estar(rho_s, ctx.bundle.e_star),
-    )
+def _energies(ctx: ThermalContext, expectations: np.ndarray) -> np.ndarray:
+    """(U_diff, U_H*, U_E*) from `_expectations`: U_diff = <H> - <H_R>_beta."""
+    return expectations - np.array([[ctx.u_r], [0.0], [0.0]])
+
+
+def _ledgers(ctx_a: ThermalContext, ctx_b: ThermalContext,
+             final_mode: str, t_f: float) -> list[ThermoLedger]:
+    """Ledgers of quenches from ctx_a's one Hamiltonian to each of ctx_b's.
+
+    Quantities are (3, N) arrays, one row per definition (diff, H*, E*).
+    """
+    beta = ctx_a.beta
+    pi_a, pi_s_a = ctx_a.rho, ctx_a.rho_s
+
+    # Work: energy jump at t = 0 with the state frozen at pi_A.
+    works = np.stack((
+        expectation(ctx_b.hamiltonians - ctx_a.hamiltonians, pi_a),
+        expectation(ctx_b.h_star - ctx_a.h_star, pi_s_a),
+        expectation(ctx_b.e_star - ctx_a.e_star, pi_s_a),
+    ))
+
+    if final_mode == EQUILIBRATED:
+        rho_f, rho_s_f = ctx_b.rho, ctx_b.rho_s
+    else:
+        # same spectrum as pi_A, already checked when ctx_a was built
+        rho_f = _evolve(pi_a, ctx_b.evals, ctx_b.evecs, t_f)
+        rho_s_f = trace_out_reservoir(rho_f, ctx_b.dims)
+
+    # Heat: energy change from t = 0+ to t_f under the fixed Hamiltonian B.
+    at_f = _expectations(ctx_b, rho_f, rho_s_f)
+    heats = at_f - _expectations(ctx_b, pi_a, pi_s_a)
+
+    delta_f_s = ctx_b.f_s - ctx_a.f_s
+
+    # pi_A is A's equilibrium state; the final state is B's when equilibrated
+    u_a = _energies(ctx_a, _expectations(ctx_a, pi_a, pi_s_a))
+    u_f = _energies(ctx_b, at_f)
+    if final_mode == EQUILIBRATED:
+        u_b = u_f
+    else:
+        u_b = _energies(ctx_b, _expectations(ctx_b, ctx_b.rho, ctx_b.rho_s))
+    _check_first_law(works, heats, u_a, u_f)
+
+    # Entropy changes between the equilibrium endpoints (independent of t_f).
+    delta_s = (thermal_entropy(u_b, ctx_b.f_s, beta)
+               - thermal_entropy(u_a, ctx_a.f_s, beta))
+    diss = works - delta_f_s
+    flags_w = (diss >= -VIOLATION_THRESHOLD).T.tolist()
+    if final_mode == EQUILIBRATED:
+        flags_q = (delta_s / beta - heats >= -VIOLATION_THRESHOLD).T.tolist()
+    else:
+        flags_q = [None] * len(delta_f_s)
+
+    values = np.vstack((works, heats, delta_f_s, delta_s, diss)).T.tolist()
+    return [
+        ThermoLedger(**dict(zip(ThermoLedger.FIELDS, row)),
+                     second_law_w=tuple(fw),
+                     second_law_q=None if fq is None else tuple(fq), beta=beta)
+        for row, fw, fq in zip(values, flags_w, flags_q)
+    ]
 
 
 def run_quench(spec: QuenchSpec) -> ThermoLedger:
     """Execute a sudden quench and assemble its three-way thermodynamic ledger."""
-    beta = spec.beta
-    ctx_a, ctx_b = spec.context_a, spec.context_b
-    bun_a, bun_b = ctx_a.bundle, ctx_b.bundle
-    pi_a = ctx_a.ensemble.state
-    pi_s_a, pi_s_b = ctx_a.reduced, ctx_b.reduced
+    return _ledgers(spec.context_a, spec.context_b, spec.final_mode, spec.t_f)[0]
 
-    # Work: energy jump at t = 0 with the state frozen at pi_A.
-    w_diff = (spec.h_sur_b - spec.h_sur_a).expectation(pi_a.op)
-    w_hstar = (bun_b.h_star - bun_a.h_star).expectation(pi_s_a.op)
-    w_estar = (bun_b.e_star - bun_a.e_star).expectation(pi_s_a.op)
 
-    if spec.final_mode == EQUILIBRATED:
-        rho_f = ctx_b.ensemble.state
-        rho_s_f = pi_s_b
-    else:
-        rho_f = _evolve(pi_a, ctx_b.spectrum, spec.t_f)
-        rho_s_f = _reduced(rho_f)
+def run_sweep(
+    h_sur_a: Operator, h_sur_b_stack: np.ndarray, h_r: Operator, beta: float,
+    kind: str = GENERAL_QUENCH,
+) -> list[ThermoLedger]:
+    """Equilibrated quenches from H_A to each member of a (N, D, D) stack.
 
-    # Heat: energy change from t = 0+ to t_f under the fixed Hamiltonian B.
-    q_diff = spec.h_sur_b.expectation(rho_f.op) - spec.h_sur_b.expectation(pi_a.op)
-    q_hstar = bun_b.h_star.expectation(rho_s_f.op) - bun_b.h_star.expectation(pi_s_a.op)
-    q_estar = bun_b.e_star.expectation(rho_s_f.op) - bun_b.e_star.expectation(pi_s_a.op)
-
-    delta_f_s = bun_b.f_s - bun_a.f_s
-
-    # pi_A is A's equilibrium state; the final state is B's when equilibrated
-    u_a = _energies(ctx_a, pi_a, pi_s_a)
-    u_b = _energies(ctx_b, ctx_b.ensemble.state, pi_s_b)
-    u_f = u_b if spec.final_mode == EQUILIBRATED else _energies(ctx_b, rho_f, rho_s_f)
-    _check_first_law((w_diff, w_hstar, w_estar), (q_diff, q_hstar, q_estar), u_a, u_f)
-
-    # Entropy changes between the equilibrium endpoints (independent of t_f).
-    delta_s = tuple(
-        thermal_entropy(ub, bun_b.f_s, beta) - thermal_entropy(ua, bun_a.f_s, beta)
-        for ua, ub in zip(u_a, u_b)
-    )
-    diss = (w_diff - delta_f_s, w_hstar - delta_f_s, w_estar - delta_f_s)
-    flags_w = tuple(d >= -VIOLATION_THRESHOLD for d in diss)
-    if spec.final_mode == EQUILIBRATED:
-        heats = (q_diff, q_hstar, q_estar)
-        flags_q = tuple(
-            ds / beta - q >= -VIOLATION_THRESHOLD for ds, q in zip(delta_s, heats)
-        )
-    else:
-        flags_q = None
-
-    return ThermoLedger(
-        w_diff=w_diff, w_hstar=w_hstar, w_estar=w_estar,
-        q_diff=q_diff, q_hstar=q_hstar, q_estar=q_estar,
-        delta_f_s=delta_f_s,
-        delta_s_diff=delta_s[0], delta_s_hstar=delta_s[1], delta_s_estar=delta_s[2],
-        diss_diff=diss[0], diss_hstar=diss[1], diss_estar=diss[2],
-        second_law_w=flags_w, second_law_q=flags_q, beta=beta,
-    )
+    One ledger per member, equal to `run_quench` on the matching
+    `QuenchSpec`, from two broadcasting eigendecompositions in all.  The
+    stack shares H_A's dims; every member gets the checks a `QuenchSpec`
+    makes, and errors name the first bad member.
+    """
+    stack = np.asarray(h_sur_b_stack, dtype=complex)
+    if stack.ndim != 3 or len(stack) == 0 or stack.shape[1:] != h_sur_a.matrix.shape:
+        raise InvalidSpec(f"post-quench stack must have shape (N, {h_sur_a.side}, "
+                          f"{h_sur_a.side}) with N >= 1, got {stack.shape}")
+    _check_quench(kind, EQUILIBRATED, h_sur_a, stack, h_sur_a.dims, h_r)
+    reservoir = gibbs(h_r, beta)
+    ctx_a = ThermalContext.build(h_sur_a.matrix[None], h_sur_a.dims, reservoir)
+    ctx_b = ThermalContext.build(stack, h_sur_a.dims, reservoir)
+    return _ledgers(ctx_a, ctx_b, EQUILIBRATED, 0.0)
 
 
 def _check_first_law(works, heats, u_initial, u_final):
-    for name, w, q, u0, u1 in zip(("diff", "hstar", "estar"), works, heats,
-                                  u_initial, u_final):
-        residual = abs(w + q - (u1 - u0))
-        if residual > 1e-9:
-            raise QuenchThermError(
-                f"first-law residual {residual:.3e} for definition {name}"
-            )
+    residual = np.abs(works + heats - (u_final - u_initial))
+    if np.any(residual > _FIRST_LAW_TOL):
+        k, n = np.unravel_index(np.argmax(residual > _FIRST_LAW_TOL), residual.shape)
+        name = ("diff", "hstar", "estar")[k]
+        raise QuenchThermError(
+            f"first-law residual {residual[k, n]:.3e} for definition "
+            f"{name}{at_index(n, residual.shape[1])}"
+        )
 
 
 def _relative_entropy(
@@ -311,7 +355,7 @@ def second_law_audit(
 
     ctx_a, ctx_b = spec.context_a, spec.context_b
     d_global = _relative_entropy(ctx_a.state_spectrum, ctx_b.state_spectrum)
-    d_reduced = relative_entropy(ctx_a.reduced, ctx_b.reduced)
+    d_reduced = _relative_entropy(ctx_a.reduced_spectrum, ctx_b.reduced_spectrum)
     residual_diff = abs(beta * (ledger.w_diff - ledger.delta_f_s) - d_global)
     residual_hstar = abs(beta * (ledger.w_hstar - ledger.delta_f_s) - d_reduced)
     return SecondLawAudit(w_flags, q_flags, residual_diff, residual_hstar)

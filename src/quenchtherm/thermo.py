@@ -4,14 +4,15 @@ Everything works at a single inverse temperature beta (k_B = 1).  Partition
 functions are always evaluated through shifted exponentials so large
 beta * ||H|| cannot overflow.
 
-All equilibrium quantities of a global Hamiltonian come from one
-`ThermalContext`, built from a single eigendecomposition; the public statics
-below read it.
+All equilibrium quantities of a global Hamiltonian, or of a stack of them,
+come from one `ThermalContext`, built from one broadcasting
+eigendecomposition; the public statics below read a context of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,22 +22,23 @@ from .operators import (
     Operator,
     SpectralDecomposition,
     _symmetrized,
+    at_index,
+    dagger,
     hermitian_eig,
     identity,
+    require_hermitian_stack,
     tensor_product,
 )
 
 
-def _shifted_weights(evals: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
-    """Weights e^{-beta (E - E_0)} with E_0 = min E, and ln Tr e^{-beta H}."""
-    shift = evals.min()
+def _shifted_weights(evals: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weights e^{-beta (E - E_0)} with E_0 = min E, and ln Tr e^{-beta H}.
+
+    Works over the last axis, so a (N, D) stack of spectra gives N values.
+    """
+    shift = evals.min(axis=-1, keepdims=True)
     weights = np.exp(-beta * (evals - shift))
-    return weights, float(np.log(weights.sum()) - beta * shift)
-
-
-def _log_partition(evals: np.ndarray, beta: float) -> float:
-    """ln Tr e^{-beta H} from the spectrum, overflow-safe."""
-    return _shifted_weights(evals, beta)[1]
+    return weights, np.log(weights.sum(axis=-1)) - beta * shift[..., 0]
 
 
 @dataclass(frozen=True)
@@ -68,34 +70,30 @@ def _check_beta(beta: float):
         raise ValueError(f"beta must be positive and finite, got {beta}")
 
 
-def _gibbs_from(
-    h: Operator, dec: SpectralDecomposition, beta: float
-) -> tuple[GibbsEnsemble, np.ndarray]:
-    """Gibbs ensemble of `h` from its spectrum, and the shifted weights."""
-    weights, log_z = _shifted_weights(dec.eigenvalues, beta)
-    state = DensityMatrix(Operator(dec.apply(lambda _: weights / weights.sum()), h.dims))
-    return GibbsEnsemble(h, beta, state, log_z), weights
-
-
 def gibbs(h: Operator, beta: float) -> GibbsEnsemble:
     """Thermal state e^{-beta H} / Z with its log partition function."""
     _check_beta(beta)
-    return _gibbs_from(h, hermitian_eig(h), beta)[0]
+    dec = hermitian_eig(h)
+    weights, log_z = _shifted_weights(dec.eigenvalues, beta)
+    populations = weights / weights.sum()
+    state = DensityMatrix(Operator(dec.apply(lambda _: populations), h.dims), populations)
+    return GibbsEnsemble(h, beta, state, float(log_z))
 
 
 def log_partition(h: Operator, beta: float) -> float:
     _check_beta(beta)
-    return _log_partition(hermitian_eig(h).eigenvalues, beta)
+    return float(_shifted_weights(hermitian_eig(h).eigenvalues, beta)[1])
 
 
 def _log_divided_differences(m: np.ndarray) -> np.ndarray:
     """L_ij = (ln m_i - ln m_j) / (m_i - m_j), and 1 / m_i where m_i = m_j.
 
-    Near ties use ln m_i - ln m_j = 2 atanh(z), z = (m_i - m_j) / (m_i + m_j),
-    which keeps full precision as z -> 0; well-separated pairs (|z| >= 1/2)
-    use the plain quotient, which stays finite when z rounds to +-1.
+    Works over the last axis.  Near ties use ln m_i - ln m_j = 2 atanh(z),
+    z = (m_i - m_j) / (m_i + m_j), which keeps full precision as z -> 0;
+    well-separated pairs (|z| >= 1/2) use the plain quotient, which stays
+    finite when z rounds to +-1.
     """
-    mi, mj = m[:, None], m[None, :]
+    mi, mj = m[..., :, None], m[..., None, :]
     z = (mi - mj) / (mi + mj)
     with np.errstate(divide="ignore", invalid="ignore"):
         atanh_ratio = np.where(z == 0, 1.0, np.arctanh(z) / z)
@@ -105,74 +103,122 @@ def _log_divided_differences(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ThermalContext:
-    """Every equilibrium quantity of one global Hamiltonian at one beta.
+    """Every equilibrium quantity of a stack of N global Hamiltonians at one beta.
 
-    With H = U diag(E) U^dag (one eigh) and w = e^{-beta (E - E_0)}:
+    For each member, with H = U diag(E) U^dag and w = e^{-beta (E - E_0)}:
 
     - M = Tr_R(U diag(w) U^dag) = e^{beta E_0} Tr_R e^{-beta H}, and
       X = Tr_R(U diag(w E) U^dag) = e^{beta E_0} Tr_R(H e^{-beta H}), the
       same factor times -d_beta Tr_R e^{-beta H};
-    - with M = V diag(m) V^dag (one d_s-sized eigh),
-      H* = -(ln M - (beta E_0 + ln Z_R) 1) / beta;
+    - with M = V diag(m) V^dag, H* = -(ln M - (beta E_0 + ln Z_R) 1) / beta;
     - E* = d_beta(beta H*) = D ln[M](X) - <H_R>_beta 1 exactly, where the
       Frechet derivative of the matrix log is V [(V^dag X V) o L] V^dag
       with L the divided differences of ln on m (Daleckii-Krein);
     - the reduced Gibbs state is M / Tr M.
+
+    Arrays carry the batch axis first.  All members come from one
+    broadcasting `eigh` of the (N, D, D) stack and one of the (N, d_s, d_s)
+    stack of M.  `bundle`, `state_spectrum` and `reduced_spectrum` view a
+    context of one Hamiltonian.
     """
 
-    spectrum: SpectralDecomposition
-    state_spectrum: SpectralDecomposition  # Gibbs populations on H's eigenvectors
-    ensemble: GibbsEnsemble
+    hamiltonians: np.ndarray  # (N, D, D)
+    dims: tuple[int, int]
     reservoir: GibbsEnsemble
-    reduced: DensityMatrix
-    m: np.ndarray
-    x: np.ndarray
-    bundle: MeanForceBundle
+    evals: np.ndarray  # (N, D), ascending
+    evecs: np.ndarray  # (N, D, D)
+    populations: np.ndarray  # (N, D), Gibbs populations w / Z
+    log_z: np.ndarray  # (N,)
+    m: np.ndarray  # (N, d_s, d_s)
+    m_evecs: np.ndarray  # (N, d_s, d_s), V
+    rho_s: np.ndarray  # (N, d_s, d_s), reduced Gibbs states M / Tr M
+    rho_s_evals: np.ndarray  # (N, d_s), m / Tr M
+    h_star: np.ndarray  # (N, d_s, d_s)
+    e_star: np.ndarray  # (N, d_s, d_s)
+    log_z_star: np.ndarray  # (N,)
+    f_s: np.ndarray  # (N,)
     u_r: float
 
     @classmethod
-    def build(cls, h_sur: Operator, reservoir: GibbsEnsemble) -> "ThermalContext":
-        """Context of `h_sur` against an already computed reservoir ensemble."""
-        if len(h_sur.dims) != 2:
-            raise BadFactorCount(f"need exactly two factors, got dims {h_sur.dims}")
+    def build(
+        cls, hamiltonians: np.ndarray, dims: tuple[int, ...], reservoir: GibbsEnsemble
+    ) -> "ThermalContext":
+        """Contexts of a (N, D, D) stack on `dims` against one reservoir ensemble."""
+        if len(dims) != 2:
+            raise BadFactorCount(f"need exactly two factors, got dims {dims}")
+        require_hermitian_stack(hamiltonians)
         beta = reservoir.beta
-        dec = hermitian_eig(h_sur)
-        ens, weights = _gibbs_from(h_sur, dec, beta)
-        evals = dec.eigenvalues
-        d_s, d_r = h_sur.dims
-        # Tr_R(U diag(f) U^dag) in one product: rows of U grouped by s, the
-        # column (r, k) of the grouped matrix weighted by f_k
-        grouped = dec.eigenvectors.reshape(d_s, d_r * evals.size)
-
-        def traced(f: np.ndarray) -> np.ndarray:
-            return _symmetrized((grouped * np.tile(f, d_r)) @ grouped.conj().T)
-
-        m, x = traced(weights), traced(weights * evals)
-        mdec = hermitian_eig(Operator(m, (d_s,)))
-        mvals, v = mdec.eigenvalues, mdec.eigenvectors
-        if mvals.min() <= 0:
-            raise NotPositiveDefinite(f"Tr_R e^(-beta H) has eigenvalue {mvals.min():.3e}")
-        offset = beta * evals.min() + reservoir.log_partition
+        evals, evecs = np.linalg.eigh(_symmetrized(hamiltonians))
+        weights, log_z = _shifted_weights(evals, beta)
+        z = weights.sum(axis=-1)
+        n, side = evals.shape
+        d_s, d_r = dims
+        # M and X as Tr_R(U diag(f) U^dag) for f = w, wE in one product: rows
+        # of U grouped by s, the column (r, k) of the grouped matrix weighted
+        # by f_k
+        grouped = evecs.reshape(n, d_s, d_r * side)
+        f = np.tile(np.stack((weights, weights * evals)), d_r)[:, :, None, :]
+        m, x = _symmetrized((grouped * f) @ dagger(grouped))
+        mvals, v = np.linalg.eigh(m)
+        if np.any(mvals[:, 0] <= 0):
+            k = int(np.argmax(mvals[:, 0] <= 0))
+            raise NotPositiveDefinite(f"Tr_R e^(-beta H) has eigenvalue "
+                                      f"{mvals[k, 0]:.3e}{at_index(k, n)}")
+        offset = beta * evals[:, :1] + reservoir.log_partition
         hstar_evals = -(np.log(mvals) - offset) / beta
-        h_star = Operator(_symmetrized(mdec.apply(lambda _: hstar_evals)), (d_s,))
-        dlog = v @ ((v.conj().T @ x @ v) * _log_divided_differences(mvals)) @ v.conj().T
+        vh = dagger(v)
+        h_star = _symmetrized((v * hstar_evals[:, None, :]) @ vh)
+        dlog = v @ ((vh @ x @ v) * _log_divided_differences(mvals)) @ vh
         u_r = reservoir.mean_energy
-        e_star = Operator(_symmetrized(dlog) - u_r * np.eye(d_s), (d_s,))
-        log_z_star = _log_partition(hstar_evals, beta)
-        bundle = MeanForceBundle(h_star, e_star, log_z_star, -log_z_star / beta)
-        z = weights.sum()
-        populations = SpectralDecomposition(weights / z, dec.eigenvectors, dec.dims)
-        reduced = DensityMatrix(Operator(m / z, (d_s,)))
-        return cls(dec, populations, ens, reservoir, reduced, m, x, bundle, u_r)
+        e_star = _symmetrized(dlog) - u_r * np.eye(d_s)
+        log_z_star = _shifted_weights(hstar_evals, beta)[1]
+        populations = weights / z[:, None]
+        rho_s_evals = mvals / z[:, None]
+        DensityMatrix.check_spectra(populations)
+        DensityMatrix.check_spectra(rho_s_evals)
+        return cls(hamiltonians, tuple(dims), reservoir, evals, evecs, populations,
+                   log_z, m, v, m / z[:, None, None], rho_s_evals, h_star, e_star,
+                   log_z_star, -log_z_star / beta, u_r)
 
-    def u_diff(self, rho_sur: DensityMatrix) -> float:
-        """Total internal energy minus the bare reservoir's equilibrium energy."""
-        return self.ensemble.hamiltonian.expectation(rho_sur.op) - self.u_r
+    @property
+    def beta(self) -> float:
+        return self.reservoir.beta
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        """Global Gibbs states U diag(w / Z) U^dag, (N, D, D)."""
+        return (self.evecs * self.populations[:, None, :]) @ dagger(self.evecs)
+
+    @property
+    def _only(self) -> int:
+        if len(self.evals) != 1:
+            raise ValueError(f"view of a single-Hamiltonian context, but the "
+                             f"context holds {len(self.evals)}")
+        return 0
+
+    @property
+    def bundle(self) -> MeanForceBundle:
+        k, (d_s, _) = self._only, self.dims
+        return MeanForceBundle(Operator(self.h_star[k], (d_s,)),
+                               Operator(self.e_star[k], (d_s,)),
+                               float(self.log_z_star[k]), float(self.f_s[k]))
+
+    @property
+    def state_spectrum(self) -> SpectralDecomposition:
+        """Gibbs populations on H's eigenvectors."""
+        k = self._only
+        return SpectralDecomposition(self.populations[k], self.evecs[k], self.dims)
+
+    @property
+    def reduced_spectrum(self) -> SpectralDecomposition:
+        """Eigenpairs of the reduced Gibbs state M / Tr M."""
+        k = self._only
+        return SpectralDecomposition(self.rho_s_evals[k], self.m_evecs[k], self.dims[:1])
 
 
 def thermal_context(h_sur: Operator, h_r: Operator, beta: float) -> ThermalContext:
     """Thermal context of a bipartite Hamiltonian over reservoir `h_r` at beta."""
-    return ThermalContext.build(h_sur, gibbs(h_r, beta))
+    return ThermalContext.build(h_sur.matrix[None], h_sur.dims, gibbs(h_r, beta))
 
 
 def mean_force_hamiltonian(h_sur: Operator, h_r: Operator, beta: float) -> Operator:
@@ -210,7 +256,7 @@ def free_energies(
     """(F_SUR, F_S, F_R); F_S comes independently from the mean-force spectrum."""
     ctx = thermal_context(h_sur, h_r, beta)
     return (
-        -ctx.ensemble.log_partition / beta,
+        -float(ctx.log_z[0]) / beta,
         ctx.bundle.f_s,
         -ctx.reservoir.log_partition / beta,
     )

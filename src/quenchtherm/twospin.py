@@ -319,18 +319,27 @@ def interaction_quench_ledger(
     )
 
 
-def two_spin_hamiltonian(p: TwoSpinParams) -> Operator:
-    """The 4x4 benchmark Hamiltonian, S qubit leading."""
+def _kron_terms() -> tuple[np.ndarray, ...]:
     sz = np.diag([1.0, -1.0]).astype(complex)
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     eye = np.eye(2, dtype=complex)
-    mat = (
-        (p.epsilon / 2) * np.kron(sz, eye)
-        + (p.alpha / 2) * np.kron(eye, sz)
-        + p.gamma * np.kron(sz, sz)
-        + p.chi * np.kron(sx, sx)
-    )
-    return Operator(mat, (2, 2))
+    return np.kron(sz, eye), np.kron(eye, sz), np.kron(sz, sz), np.kron(sx, sx)
+
+
+#: sz_S, sz_R, sz_S sz_R and sx_S sx_R, S qubit leading
+_SZ_S, _SZ_R, _ZZ, _XX = _kron_terms()
+
+
+def two_spin_matrices(epsilon, alpha, gamma, chi) -> np.ndarray:
+    """Model matrices for scalar or array parameters, shape (..., 4, 4)."""
+    eps, a, g, c = (np.asarray(v, dtype=float)[..., None, None]
+                    for v in (epsilon, alpha, gamma, chi))
+    return (eps / 2) * _SZ_S + (a / 2) * _SZ_R + g * _ZZ + c * _XX
+
+
+def two_spin_hamiltonian(p: TwoSpinParams) -> Operator:
+    """The 4x4 benchmark Hamiltonian, S qubit leading."""
+    return Operator(two_spin_matrices(p.epsilon, p.alpha, p.gamma, p.chi), (2, 2))
 
 
 def reservoir_hamiltonian(p: TwoSpinParams) -> Operator:

@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from quenchtherm.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, main
+
+DATA = Path(__file__).parent / "data"
 
 SWEEP_SYSTEM = """\
 [run]
@@ -78,6 +82,30 @@ d_r = 2
 h_r = 0.4, 0, 0, -0.4
 h_sur_a = 0.5, 0, 0, 0.2, 0, -0.1, 0.3, 0, 0, 0.3, 0.1, 0, 0.2, 0, 0, -0.5
 h_sur_b = 0.8, 0, 0, 0.2, 0, -0.4, 0.3, 0, 0, 0.3, 0.4, 0, 0.2, 0, 0, -0.8
+"""
+
+# beta * spread ~ 1e3: the closed-form oracle returns NaN in every cell
+SWEEP_NONFINITE_ORACLE = """\
+[run]
+mode = sweep
+model = two_spin
+quench = system
+beta = 800
+
+[parameters]
+epsilon_a = 1.0
+alpha = 0.5
+gamma = 0.7
+chi = 0.4
+
+[sweep]
+variable = epsilon_b
+start = -1.0
+stop = 1.0
+count = 41
+
+[output]
+path = {out}
 """
 
 AUDIT_CFG = """\
@@ -160,6 +188,19 @@ class TestSweep:
         assert code == EXIT_TOLERANCE
         assert "ORACLE MISMATCH" in capsys.readouterr().out
 
+    def test_non_finite_oracle_fails_the_gate(self, tmp_path, capsys):
+        out = tmp_path / "nan.csv"
+        cfg = write(tmp_path, "n.ini", SWEEP_NONFINITE_ORACLE.format(out=out))
+        assert main(["sweep", "--config", cfg]) == EXIT_TOLERANCE
+        summary = capsys.readouterr().out
+        assert "max_abs_diff w_diff = nan" in summary
+        assert "ORACLE MISMATCH w_diff: non-finite engine or oracle value" in summary
+        lines = out.read_text().splitlines()
+        header = lines[0].split(",")
+        ora = [j for j, name in enumerate(header) if name.startswith("ora_")]
+        cells = np.array([[float(line.split(",")[j]) for j in ora] for line in lines[1:]])
+        assert not np.isfinite(cells).any()
+
     def test_degenerate_range_rejected(self, tmp_path, capsys):
         bad = SWEEP_SYSTEM.replace("stop = 5.0", "stop = -5.0")
         cfg = write(tmp_path, "d.ini", bad.format(out=tmp_path / "x.csv"))
@@ -171,6 +212,47 @@ class TestSweep:
         cfg = write(tmp_path, "d.ini", bad.format(out=tmp_path / "x.csv"))
         assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
         capsys.readouterr()
+
+
+class TestGoldenSweep:
+    """Sweep outputs against files generated before the engine was batched.
+
+    Value, oracle and flag cells and the summary's text lines are
+    byte-identical; engine numbers may move in their last digits only.
+    """
+
+    @staticmethod
+    def close(a: str, b: str) -> bool:
+        x, y = float(a), float(b)
+        return abs(x - y) <= 1e-13 * max(1.0, abs(x))
+
+    @pytest.mark.parametrize("tag", ["sweep_system", "sweep_interaction"])
+    def test_matches_committed_output(self, tmp_path, capsys, tag):
+        out = tmp_path / f"{tag}.csv"
+        template = (DATA / f"{tag}.ini").read_text()
+        cfg = write(tmp_path, f"{tag}.ini", template.format(out=out))
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
+        capsys.readouterr()
+        golden = (DATA / f"{tag}.csv").read_text().splitlines()
+        lines = out.read_text().splitlines()
+        assert len(lines) == len(golden) and lines[0] == golden[0]
+        header = golden[0].split(",")
+        for line, ref in zip(lines[1:], golden[1:]):
+            for name, cell, ref_cell in zip(header, line.split(","), ref.split(",")):
+                if name.startswith("eng_"):
+                    assert self.close(cell, ref_cell), (name, cell, ref_cell)
+                else:
+                    assert cell == ref_cell, (name, cell, ref_cell)
+        summary = (tmp_path / f"{tag}.csv.summary.txt").read_text().splitlines()
+        ref_summary = (DATA / f"{tag}.csv.summary.txt").read_text().splitlines()
+        assert len(summary) == len(ref_summary)
+        for line, ref in zip(summary, ref_summary):
+            key, _, value = line.partition(" = ")
+            ref_key, _, ref_value = ref.partition(" = ")
+            if key.startswith(("max_abs_diff ", "min ")):
+                assert key == ref_key and self.close(value, ref_value), (line, ref)
+            else:
+                assert line == ref
 
 
 class TestRun:
@@ -255,6 +337,30 @@ class TestErrors:
     def test_malformed_tol_flag(self, tmp_path, capsys):
         cfg = write(tmp_path, "r.ini", RUN_TWO_SPIN)
         assert main(["run", "--config", cfg, "--tol", "oops"]) == EXIT_CONFIG
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command, name", [
+        ("sweep", "oracle_match_rell"),
+        ("sweep", "eig_reconstruction"),
+        ("audit", "oracle_match_rel"),
+        ("run", "oracle_match_rel"),
+    ])
+    def test_unknown_tolerance_name(self, tmp_path, capsys, command, name):
+        template = {"sweep": SWEEP_SYSTEM, "audit": AUDIT_CFG, "run": RUN_TWO_SPIN}[command]
+        cfg = write(tmp_path, "t.ini", template.format(out=tmp_path / "x.csv"))
+        assert main([command, "--config", cfg, "--tol", f"{name}=1"]) == EXIT_CONFIG
+        assert repr(name) in capsys.readouterr().err
+
+    def test_unknown_tolerance_key_in_config(self, tmp_path, capsys):
+        text = SWEEP_SYSTEM + "\n[tolerances]\noracle_match_rell = 1\n"
+        cfg = write(tmp_path, "t.ini", text.format(out=tmp_path / "x.csv"))
+        assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+        assert "'oracle_match_rell'" in capsys.readouterr().err
+
+    def test_known_tolerance_key_in_config(self, tmp_path, capsys):
+        text = SWEEP_SYSTEM + "\n[tolerances]\noracle_match_rel = 1e-7\n"
+        cfg = write(tmp_path, "t.ini", text.format(out=tmp_path / "x.csv"))
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
         capsys.readouterr()
 
     def test_bad_beta(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 from quenchtherm import (
     DensityMatrix,
     InvalidSpec,
+    NotHermitian,
     Operator,
     QuenchSpec,
     SupportMismatch,
@@ -18,6 +19,7 @@ from quenchtherm import (
     pauli,
     relative_entropy,
     run_quench,
+    run_sweep,
     second_law_audit,
     tensor_product,
     thermal_entropy,
@@ -25,7 +27,12 @@ from quenchtherm import (
 from quenchtherm.audits import random_bipartite
 from quenchtherm.quench import EQUILIBRATED, SYSTEM_QUENCH, INTERACTION_QUENCH, UNITARY
 from quenchtherm.thermo import embed_reservoir, embed_system
-from quenchtherm.twospin import TwoSpinParams, reservoir_hamiltonian, two_spin_hamiltonian
+from quenchtherm.twospin import (
+    TwoSpinParams,
+    reservoir_hamiltonian,
+    two_spin_hamiltonian,
+    two_spin_matrices,
+)
 
 # relative entropy between Gibbs states of 0.7*sz and 0.3*sz + 0.5*sx at
 # beta = 1, precomputed by direct 2x2 spectral evaluation
@@ -245,45 +252,136 @@ class TestThermalContextSharing:
     @pytest.mark.parametrize("mode", [EQUILIBRATED, UNITARY])
     def test_ledger_matches_public_statics(self, mode):
         spec = self.spec(mode)
-        beta, h_a, h_b, h_r = spec.beta, spec.h_sur_a, spec.h_sur_b, spec.h_r
+        beta = spec.beta
         ledger = run_quench(spec)
         audit = second_law_audit(spec, ledger)
-
-        pi_a, pi_b = gibbs(h_a, beta).state, gibbs(h_b, beta).state
-        bun_a, bun_b = mean_force_bundle(h_a, h_r, beta), mean_force_bundle(h_b, h_r, beta)
-        pi_s_a = DensityMatrix(partial_trace(pi_a.op, "S"))
-        pi_s_b = DensityMatrix(partial_trace(pi_b.op, "S"))
-        rho_f = pi_b if mode == EQUILIBRATED else evolve_unitary(pi_a, h_b, spec.t_f)
-        rho_s_f = DensityMatrix(partial_trace(rho_f.op, "S"))
-
-        def energies(rho, rho_s, h, bun):
-            return (
-                internal_energy_diff(rho, h, h_r, beta),
-                internal_energy_hstar(rho_s, bun.h_star),
-                internal_energy_estar(rho_s, bun.e_star),
-            )
-
-        u_0 = energies(pi_a, pi_s_a, h_a, bun_a)
-        u_jump = energies(pi_a, pi_s_a, h_b, bun_b)
-        u_f = energies(rho_f, rho_s_f, h_b, bun_b)
-        u_eq_b = energies(pi_b, pi_s_b, h_b, bun_b)
-        delta_f_s = bun_b.f_s - bun_a.f_s
-        expected = {"delta_f_s": delta_f_s}
-        for k, name in enumerate(("diff", "hstar", "estar")):
-            expected[f"w_{name}"] = u_jump[k] - u_0[k]
-            expected[f"q_{name}"] = u_f[k] - u_jump[k]
-            expected[f"delta_s_{name}"] = (thermal_entropy(u_eq_b[k], bun_b.f_s, beta)
-                                           - thermal_entropy(u_0[k], bun_a.f_s, beta))
-            expected[f"diss_{name}"] = expected[f"w_{name}"] - delta_f_s
+        expected, states = independent_ledger(
+            spec.h_sur_a, spec.h_sur_b, spec.h_r, beta, mode, spec.t_f)
         for name, value in ledger.numeric_fields().items():
             assert abs(value - expected[name]) <= 1e-12, name
 
+        pi_a, pi_b, pi_s_a, pi_s_b = states
         d_global = relative_entropy(pi_a, pi_b)
         d_reduced = relative_entropy(pi_s_a, pi_s_b)
         assert abs(audit.residual_diff
                    - abs(beta * expected["diss_diff"] - d_global)) <= 1e-12
         assert abs(audit.residual_hstar
                    - abs(beta * expected["diss_hstar"] - d_reduced)) <= 1e-12
+
+
+def independent_ledger(h_a, h_b, h_r, beta, mode=EQUILIBRATED, t_f=0.0):
+    """A quench ledger assembled from the public statics, not from run_quench.
+
+    Returns the numeric fields and (pi_A, pi_B, pi_S_A, pi_S_B).
+    """
+    pi_a, pi_b = gibbs(h_a, beta).state, gibbs(h_b, beta).state
+    bun_a, bun_b = mean_force_bundle(h_a, h_r, beta), mean_force_bundle(h_b, h_r, beta)
+    pi_s_a = DensityMatrix(partial_trace(pi_a.op, "S"))
+    pi_s_b = DensityMatrix(partial_trace(pi_b.op, "S"))
+    rho_f = pi_b if mode == EQUILIBRATED else evolve_unitary(pi_a, h_b, t_f)
+    rho_s_f = DensityMatrix(partial_trace(rho_f.op, "S"))
+
+    def energies(rho, rho_s, h, bun):
+        return (
+            internal_energy_diff(rho, h, h_r, beta),
+            internal_energy_hstar(rho_s, bun.h_star),
+            internal_energy_estar(rho_s, bun.e_star),
+        )
+
+    u_0 = energies(pi_a, pi_s_a, h_a, bun_a)
+    u_jump = energies(pi_a, pi_s_a, h_b, bun_b)
+    u_f = energies(rho_f, rho_s_f, h_b, bun_b)
+    u_eq_b = energies(pi_b, pi_s_b, h_b, bun_b)
+    delta_f_s = bun_b.f_s - bun_a.f_s
+    expected = {"delta_f_s": delta_f_s}
+    for k, name in enumerate(("diff", "hstar", "estar")):
+        expected[f"w_{name}"] = u_jump[k] - u_0[k]
+        expected[f"q_{name}"] = u_f[k] - u_jump[k]
+        expected[f"delta_s_{name}"] = (thermal_entropy(u_eq_b[k], bun_b.f_s, beta)
+                                       - thermal_entropy(u_0[k], bun_a.f_s, beta))
+        expected[f"diss_{name}"] = expected[f"w_{name}"] - delta_f_s
+    return expected, (pi_a, pi_b, pi_s_a, pi_s_b)
+
+
+class TestRunSweep:
+    """run_sweep: one broadcasting eigh per stack, ledgers equal to per-point ones."""
+
+    P_A = TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0)
+    GRID = np.linspace(-5.0, 5.0, 41)
+
+    def system_sweep(self):
+        p = self.P_A
+        stack = two_spin_matrices(self.GRID, p.alpha, p.gamma, p.chi)
+        return two_spin_hamiltonian(p), stack, reservoir_hamiltonian(p), p.beta
+
+    def test_two_global_eigh_for_41_points(self, monkeypatch):
+        h_a, stack, h_r, beta = self.system_sweep()
+        calls = {"eigh": [], "eigvalsh": []}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _name=name, _original=original, **kwargs):
+                calls[_name].append(np.shape(a)[-1])
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        ledgers = run_sweep(h_a, stack, h_r, beta, SYSTEM_QUENCH)
+        assert len(ledgers) == 41
+        assert calls["eigh"].count(4) <= 2
+        assert calls["eigvalsh"].count(4) == 0
+
+    def test_system_ledgers_match_independent_assembly(self):
+        h_a, stack, h_r, beta = self.system_sweep()
+        ledgers = run_sweep(h_a, stack, h_r, beta, SYSTEM_QUENCH)
+        for mat, ledger in zip(stack, ledgers):
+            expected, _ = independent_ledger(h_a, Operator(mat, (2, 2)), h_r, beta)
+            for name, value in ledger.numeric_fields().items():
+                assert abs(value - expected[name]) <= 1e-12, name
+            diss = [expected[f"diss_{n}"] for n in ("diff", "hstar", "estar")]
+            assert ledger.second_law_w == tuple(d >= -1e-6 for d in diss)
+
+    def test_general_ledgers_match_independent_assembly(self):
+        rng = np.random.default_rng(103)
+        h_a, _, h_r, _ = random_bipartite(rng, 3, 4, scale=0.5)
+        stack = np.stack([random_bipartite(rng, 3, 4, scale=0.5)[0].matrix
+                          for _ in range(5)])
+        ledgers = run_sweep(h_a, stack, h_r, 0.7)
+        for mat, ledger in zip(stack, ledgers):
+            expected, _ = independent_ledger(h_a, Operator(mat, (3, 4)), h_r, 0.7)
+            for name, value in ledger.numeric_fields().items():
+                assert abs(value - expected[name]) <= 1e-12, name
+            single = run_quench(QuenchSpec(h_a, Operator(mat, (3, 4)), h_r, 0.7))
+            for name, value in single.numeric_fields().items():
+                assert abs(getattr(ledger, name) - value) <= 1e-13, name
+            assert (ledger.second_law_w, ledger.second_law_q) == (
+                single.second_law_w, single.second_law_q)
+
+    def test_non_hermitian_member_named(self):
+        h_a, stack, h_r, beta = self.system_sweep()
+        stack = stack.copy()
+        stack[7, 0, 1] += 1e-3
+        with pytest.raises(NotHermitian, match="stack index 7"):
+            run_sweep(h_a, stack, h_r, beta)
+
+    def test_system_structure_violation_named(self):
+        h_a, stack, h_r, beta = self.system_sweep()
+        stack = stack.copy()
+        stack[5] = two_spin_matrices(1.0, 0.8, 0.5, 1.8)
+        with pytest.raises(InvalidSpec, match="stack index 5"):
+            run_sweep(h_a, stack, h_r, beta, SYSTEM_QUENCH)
+
+    def test_interaction_quench_requires_uncoupled_start(self):
+        p_a = TwoSpinParams(1.0, 5.0, 0.3, 0.0, 1.0)
+        stack = two_spin_matrices(1.0, 5.0, np.linspace(-1, 1, 4), 1.2)
+        with pytest.raises(InvalidSpec):
+            run_sweep(two_spin_hamiltonian(p_a), stack, reservoir_hamiltonian(p_a),
+                      1.0, INTERACTION_QUENCH)
+
+    def test_stack_shape_checked(self):
+        h_a, stack, h_r, beta = self.system_sweep()
+        for bad in (stack[0], stack[:0], np.zeros((3, 6, 6))):
+            with pytest.raises(InvalidSpec):
+                run_sweep(h_a, bad, h_r, beta)
 
 
 class TestEvolveUnitary:

@@ -14,6 +14,7 @@ from quenchtherm import (
     system_quench_ledger,
     tensor_product,
     two_spin_hamiltonian,
+    two_spin_matrices,
     TwoSpinParams,
 )
 from quenchtherm.quench import INTERACTION_QUENCH, SYSTEM_QUENCH
@@ -169,6 +170,35 @@ class TestInteractionQuenchLedger:
                 reservoir_hamiltonian(p), p.beta, kind=INTERACTION_QUENCH,
             )
             assert_ledgers_match(run_quench(spec), oracle)
+
+
+class TestTwoSpinHamiltonian:
+    @staticmethod
+    def kron_build(p):
+        sz = np.diag([1.0, -1.0]).astype(complex)
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        eye = np.eye(2, dtype=complex)
+        return (
+            (p.epsilon / 2) * np.kron(sz, eye)
+            + (p.alpha / 2) * np.kron(eye, sz)
+            + p.gamma * np.kron(sz, sz)
+            + p.chi * np.kron(sx, sx)
+        )
+
+    def test_bit_identical_to_kron_build(self):
+        rng = np.random.default_rng(97)
+        for _ in range(200):
+            p = TwoSpinParams(*(rng.standard_normal(4) * 10.0 ** rng.integers(-8, 9)), 1.0)
+            assert np.array_equal(two_spin_hamiltonian(p).matrix, self.kron_build(p))
+
+    def test_stack_bit_identical_to_points(self):
+        rng = np.random.default_rng(101)
+        eps = rng.uniform(-5, 5, 41)
+        stack = two_spin_matrices(eps, 0.8, 1.2, 1.8)
+        assert stack.shape == (41, 4, 4)
+        for value, mat in zip(eps, stack):
+            p = TwoSpinParams(float(value), 0.8, 1.2, 1.8, 1.0)
+            assert np.array_equal(mat, self.kron_build(p))
 
 
 class TestLgtHamiltonian:
