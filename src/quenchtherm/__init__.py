@@ -56,7 +56,6 @@ from .quench import (
 )
 from .twospin import (
     ClosedFormStatics,
-    OracleLedger,
     TwoSpinParams,
     build_lgt_hamiltonian,
     closed_form_statics,

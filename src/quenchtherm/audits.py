@@ -16,8 +16,6 @@ from .operators import (
     Operator,
     hermitian_eig,
     partial_trace,
-    tensor_product,
-    identity,
 )
 from .quench import (
     EQUILIBRATED,
@@ -57,6 +55,17 @@ DEFAULT_TOLERANCES = {
 def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> Operator:
     raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return Operator(scale * 0.5 * (raw + raw.conj().T), (d,))
+
+
+def random_two_spin_params(rng: np.random.Generator) -> TwoSpinParams:
+    """Two-spin parameters, drawn in the order epsilon, alpha, gamma, chi, beta."""
+    return TwoSpinParams(
+        epsilon=float(rng.uniform(-2, 2)),
+        alpha=float(rng.uniform(-2, 2)),
+        gamma=float(rng.uniform(-1.5, 1.5)),
+        chi=float(rng.uniform(-1.5, 1.5)),
+        beta=float(rng.uniform(0.3, 2.0)),
+    )
 
 
 def random_bipartite(
@@ -225,13 +234,7 @@ def run_invariant_audit(
     worst = 0.0
     n_spin = 50
     for _ in range(n_spin):
-        params = TwoSpinParams(
-            epsilon=float(rng.uniform(-2, 2)),
-            alpha=float(rng.uniform(-2, 2)),
-            gamma=float(rng.uniform(-1.5, 1.5)),
-            chi=float(rng.uniform(-1.5, 1.5)),
-            beta=float(rng.uniform(0.3, 2.0)),
-        )
+        params = random_two_spin_params(rng)
         led = system_quench_ledger(params, float(rng.uniform(-2, 2)))
         worst = max(worst, abs(led.delta_s_diff - led.delta_s_estar))
         led2 = interaction_quench_ledger(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audits import DEFAULT_TOLERANCES, run_invariant_audit
+from .audits import DEFAULT_TOLERANCES, random_two_spin_params, run_invariant_audit
 from .operators import Operator
 from .quench import (
     INTERACTION_QUENCH,
@@ -166,32 +166,46 @@ def _require(cfg: RunConfig, *names: str) -> list[float]:
     return out
 
 
-def _two_spin_sweep(cfg: RunConfig, values: np.ndarray):
-    """(H_A, stack of post-quench H_B, H_R, oracle ledgers) over sweep `values`.
+def _two_spin_sweep(kind: str, params, beta: float, values: np.ndarray):
+    """(H_A, stack of post-quench H_B, H_R, oracle) of two-spin quenches.
 
-    The oracle stays per point and scalar, independent of the engine.
+    `params` is (epsilon, alpha, gamma, chi).  A system quench starts from
+    them and sets epsilon to each of `values`; an interaction quench starts
+    from gamma = chi = 0 and switches on gamma = value and chi.  `oracle(v)`
+    is the closed-form ledger at value v, evaluated only when called: it
+    stays per point and scalar, independent of the engine.
     """
-    beta = cfg.beta
+    eps, alpha, gamma, chi = params
+    if kind == SYSTEM_QUENCH:
+        p_a = TwoSpinParams(eps, alpha, gamma, chi, beta)
+        h_b = two_spin_matrices(values, alpha, gamma, chi)
+
+        def oracle(v: float) -> ThermoLedger:
+            return system_quench_ledger(p_a, v)
+    else:
+        p_a = TwoSpinParams(eps, alpha, 0.0, 0.0, beta)
+        h_b = two_spin_matrices(eps, alpha, values, chi)
+
+        def oracle(v: float) -> ThermoLedger:
+            return interaction_quench_ledger(eps, alpha, v, chi, beta)
+    return two_spin_hamiltonian(p_a), h_b, reservoir_hamiltonian(p_a), oracle
+
+
+def _two_spin_config(cfg: RunConfig, values: np.ndarray):
+    """`_two_spin_sweep` with the model parameters of a two_spin config."""
     if not np.all(np.isfinite(values)):
         raise ConfigError("sweep values must be finite")
     if cfg.quench == SYSTEM_QUENCH:
-        eps_a, alpha, gamma, chi = _require(cfg, "epsilon_a", "alpha", "gamma", "chi")
-        p_a = TwoSpinParams(eps_a, alpha, gamma, chi, beta)
-        h_b = two_spin_matrices(values, alpha, gamma, chi)
-        oracles = [system_quench_ledger(p_a, v) for v in values.tolist()]
+        params = _require(cfg, "epsilon_a", "alpha", "gamma", "chi")
     elif cfg.quench == INTERACTION_QUENCH:
         eps, alpha, chi_b = _require(cfg, "epsilon", "alpha", "chi_b")
-        p_a = TwoSpinParams(eps, alpha, 0.0, 0.0, beta)
-        h_b = two_spin_matrices(eps, alpha, values, chi_b)
-        oracles = [interaction_quench_ledger(eps, alpha, v, chi_b, beta)
-                   for v in values.tolist()]
+        params = (eps, alpha, 0.0, chi_b)
     else:
-        raise ConfigError(f"two_spin sweeps support system or interaction quenches")
-    return two_spin_hamiltonian(p_a), h_b, reservoir_hamiltonian(p_a), oracles
+        raise ConfigError("two_spin quenches are system or interaction quenches")
+    return _two_spin_sweep(cfg.quench, params, cfg.beta, values)
 
 
-def _flag_columns(ledger: ThermoLedger) -> list[str]:
-    flags = list(ledger.second_law_w) + list(ledger.second_law_q or ())
+def _bits(flags) -> list[str]:
     return ["1" if f else "0" for f in flags]
 
 
@@ -208,8 +222,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     tol.update(cfg.tolerances)
 
     grid = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
-    h_a, h_b, h_r, oracles = _two_spin_sweep(cfg, grid)
+    h_a, h_b, h_r, oracle = _two_spin_config(cfg, grid)
     ledgers = run_sweep(h_a, h_b, h_r, cfg.beta, cfg.quench)
+    oracles = [oracle(v) for v in grid.tolist()]
 
     fields = ThermoLedger.FIELDS
     eng = np.array([[getattr(led, name) for name in fields] for led in ledgers])
@@ -226,7 +241,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         row = [FMT % value]
         for e, o in zip(e_row, o_row):
             row += [FMT % e, FMT % o]
-        rows.append(row + _flag_columns(ledger))
+        rows.append(row + _bits(ledger.second_law_w) + _bits(ledger.second_law_q or ()))
 
     # NaN propagates through these reductions, so a non-finite engine or
     # oracle value shows in the summary and fails the gate below
@@ -314,27 +329,12 @@ def cmd_compare(cfg: RunConfig) -> int:
     n = cfg.count or 100
     for kind in (SYSTEM_QUENCH, INTERACTION_QUENCH):
         for _ in range(n):
-            eps = float(rng.uniform(-2, 2))
-            alpha = float(rng.uniform(-2, 2))
-            gamma = float(rng.uniform(-1.5, 1.5))
-            chi = float(rng.uniform(-1.5, 1.5))
-            beta = float(rng.uniform(0.3, 2.0))
-            if kind == SYSTEM_QUENCH:
-                p_a = TwoSpinParams(eps, alpha, gamma, chi, beta)
-                eps_b = float(rng.uniform(-2, 2))
-                p_b = TwoSpinParams(eps_b, alpha, gamma, chi, beta)
-                oracle = system_quench_ledger(p_a, eps_b)
-            else:
-                p_a = TwoSpinParams(eps, alpha, 0.0, 0.0, beta)
-                p_b = TwoSpinParams(eps, alpha, gamma, chi, beta)
-                oracle = interaction_quench_ledger(eps, alpha, gamma, chi, beta)
-            spec = QuenchSpec(
-                two_spin_hamiltonian(p_a), two_spin_hamiltonian(p_b),
-                reservoir_hamiltonian(p_a), beta, kind=kind,
-            )
-            ledger = run_quench(spec)
-            eng = ledger.numeric_fields()
-            ora = oracle.numeric_fields()
+            p = random_two_spin_params(rng)
+            value = float(rng.uniform(-2, 2)) if kind == SYSTEM_QUENCH else p.gamma
+            h_a, h_b, h_r, oracle = _two_spin_sweep(
+                kind, (p.epsilon, p.alpha, p.gamma, p.chi), p.beta, np.array([value]))
+            eng = run_sweep(h_a, h_b, h_r, p.beta, kind)[0].numeric_fields()
+            ora = oracle(value).numeric_fields()
             for name in ThermoLedger.FIELDS:
                 limit = tol["oracle_match_abs"] + tol["oracle_match_rel"] * abs(ora[name])
                 excess = abs(eng[name] - ora[name]) / limit
@@ -375,18 +375,17 @@ def _custom_spec(cfg: RunConfig) -> QuenchSpec:
 def cmd_run(cfg: RunConfig) -> int:
     if cfg.model == "two_spin":
         name = "epsilon_b" if cfg.quench == SYSTEM_QUENCH else "gamma_b"
-        h_a, h_b, h_r, _ = _two_spin_sweep(cfg, np.array(_require(cfg, name)))
+        h_a, h_b, h_r, _ = _two_spin_config(cfg, np.array(_require(cfg, name)))
         spec = QuenchSpec(h_a, Operator(h_b[0], h_a.dims), h_r, cfg.beta, kind=cfg.quench)
     else:
         spec = _custom_spec(cfg)
     ledger = run_quench(spec)
     lines = [f"{name} = {FMT % value}"
              for name, value in ledger.numeric_fields().items()]
-    lines.append("second_law_w = " + " ".join(
-        "1" if f else "0" for f in ledger.second_law_w))
-    if ledger.second_law_q is not None:
-        lines.append("second_law_q = " + " ".join(
-            "1" if f else "0" for f in ledger.second_law_q))
+    for name, flags in (("second_law_w", ledger.second_law_w),
+                        ("second_law_q", ledger.second_law_q)):
+        if flags is not None:
+            lines.append(f"{name} = " + " ".join(_bits(flags)))
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if cfg.output_path:

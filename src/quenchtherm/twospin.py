@@ -4,7 +4,9 @@ The model is H = (eps/2) sz_S + (alpha/2) sz_R + gamma sz_S sz_R
 + chi sx_S sx_R on two qubits.  Every thermodynamic quantity of its sudden
 quenches has an explicit scalar expression; this module evaluates those
 expressions directly, sharing no linear-algebra code with the generic
-engine so the two can check each other.
+engine so the two can check each other.  The two share only the
+`ThermoLedger` record, which derives the dissipated works and the
+second-law flags from the scalar works, heats and entropy changes.
 
 Conventions: eta_pm = sqrt((eps/2 +- alpha/2)^2 + chi^2) and
 a_pm = (eps +- alpha)/2.  X_pm are the (unnormalized) populations of the
@@ -19,8 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .operators import Operator
-
-VIOLATION_THRESHOLD = 1e-6
+from .quench import ThermoLedger
 
 
 @dataclass(frozen=True)
@@ -50,44 +51,6 @@ class ClosedFormStatics:
     d_beta_x_plus: float
     h_star_diag: tuple[float, float]
     e_star_diag: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class OracleLedger:
-    """Closed-form counterpart of the generic engine's quench ledger."""
-
-    w_diff: float
-    w_hstar: float
-    w_estar: float
-    q_diff: float
-    q_hstar: float
-    q_estar: float
-    delta_f_s: float
-    delta_s_diff: float
-    delta_s_hstar: float
-    delta_s_estar: float
-    diss_diff: float
-    diss_hstar: float
-    diss_estar: float
-    second_law_w: tuple[bool, bool, bool]
-    second_law_q: tuple[bool, bool, bool]
-    beta: float
-    z_sur: float
-    x_minus: float
-    x_plus: float
-    d_beta_x_minus: float
-    d_beta_x_plus: float
-
-    FIELDS = (
-        "w_diff", "w_hstar", "w_estar",
-        "q_diff", "q_hstar", "q_estar",
-        "delta_f_s",
-        "delta_s_diff", "delta_s_hstar", "delta_s_estar",
-        "diss_diff", "diss_hstar", "diss_estar",
-    )
-
-    def numeric_fields(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in self.FIELDS}
 
 
 def _ratio(a: float, eta: float) -> float:
@@ -141,28 +104,7 @@ def closed_form_statics(p: TwoSpinParams) -> ClosedFormStatics:
     return ClosedFormStatics(z_sur, x_minus, x_plus, dx_minus, dx_plus, h_star, e_star)
 
 
-def _assemble(beta, works, heats, delta_f_s, entropies, statics_b) -> OracleLedger:
-    diss = tuple(w - delta_f_s for w in works)
-    flags_w = tuple(d >= -VIOLATION_THRESHOLD for d in diss)
-    flags_q = tuple(
-        ds / beta - q >= -VIOLATION_THRESHOLD for ds, q in zip(entropies, heats)
-    )
-    return OracleLedger(
-        w_diff=works[0], w_hstar=works[1], w_estar=works[2],
-        q_diff=heats[0], q_hstar=heats[1], q_estar=heats[2],
-        delta_f_s=delta_f_s,
-        delta_s_diff=entropies[0], delta_s_hstar=entropies[1],
-        delta_s_estar=entropies[2],
-        diss_diff=diss[0], diss_hstar=diss[1], diss_estar=diss[2],
-        second_law_w=flags_w, second_law_q=flags_q, beta=beta,
-        z_sur=statics_b.z_sur,
-        x_minus=statics_b.x_minus, x_plus=statics_b.x_plus,
-        d_beta_x_minus=statics_b.d_beta_x_minus,
-        d_beta_x_plus=statics_b.d_beta_x_plus,
-    )
-
-
-def system_quench_ledger(p_a: TwoSpinParams, epsilon_b: float) -> OracleLedger:
+def system_quench_ledger(p_a: TwoSpinParams, epsilon_b: float) -> ThermoLedger:
     """Closed-form ledger for an abrupt change of the system field epsilon."""
     b = p_a.beta
     p_b = replace(p_a, epsilon=epsilon_b)
@@ -230,19 +172,19 @@ def system_quench_ledger(p_a: TwoSpinParams, epsilon_b: float) -> OracleLedger:
         - sa.x_plus / sa.z_sur * math.log(sa.z_sur / sa.x_plus)
     )
 
-    return _assemble(
-        b,
+    return ThermoLedger.assemble(
         (w_diff, w_hstar, w_estar),
         (q_diff, q_hstar, q_estar),
         delta_f_s,
         (ds_diff, ds_hstar, ds_diff),
-        sb,
+        b,
+        equilibrated=True,
     )
 
 
 def interaction_quench_ledger(
     epsilon: float, alpha: float, gamma_b: float, chi_b: float, beta: float
-) -> OracleLedger:
+) -> ThermoLedger:
     """Closed-form ledger for abruptly switching the couplings on from zero."""
     b = beta
     p_b = TwoSpinParams(epsilon, alpha, gamma_b, chi_b, beta)
@@ -309,13 +251,13 @@ def interaction_quench_ledger(
         + math.log(sb.z_sur / (4 * ce * ca))
     )
 
-    return _assemble(
-        b,
+    return ThermoLedger.assemble(
         (w_diff, w_hstar, w_estar),
         (q_diff, q_hstar, q_estar),
         delta_f_s,
         (ds_diff, ds_hstar, ds_diff),
-        sb,
+        b,
+        equilibrated=True,
     )
 
 

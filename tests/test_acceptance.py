@@ -29,7 +29,7 @@ from quenchtherm import (
     Operator,
     TwoSpinParams,
 )
-from quenchtherm.audits import random_bipartite, random_hermitian
+from quenchtherm.audits import random_bipartite, random_hermitian, random_two_spin_params
 from quenchtherm.cli import main
 from quenchtherm.quench import INTERACTION_QUENCH, SYSTEM_QUENCH
 from quenchtherm.thermo import embed_reservoir, embed_system
@@ -46,16 +46,6 @@ def report(capsys, num, label, ok, detail=""):
     assert ok, f"criterion {num} {label}{tail}"
 
 
-def rand_params(rng):
-    return TwoSpinParams(
-        epsilon=float(rng.uniform(-2, 2)),
-        alpha=float(rng.uniform(-2, 2)),
-        gamma=float(rng.uniform(-1.5, 1.5)),
-        chi=float(rng.uniform(-1.5, 1.5)),
-        beta=float(rng.uniform(0.3, 2.0)),
-    )
-
-
 def two_spin_spec(p_a, p_b, kind):
     return QuenchSpec(
         two_spin_hamiltonian(p_a), two_spin_hamiltonian(p_b),
@@ -68,7 +58,7 @@ def test_01_engine_matches_closed_form_oracle(capsys):
     worst = 0.0
     for kind in (SYSTEM_QUENCH, INTERACTION_QUENCH):
         for _ in range(100):
-            p = rand_params(rng)
+            p = random_two_spin_params(rng)
             if kind == SYSTEM_QUENCH:
                 eps_b = float(rng.uniform(-2, 2))
                 p_a = p
@@ -237,7 +227,7 @@ def test_09_factorization_heat_bound_entropy_identity(capsys):
             led.q_hstar - led.delta_s_hstar / beta,
         )
     for _ in range(100):
-        led = system_quench_ledger(rand_params(rng), float(rng.uniform(-2, 2)))
+        led = system_quench_ledger(random_two_spin_params(rng), float(rng.uniform(-2, 2)))
         worst_ds = max(worst_ds, abs(led.delta_s_diff - led.delta_s_estar))
     ok = worst_fac <= 1e-9 and worst_q <= 1e-9 and worst_ds <= 1e-10
     report(capsys, 9, "factorization, heat bound, entropy identity", ok,

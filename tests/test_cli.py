@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quenchtherm.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, main
+from quenchtherm.quench import ThermoLedger
 
 DATA = Path(__file__).parent / "data"
 
@@ -65,6 +66,20 @@ alpha = 0.8
 gamma = 1.2
 chi = 1.8
 epsilon_b = 1.5
+"""
+
+RUN_INTERACTION = """\
+[run]
+mode = run
+model = two_spin
+quench = interaction
+beta = 1.0
+
+[parameters]
+epsilon = 1.0
+alpha = 5.0
+chi_b = 1.2
+gamma_b = 0.7
 """
 
 RUN_CUSTOM = """\
@@ -255,6 +270,29 @@ class TestGoldenSweep:
                 assert line == ref
 
 
+class TestGoldenOutputs:
+    """run, audit and compare output against files generated before the
+    ledger record, the two-spin sampler and the quench pairing each got a
+    single owner; every byte must match."""
+
+    COMPARE_25 = "[run]\nmode = compare\ncount = 25\n"
+    COMPARE_100 = "[run]\nmode = compare\ncount = 100\n"
+
+    @pytest.mark.parametrize("tag, args, config", [
+        ("compare_seed3_count25", ["compare", "--seed", "3"], COMPARE_25),
+        ("compare_seed3_count100", ["compare", "--seed", "3"], COMPARE_100),
+        ("audit_seed7", ["audit", "--seed", "7"], None),
+        ("run_two_spin", ["run"], RUN_TWO_SPIN),
+        ("run_interaction", ["run"], RUN_INTERACTION),
+        ("run_custom", ["run"], RUN_CUSTOM),
+    ])
+    def test_matches_committed_output(self, tmp_path, capsys, tag, args, config):
+        if config is not None:
+            args = args + ["--config", write(tmp_path, f"{tag}.ini", config)]
+        assert main(args) == EXIT_OK
+        assert capsys.readouterr().out.encode() == (DATA / f"{tag}.txt").read_bytes()
+
+
 class TestRun:
     def test_two_spin_ledger_text(self, tmp_path, capsys):
         cfg = write(tmp_path, "r.ini", RUN_TWO_SPIN)
@@ -278,6 +316,17 @@ class TestRun:
                 values[f"w_{tag}"] - values["delta_f_s"], abs=1e-12
             )
             assert np.isfinite(du)
+
+    def test_two_spin_large_beta_needs_no_oracle(self, tmp_path, capsys):
+        # the closed-form oracle overflows at this beta; `run` prints the
+        # engine's ledger and never evaluates the oracle
+        cfg = write(tmp_path, "r.ini", RUN_TWO_SPIN.replace("beta = 1.0", "beta = 400"))
+        assert main(["run", "--config", cfg]) == EXIT_OK
+        values = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        flags = [values.pop(key).split() for key in ("second_law_w", "second_law_q")]
+        assert list(values) == list(ThermoLedger.FIELDS)
+        assert all(np.isfinite(float(v)) for v in values.values())
+        assert all(len(f) == 3 and set(f) <= {"0", "1"} for f in flags)
 
     def test_output_file_matches_stdout(self, tmp_path, capsys):
         cfg = write(tmp_path, "r.ini", RUN_TWO_SPIN)

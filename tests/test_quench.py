@@ -25,7 +25,14 @@ from quenchtherm import (
     thermal_entropy,
 )
 from quenchtherm.audits import random_bipartite
-from quenchtherm.quench import EQUILIBRATED, SYSTEM_QUENCH, INTERACTION_QUENCH, UNITARY
+from quenchtherm.quench import (
+    EQUILIBRATED,
+    INTERACTION_QUENCH,
+    SYSTEM_QUENCH,
+    UNITARY,
+    VIOLATION_THRESHOLD,
+    ThermoLedger,
+)
 from quenchtherm.thermo import embed_reservoir, embed_system
 from quenchtherm.twospin import (
     TwoSpinParams,
@@ -189,13 +196,54 @@ class TestRelativeEntropy:
         assert d == pytest.approx(ledger.w_diff - ledger.delta_f_s, abs=1e-10)
 
 
+class TestThermoLedgerAssemble:
+    """The one place that derives dissipated works and second-law flags."""
+
+    EDGE = -VIOLATION_THRESHOLD
+    BELOW = float(np.nextafter(-VIOLATION_THRESHOLD, -np.inf))
+
+    def test_work_flag_threshold_is_inclusive(self):
+        led = ThermoLedger.assemble((self.EDGE, self.BELOW, 0.0), (0.0, 0.0, 0.0),
+                                    0.0, (0.0, 0.0, 0.0), 1.0, equilibrated=True)
+        assert (led.diss_diff, led.diss_hstar, led.diss_estar) == (self.EDGE, self.BELOW, 0.0)
+        assert led.second_law_w == (True, False, True)
+
+    def test_heat_flag_threshold_is_inclusive(self):
+        # dS / beta - Q equals -Q here
+        led = ThermoLedger.assemble((0.0, 0.0, 0.0), (-self.EDGE, -self.BELOW, 0.0),
+                                    0.0, (0.0, 0.0, 0.0), 1.0, equilibrated=True)
+        assert led.second_law_q == (True, False, True)
+
+    def test_dissipated_work_subtracts_free_energy(self):
+        led = ThermoLedger.assemble((0.5, 0.25, -0.75), (0.1, 0.2, 0.5), 0.25,
+                                    (0.4, 0.5, 0.6), 2.0, equilibrated=True)
+        assert (led.diss_diff, led.diss_hstar, led.diss_estar) == (0.25, 0.0, -1.0)
+        assert led.second_law_w == (True, True, False)
+        assert led.second_law_q == (True, True, False)
+        assert led.beta == 2.0
+
+    def test_unequilibrated_has_no_heat_flags(self):
+        led = ThermoLedger.assemble((0.5, 0.25, -0.75), (0.1, 0.2, 0.3), 0.25,
+                                    (0.4, 0.5, 0.6), 2.0, equilibrated=False)
+        assert led.second_law_q is None
+        assert led.second_law_w == (True, True, False)
+
+
 class TestSecondLawAudit:
     def test_identity_quench(self):
         p = TwoSpinParams(0.3, 0.8, 1.2, 1.8, 1.0)
         spec = two_spin_spec(p, p, SYSTEM_QUENCH)
-        audit = second_law_audit(spec, run_quench(spec))
-        assert audit.w_flags == (True, True, True)
-        assert audit.q_flags == (True, True, True)
+        ledger = run_quench(spec)
+        audit = second_law_audit(spec, ledger)
+        # W >= dF_S and Q <= dS / beta for every definition
+        assert all(d >= -1e-9 for d in (
+            ledger.diss_diff, ledger.diss_hstar, ledger.diss_estar))
+        assert ledger.second_law_q is not None
+        assert all(ds / p.beta - q >= -1e-9 for ds, q in (
+            (ledger.delta_s_diff, ledger.q_diff),
+            (ledger.delta_s_hstar, ledger.q_hstar),
+            (ledger.delta_s_estar, ledger.q_estar),
+        ))
         assert audit.residual_diff <= 1e-12
         assert audit.residual_hstar <= 1e-12
 
@@ -207,10 +255,11 @@ class TestSecondLawAudit:
             h_a, _, h_r, _ = random_bipartite(rng, 2, d_r, scale=0.5)
             h_b, _, _, _ = random_bipartite(rng, 2, d_r, scale=0.5)
             spec = QuenchSpec(h_a, h_b, h_r, beta)
-            audit = second_law_audit(spec, run_quench(spec))
+            ledger = run_quench(spec)
+            audit = second_law_audit(spec, ledger)
             assert audit.residual_diff <= 1e-8
             assert audit.residual_hstar <= 1e-8
-            assert audit.w_flags[0] and audit.w_flags[1]
+            assert ledger.diss_diff >= -1e-9 and ledger.diss_hstar >= -1e-9
 
     def test_estar_violation_found_on_sweep(self):
         p_a = TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0)
@@ -338,7 +387,7 @@ class TestRunSweep:
             for name, value in ledger.numeric_fields().items():
                 assert abs(value - expected[name]) <= 1e-12, name
             diss = [expected[f"diss_{n}"] for n in ("diff", "hstar", "estar")]
-            assert ledger.second_law_w == tuple(d >= -1e-6 for d in diss)
+            assert ledger.second_law_w == tuple(d >= -VIOLATION_THRESHOLD for d in diss)
 
     def test_general_ledgers_match_independent_assembly(self):
         rng = np.random.default_rng(103)

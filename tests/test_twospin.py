@@ -17,22 +17,13 @@ from quenchtherm import (
     two_spin_matrices,
     TwoSpinParams,
 )
-from quenchtherm.quench import INTERACTION_QUENCH, SYSTEM_QUENCH
+from quenchtherm.audits import random_two_spin_params
+from quenchtherm.quench import INTERACTION_QUENCH, SYSTEM_QUENCH, ThermoLedger
 
 BENCH = TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0)
 
 ORACLE_MATCH_REL = 1e-8
 ORACLE_MATCH_ABS = 1e-10
-
-
-def rand_params(rng):
-    return TwoSpinParams(
-        epsilon=float(rng.uniform(-2, 2)),
-        alpha=float(rng.uniform(-2, 2)),
-        gamma=float(rng.uniform(-1.5, 1.5)),
-        chi=float(rng.uniform(-1.5, 1.5)),
-        beta=float(rng.uniform(0.3, 2.0)),
-    )
 
 
 def assert_ledgers_match(engine, oracle):
@@ -77,13 +68,13 @@ class TestClosedFormStatics:
     def test_x_positive(self):
         rng = np.random.default_rng(89)
         for _ in range(100):
-            st = closed_form_statics(rand_params(rng))
+            st = closed_form_statics(random_two_spin_params(rng))
             assert st.x_minus > 0 and st.x_plus > 0
 
     def test_beta_derivative_vs_finite_difference(self):
         rng = np.random.default_rng(97)
         for _ in range(100):
-            p = rand_params(rng)
+            p = random_two_spin_params(rng)
             st = closed_form_statics(p)
             h = 1e-6 * p.beta
             up = closed_form_statics(
@@ -96,6 +87,17 @@ class TestClosedFormStatics:
             fd_plus = (up.x_plus - dn.x_plus) / (2 * h)
             assert st.d_beta_x_minus == pytest.approx(fd_minus, rel=1e-7, abs=1e-9)
             assert st.d_beta_x_plus == pytest.approx(fd_plus, rel=1e-7, abs=1e-9)
+
+
+class TestOracleRecord:
+    def test_oracle_returns_engine_record(self):
+        p = TwoSpinParams(0.3, 0.8, 1.2, 1.8, 1.0)
+        for led in (system_quench_ledger(p, 1.5),
+                    interaction_quench_ledger(1.0, 5.0, 0.7, 1.2, 1.0)):
+            assert type(led) is ThermoLedger
+            assert led.beta == 1.0
+            # equilibrated final state: the heat flags are always present
+            assert led.second_law_q is not None
 
 
 class TestSystemQuenchLedger:
@@ -113,13 +115,13 @@ class TestSystemQuenchLedger:
     def test_entropy_identity(self):
         rng = np.random.default_rng(101)
         for _ in range(50):
-            led = system_quench_ledger(rand_params(rng), float(rng.uniform(-2, 2)))
+            led = system_quench_ledger(random_two_spin_params(rng), float(rng.uniform(-2, 2)))
             assert abs(led.delta_s_diff - led.delta_s_estar) <= 1e-10
 
     def test_matches_engine_seeded(self):
         rng = np.random.default_rng(103)
         for _ in range(100):
-            p_a = rand_params(rng)
+            p_a = random_two_spin_params(rng)
             eps_b = float(rng.uniform(-2, 2))
             oracle = system_quench_ledger(p_a, eps_b)
             p_b = TwoSpinParams(eps_b, p_a.alpha, p_a.gamma, p_a.chi, p_a.beta)
@@ -139,7 +141,7 @@ class TestInteractionQuenchLedger:
     def test_entropy_identity(self):
         rng = np.random.default_rng(107)
         for _ in range(50):
-            p = rand_params(rng)
+            p = random_two_spin_params(rng)
             led = interaction_quench_ledger(
                 p.epsilon, p.alpha, p.gamma, p.chi, p.beta
             )
@@ -160,7 +162,7 @@ class TestInteractionQuenchLedger:
     def test_matches_engine_seeded(self):
         rng = np.random.default_rng(109)
         for _ in range(100):
-            p = rand_params(rng)
+            p = random_two_spin_params(rng)
             oracle = interaction_quench_ledger(
                 p.epsilon, p.alpha, p.gamma, p.chi, p.beta
             )
