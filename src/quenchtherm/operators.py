@@ -9,6 +9,7 @@ throughout is row-major ordering with the system factor leading, i.e.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,13 +22,17 @@ EIG_RECONSTRUCTION_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Operator:
-    """A dense complex square matrix tagged with subsystem dimensions."""
+    """A dense complex square matrix tagged with subsystem dimensions.
+
+    The operator owns a read-only copy of the matrix it is given, so the
+    caller's array stays writable and later writes to it change nothing here.
+    """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
@@ -42,6 +47,18 @@ class Operator:
     @property
     def side(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def eig(self) -> SpectralDecomposition:
+        """Read-only eigenpairs, eigenvalues ascending, from one `eigh` per operator.
+
+        Raises NotHermitian on every access to a non-Hermitian operator: a
+        failure is not cached.
+        """
+        evals, evecs = eigh_stack(self.matrix[None])
+        evals.setflags(write=False)
+        evecs.setflags(write=False)
+        return SpectralDecomposition(evals[0], evecs[0], self.dims)
 
     def hermiticity_defect(self) -> float:
         return float(_hermiticity(self.matrix, HERMITICITY_TOL)[0])
@@ -201,6 +218,15 @@ def require_hermitian_stack(mats: np.ndarray, tol: float = HERMITICITY_TOL):
                            f"{at_index(n, len(mats))}")
 
 
+def eigh_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of each member of a (N, d, d) Hermitian stack, in one `eigh`.
+
+    Checks every member first; errors name the first bad one.
+    """
+    require_hermitian_stack(mats)
+    return np.linalg.eigh(_symmetrized(mats))
+
+
 _PAULI = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
@@ -228,14 +254,16 @@ def tensor_product(a: Operator, b: Operator) -> Operator:
 
 
 def hermitian_eig(a: Operator) -> SpectralDecomposition:
-    """Spectral decomposition of a Hermitian operator, eigenvalues ascending."""
-    a.require_hermitian()
-    evals, evecs = np.linalg.eigh(_symmetrized(a.matrix))
-    return SpectralDecomposition(evals, evecs, a.dims)
+    """Spectral decomposition of a Hermitian operator: its cached `Operator.eig`."""
+    return a.eig
 
 
 def func_of_hermitian(a: Operator, f: Callable[[np.ndarray], np.ndarray]) -> Operator:
-    """Apply a real scalar function to a Hermitian operator via its spectrum."""
+    """Apply a real scalar function to a Hermitian operator via its spectrum.
+
+    `f` receives the operator's cached, read-only eigenvalues and must return
+    a new array, not modify its argument in place.
+    """
     dec = hermitian_eig(a)
     with np.errstate(invalid="ignore", divide="ignore"):
         fvals = np.asarray(f(dec.eigenvalues), dtype=float)

@@ -20,6 +20,7 @@ from .operators import (
     SpectralDecomposition,
     at_index,
     dagger,
+    eigh_stack,
     expectation,
     hermitian_eig,
     trace_out_reservoir,
@@ -115,14 +116,12 @@ class QuenchSpec:
     @cached_property
     def context_a(self) -> ThermalContext:
         """Equilibrium quantities of the pre-quench Hamiltonian, computed once."""
-        return ThermalContext.build(self.h_sur_a.matrix[None], self.h_sur_a.dims,
-                                    self._reservoir)
+        return ThermalContext.of(self.h_sur_a, self._reservoir)
 
     @cached_property
     def context_b(self) -> ThermalContext:
         """Equilibrium quantities of the post-quench Hamiltonian, computed once."""
-        return ThermalContext.build(self.h_sur_b.matrix[None], self.h_sur_b.dims,
-                                    self._reservoir)
+        return ThermalContext.of(self.h_sur_b, self._reservoir)
 
 
 @dataclass(frozen=True)
@@ -264,7 +263,8 @@ def run_sweep(
     """Equilibrated quenches from H_A to each member of a (N, D, D) stack.
 
     One ledger per member, equal to `run_quench` on the matching
-    `QuenchSpec`, from two broadcasting eigendecompositions in all.  The
+    `QuenchSpec`, from one broadcasting eigendecomposition of the stack and
+    H_A's cached `Operator.eig`: two global `eigh` at most.  The
     stack shares H_A's dims; every member gets the checks a `QuenchSpec`
     makes, and errors name the first bad member.
     """
@@ -274,8 +274,8 @@ def run_sweep(
                           f"{h_sur_a.side}) with N >= 1, got {stack.shape}")
     _check_quench(kind, EQUILIBRATED, h_sur_a, stack, h_sur_a.dims, h_r)
     reservoir = gibbs(h_r, beta)
-    ctx_a = ThermalContext.build(h_sur_a.matrix[None], h_sur_a.dims, reservoir)
-    ctx_b = ThermalContext.build(stack, h_sur_a.dims, reservoir)
+    ctx_a = ThermalContext.of(h_sur_a, reservoir)
+    ctx_b = ThermalContext.build(stack, *eigh_stack(stack), h_sur_a.dims, reservoir)
     return _ledgers(ctx_a, ctx_b, EQUILIBRATED, 0.0)
 
 

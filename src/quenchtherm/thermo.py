@@ -6,7 +6,9 @@ beta * ||H|| cannot overflow.
 
 All equilibrium quantities of a global Hamiltonian, or of a stack of them,
 come from one `ThermalContext`, built from one broadcasting
-eigendecomposition; the public statics below read a context of one.
+eigendecomposition; the public statics below read a context of one, built
+from the Hamiltonian's cached `Operator.eig`, so statics on one `Operator`
+share one `eigh`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .operators import (
     dagger,
     hermitian_eig,
     identity,
-    require_hermitian_stack,
     tensor_product,
 )
 
@@ -116,10 +117,11 @@ class ThermalContext:
       with L the divided differences of ln on m (Daleckii-Krein);
     - the reduced Gibbs state is M / Tr M.
 
-    Arrays carry the batch axis first.  All members come from one
-    broadcasting `eigh` of the (N, D, D) stack and one of the (N, d_s, d_s)
-    stack of M.  `bundle`, `state_spectrum` and `reduced_spectrum` view a
-    context of one Hamiltonian.
+    Arrays carry the batch axis first.  All members come from the
+    eigenpairs of the (N, D, D) stack (one broadcasting `eigh`, or the
+    cached `Operator.eig` of a single Hamiltonian) and one broadcasting
+    `eigh` of the (N, d_s, d_s) stack of M.  `bundle`, `state_spectrum` and
+    `reduced_spectrum` view a context of one Hamiltonian.
     """
 
     hamiltonians: np.ndarray  # (N, D, D)
@@ -141,14 +143,17 @@ class ThermalContext:
 
     @classmethod
     def build(
-        cls, hamiltonians: np.ndarray, dims: tuple[int, ...], reservoir: GibbsEnsemble
+        cls, hamiltonians: np.ndarray, evals: np.ndarray, evecs: np.ndarray,
+        dims: tuple[int, ...], reservoir: GibbsEnsemble,
     ) -> "ThermalContext":
-        """Contexts of a (N, D, D) stack on `dims` against one reservoir ensemble."""
+        """Contexts of a (N, D, D) stack on `dims` against one reservoir ensemble.
+
+        `evals` (N, D) and `evecs` (N, D, D) are the stack's eigenpairs, from
+        `eigh_stack` or a stack of one `Operator.eig`.
+        """
         if len(dims) != 2:
             raise BadFactorCount(f"need exactly two factors, got dims {dims}")
-        require_hermitian_stack(hamiltonians)
         beta = reservoir.beta
-        evals, evecs = np.linalg.eigh(_symmetrized(hamiltonians))
         weights, log_z = _shifted_weights(evals, beta)
         z = weights.sum(axis=-1)
         n, side = evals.shape
@@ -179,6 +184,13 @@ class ThermalContext:
         return cls(hamiltonians, tuple(dims), reservoir, evals, evecs, populations,
                    log_z, m, v, m / z[:, None, None], rho_s_evals, h_star, e_star,
                    log_z_star, -log_z_star / beta, u_r)
+
+    @classmethod
+    def of(cls, h: Operator, reservoir: GibbsEnsemble) -> "ThermalContext":
+        """Context of one Hamiltonian, from its cached eigenpairs."""
+        dec = h.eig
+        return cls.build(h.matrix[None], dec.eigenvalues[None], dec.eigenvectors[None],
+                         h.dims, reservoir)
 
     @property
     def beta(self) -> float:
@@ -218,7 +230,7 @@ class ThermalContext:
 
 def thermal_context(h_sur: Operator, h_r: Operator, beta: float) -> ThermalContext:
     """Thermal context of a bipartite Hamiltonian over reservoir `h_r` at beta."""
-    return ThermalContext.build(h_sur.matrix[None], h_sur.dims, gibbs(h_r, beta))
+    return ThermalContext.of(h_sur, gibbs(h_r, beta))
 
 
 def mean_force_hamiltonian(h_sur: Operator, h_r: Operator, beta: float) -> Operator:

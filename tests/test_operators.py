@@ -109,6 +109,42 @@ class TestHermitianEig:
             assert unitary_defect <= 1e-10
 
 
+class TestOperatorOwnsItsEigenpairs:
+    def test_caller_array_stays_writable_and_unshared(self):
+        # one operator decomposed before the caller writes, one after
+        a = np.diag([1.0, -1.0]).astype(complex)
+        early, late = Operator(a, (2,)), Operator(a, (2,))
+        early.eig
+        a[0, 0] = 5.0
+        a[0, 1] = 3.0
+        for op in (early, late):
+            np.testing.assert_array_equal(op.matrix, np.diag([1.0, -1.0]))
+            np.testing.assert_array_equal(op.eig.eigenvalues, [-1.0, 1.0])
+
+    def test_matrix_and_eigenpairs_read_only(self):
+        op = rand_hermitian(np.random.default_rng(3), 3)
+        dec = hermitian_eig(op)
+        for arr in (op.matrix, dec.eigenvalues, dec.eigenvectors):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_decomposed_once(self, eig_calls):
+        op = rand_hermitian(np.random.default_rng(5), 4)
+        assert hermitian_eig(op) is hermitian_eig(op)
+        assert op.eig is hermitian_eig(op)
+        func_of_hermitian(op, np.exp)
+        assert eig_calls["eigh"] == [4]
+
+    def test_non_hermitian_raises_every_time(self, eig_calls):
+        op = Operator(np.array([[0.0, 1.0], [0.0, 0.0]]), (2,))
+        for _ in range(3):
+            with pytest.raises(NotHermitian):
+                hermitian_eig(op)
+        with pytest.raises(NotHermitian):
+            op.eig
+        assert eig_calls["eigh"] == []
+
+
 class TestFuncOfHermitian:
     def test_identity_map(self):
         rng = np.random.default_rng(0)

@@ -285,18 +285,29 @@ class TestThermalContextSharing:
         return QuenchSpec(h_a, h_b, h_r, self.BETA, final_mode=final_mode, t_f=1.3)
 
     @pytest.mark.parametrize("mode", [EQUILIBRATED, UNITARY])
-    def test_two_global_eigh_per_quench_and_audit(self, monkeypatch, mode):
+    def test_two_global_eigh_per_quench_and_audit(self, eig_calls, mode):
         spec = self.spec(mode)
-        sides = []
-        eigh = np.linalg.eigh
-
-        def counted(a, *args, **kwargs):
-            sides.append(np.shape(a)[-1])
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
         second_law_audit(spec, run_quench(spec))
-        assert sides.count(self.D_S * self.D_R) == 2
+        assert eig_calls["eigh"].count(self.D_S * self.D_R) == 2
+
+    @pytest.mark.parametrize("mode", [EQUILIBRATED, UNITARY])
+    def test_specs_sharing_h_a_decompose_it_once(self, eig_calls, mode):
+        rng = np.random.default_rng(97)
+        h_a, _, h_r, _ = random_bipartite(rng, self.D_S, self.D_R, scale=0.5)
+        h_bs = [random_bipartite(rng, self.D_S, self.D_R, scale=0.5)[0]
+                for _ in range(4)]
+        ledgers = [run_quench(QuenchSpec(h_a, h_b, h_r, self.BETA,
+                                         final_mode=mode, t_f=1.3))
+                   for h_b in h_bs]
+        assert eig_calls["eigh"].count(self.D_S * self.D_R) == 5
+
+        def fresh(op):
+            return Operator(op.matrix.copy(), op.dims)
+
+        for h_b, ledger in zip(h_bs, ledgers):
+            spec = QuenchSpec(fresh(h_a), fresh(h_b), fresh(h_r), self.BETA,
+                              final_mode=mode, t_f=1.3)
+            assert run_quench(spec) == ledger
 
     @pytest.mark.parametrize("mode", [EQUILIBRATED, UNITARY])
     def test_ledger_matches_public_statics(self, mode):
@@ -363,21 +374,12 @@ class TestRunSweep:
         stack = two_spin_matrices(self.GRID, p.alpha, p.gamma, p.chi)
         return two_spin_hamiltonian(p), stack, reservoir_hamiltonian(p), p.beta
 
-    def test_two_global_eigh_for_41_points(self, monkeypatch):
+    def test_two_global_eigh_for_41_points(self, eig_calls):
         h_a, stack, h_r, beta = self.system_sweep()
-        calls = {"eigh": [], "eigvalsh": []}
-        for name in calls:
-            original = getattr(np.linalg, name)
-
-            def counted(a, *args, _name=name, _original=original, **kwargs):
-                calls[_name].append(np.shape(a)[-1])
-                return _original(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
         ledgers = run_sweep(h_a, stack, h_r, beta, SYSTEM_QUENCH)
         assert len(ledgers) == 41
-        assert calls["eigh"].count(4) <= 2
-        assert calls["eigvalsh"].count(4) == 0
+        assert eig_calls["eigh"].count(4) <= 2
+        assert eig_calls["eigvalsh"].count(4) == 0
 
     def test_system_ledgers_match_independent_assembly(self):
         h_a, stack, h_r, beta = self.system_sweep()

@@ -243,6 +243,28 @@ class TestFreeEnergies:
                 assert abs(beta * (f_sur - f_s - f_r)) <= 1e-9
 
 
+class TestSharedEigendecomposition:
+    def test_statics_on_one_hamiltonian_share_its_eigh(self, eig_calls):
+        # the public statics called one after another on one (H, H_R) pair:
+        # H, H_R, M and H* are each decomposed once
+        rng = np.random.default_rng(23)
+        d_s, d_r, beta = 2, 8, 0.9
+        h, _, h_r, _ = random_bipartite(rng, d_s, d_r)
+        ens = gibbs(h, beta)
+        bundle = mean_force_bundle(h, h_r, beta)
+        log_z = (log_partition(h, beta), log_partition(bundle.h_star, beta),
+                 log_partition(h_r, beta))
+        rho_s = DensityMatrix(partial_trace(ens.state.op, "S"))
+        rebuilt = gibbs(bundle.h_star, beta).state
+        u_diff = internal_energy_diff(ens.state, h, h_r, beta)
+        u_estar = internal_energy_estar(rho_s, bundle.e_star)
+        assert sorted(eig_calls["eigh"]) == [d_s, d_s, d_r, d_s * d_r]
+        assert eig_calls["eigvalsh"] == [d_s]
+        assert abs(log_z[0] - log_z[1] - log_z[2]) <= 1e-12
+        assert np.max(np.abs(rho_s.matrix - rebuilt.matrix)) <= 1e-12
+        assert abs(u_diff - u_estar) <= 1e-12
+
+
 class TestThermalEntropy:
     def test_zero_when_energies_equal(self):
         assert thermal_entropy(1.3, 1.3, 2.0) == 0.0
