@@ -15,7 +15,6 @@ from .operators import (
     Operator,
     SpectralDecomposition,
     func_of_hermitian,
-    hermitian_eig,
     identity,
     partial_trace,
     pauli,

@@ -14,7 +14,6 @@ import numpy as np
 from .operators import (
     DensityMatrix,
     Operator,
-    hermitian_eig,
     partial_trace,
 )
 from .quench import (
@@ -146,7 +145,7 @@ def run_invariant_audit(
     for _ in range(n_eig):
         d = int(rng.integers(2, 17))
         a = random_hermitian(rng, d)
-        dec = hermitian_eig(a)
+        dec = a.eig
         defect = np.max(np.abs(a.matrix - dec.reconstruct()))
         worst = max(worst, defect / max(1.0, np.max(np.abs(a.matrix))))
     add("eig_reconstruction", worst, n_eig)

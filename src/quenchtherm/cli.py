@@ -205,6 +205,17 @@ def _two_spin_config(cfg: RunConfig, values: np.ndarray):
     return _two_spin_sweep(cfg.quench, params, cfg.beta, values)
 
 
+def _write(path: str, text: str) -> bool:
+    """Write `text` to `path`; on failure print `write failure: ...` and return False."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"write failure: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _bits(flags) -> list[str]:
     return ["1" if f else "0" for f in flags]
 
@@ -251,13 +262,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     min_diss = eng[:, diss_cols].min(axis=0)
     estar_violations = grid[eng[:, fields.index("diss_estar")] < -VIOLATION_THRESHOLD]
 
-    try:
-        with open(cfg.output_path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
-    except OSError as exc:
-        print(f"write failure: {exc}", file=sys.stderr)
+    if not _write(cfg.output_path, "".join(",".join(r) + "\n" for r in [header] + rows)):
         return EXIT_TOLERANCE
 
     summary = [f"sweep variable={cfg.sweep_variable or cfg.quench} "
@@ -283,11 +288,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
     summary_text = "\n".join(summary) + "\n"
     print(summary_text, end="")
-    try:
-        with open(cfg.output_path + ".summary.txt", "w") as fh:
-            fh.write(summary_text)
-    except OSError as exc:
-        print(f"write failure: {exc}", file=sys.stderr)
+    if not _write(cfg.output_path + ".summary.txt", summary_text):
         return EXIT_TOLERANCE
     return EXIT_TOLERANCE if failed else EXIT_OK
 
@@ -314,9 +315,8 @@ def cmd_audit(cfg: RunConfig) -> int:
                                  tolerances=cfg.tolerances or None)
     text = "\n".join(report.lines()) + "\n"
     print(text, end="")
-    if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
-            fh.write(text)
+    if cfg.output_path and not _write(cfg.output_path, text):
+        return EXIT_TOLERANCE
     return EXIT_OK if report.passed else EXIT_TOLERANCE
 
 
@@ -388,9 +388,8 @@ def cmd_run(cfg: RunConfig) -> int:
             lines.append(f"{name} = " + " ".join(_bits(flags)))
     text = "\n".join(lines) + "\n"
     print(text, end="")
-    if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
-            fh.write(text)
+    if cfg.output_path and not _write(cfg.output_path, text):
+        return EXIT_TOLERANCE
     return EXIT_OK
 
 

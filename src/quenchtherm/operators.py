@@ -17,7 +17,6 @@ import numpy as np
 from .errors import BadFactorCount, DimensionMismatch, DomainError, NotHermitian
 
 HERMITICITY_TOL = 1e-12
-EIG_RECONSTRUCTION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -50,8 +49,9 @@ class Operator:
 
     @cached_property
     def eig(self) -> SpectralDecomposition:
-        """Read-only eigenpairs, eigenvalues ascending, from one `eigh` per operator.
+        """Read-only eigenpairs, eigenvalues ascending: the one owner of them.
 
+        Seeded by `from_eig`, or else computed by one `eigh` on first access.
         Raises NotHermitian on every access to a non-Hermitian operator: a
         failure is not cached.
         """
@@ -60,18 +60,30 @@ class Operator:
         evecs.setflags(write=False)
         return SpectralDecomposition(evals[0], evecs[0], self.dims)
 
-    def hermiticity_defect(self) -> float:
-        return float(_hermiticity(self.matrix, HERMITICITY_TOL)[0])
+    @classmethod
+    def from_eig(cls, dec: SpectralDecomposition) -> "Operator":
+        """The operator (U * lambda) @ U^dag, with `dec` as its cached eigenpairs.
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return bool(_hermiticity(self.matrix, tol)[1])
+        The matrix is built from `dec` in the order given; the cache holds
+        the eigenpairs read-only and ascending, as `eig` does, so the operator
+        never needs an `eigh`.  The cache may hold views of `dec`'s arrays,
+        which must not be written to afterwards.
+        """
+        op = cls(dec.reconstruct(), dec.dims)
+        # views, reversed for non-increasing values such as Gibbs populations
+        step = -1 if dec.eigenvalues[0] > dec.eigenvalues[-1] else 1
+        evals, evecs = dec.eigenvalues[::step], dec.eigenvectors[:, ::step]
+        if (evals[1:] < evals[:-1]).any():
+            order = np.argsort(evals, kind="stable")
+            evals, evecs = evals[order], evecs[:, order]
+        evals.setflags(write=False)
+        evecs.setflags(write=False)
+        vars(op)["eig"] = SpectralDecomposition(evals, evecs, op.dims)
+        return op
 
-    def require_hermitian(self, tol: float = HERMITICITY_TOL) -> "Operator":
-        require_hermitian_stack(self.matrix[None], tol)
+    def require_hermitian(self) -> "Operator":
+        require_hermitian_stack(self.matrix[None])
         return self
-
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T, self.dims)
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
@@ -108,46 +120,36 @@ class Operator:
 class DensityMatrix:
     """A unit-trace, positive-semidefinite Hermitian operator.
 
-    `spectrum` holds its eigenvalues.  A state built from outside input is
-    checked for hermiticity and gets its spectrum from `eigvalsh`; the engine
-    passes the spectrum it already holds (Gibbs populations, a unitarily
-    evolved state's populations), which is Hermitian by construction.  The
-    trace and positivity checks then run on that spectrum.
+    The trace and positivity checks run on the operator's eigenvalues,
+    `op.eig`: an operator from outside input gets one checked `eigh` (which
+    also checks hermiticity), and a state the engine builds with
+    `Operator.from_eig` already carries its eigenpairs and needs none.
     """
 
     op: Operator
-    spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     TRACE_TOL = 1e-12
     EIGENVALUE_FLOOR = -1e-12
 
     def __post_init__(self):
-        if self.spectrum is None:
-            self.op.require_hermitian()
-            evals = np.linalg.eigvalsh(_symmetrized(self.op.matrix))
-            object.__setattr__(self, "spectrum", evals)
-            trace = self.op.trace()
-        else:
-            trace = self.spectrum.sum()
-        self.check_spectra(self.spectrum[None], np.array([trace]))
+        self.check_spectra(self.op.eig.eigenvalues[None])
 
     @classmethod
-    def check_spectra(cls, spectra: np.ndarray, traces: np.ndarray | None = None):
+    def check_spectra(cls, spectra: np.ndarray):
         """Unit trace and no eigenvalue below EIGENVALUE_FLOOR, for each row.
 
-        `spectra` is a (N, d) stack of state spectra; the traces default to
-        their row sums.  Raises ValueError naming the first bad member.
+        `spectra` is a (N, d) stack of state spectra.  Raises ValueError
+        naming the first bad member.
         """
-        if traces is None:
-            traces = spectra.sum(axis=-1)
+        traces = spectra.sum(axis=-1)
         lowest = spectra.min(axis=-1)
         bad_trace = np.abs(traces - 1.0) > cls.TRACE_TOL
         bad_min = lowest < cls.EIGENVALUE_FLOOR
-        if np.any(bad_trace):
+        if bad_trace.any():
             n = int(np.argmax(bad_trace))
             raise ValueError(f"trace {traces[n]} differs from 1 beyond tolerance"
                              f"{at_index(n, len(traces))}")
-        if np.any(bad_min):
+        if bad_min.any():
             n = int(np.argmax(bad_min))
             raise ValueError(f"negative eigenvalue {lowest[n]:.3e}"
                              f"{at_index(n, len(traces))}")
@@ -177,10 +179,6 @@ class SpectralDecomposition:
         U = self.eigenvectors
         return (U * self.eigenvalues) @ U.conj().T
 
-    def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        U = self.eigenvectors
-        return (U * f(self.eigenvalues)) @ U.conj().T
-
 
 def dagger(mat: np.ndarray) -> np.ndarray:
     """Conjugate transpose over the last two axes."""
@@ -202,16 +200,14 @@ def at_index(n: int, size: int) -> str:
     return f" at stack index {n}" if size > 1 else ""
 
 
-def _hermiticity(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per member: max |A - A^dag|, and whether it is within tol * max(1, max |A|)."""
+def require_hermitian_stack(mats: np.ndarray):
+    """Raise NotHermitian naming the first member of a (N, d, d) stack that is not.
+
+    A member passes when max |A - A^dag| <= HERMITICITY_TOL * max(1, max |A|).
+    """
     defect = np.abs(mats - dagger(mats)).max(axis=(-2, -1))
     scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
-    return defect, defect <= tol * scale
-
-
-def require_hermitian_stack(mats: np.ndarray, tol: float = HERMITICITY_TOL):
-    """Raise NotHermitian naming the first member of a (N, d, d) stack that is not."""
-    defect, ok = _hermiticity(mats, tol)
+    ok = defect <= HERMITICITY_TOL * scale
     if not np.all(ok):
         n = int(np.argmin(ok))
         raise NotHermitian(f"hermiticity defect {defect[n]:.3e} exceeds tolerance"
@@ -253,25 +249,20 @@ def tensor_product(a: Operator, b: Operator) -> Operator:
     return Operator(np.kron(a.matrix, b.matrix), a.dims + b.dims)
 
 
-def hermitian_eig(a: Operator) -> SpectralDecomposition:
-    """Spectral decomposition of a Hermitian operator: its cached `Operator.eig`."""
-    return a.eig
-
-
 def func_of_hermitian(a: Operator, f: Callable[[np.ndarray], np.ndarray]) -> Operator:
     """Apply a real scalar function to a Hermitian operator via its spectrum.
 
     `f` receives the operator's cached, read-only eigenvalues and must return
     a new array, not modify its argument in place.
     """
-    dec = hermitian_eig(a)
+    dec = a.eig
     with np.errstate(invalid="ignore", divide="ignore"):
         fvals = np.asarray(f(dec.eigenvalues), dtype=float)
     if not np.all(np.isfinite(fvals)):
         raise DomainError(
             f"function not finite on spectrum; eigenvalues {dec.eigenvalues}"
         )
-    return Operator(dec.apply(lambda _: fvals), a.dims)
+    return Operator.from_eig(SpectralDecomposition(fvals, dec.eigenvectors, a.dims))
 
 
 def partial_trace(o: Operator, keep: str) -> Operator:

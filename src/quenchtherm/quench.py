@@ -22,13 +22,11 @@ from .operators import (
     dagger,
     eigh_stack,
     expectation,
-    hermitian_eig,
     trace_out_reservoir,
 )
 from .thermo import (
     GibbsEnsemble,
     ThermalContext,
-    embed_reservoir,
     gibbs,
     thermal_entropy,
 )
@@ -73,8 +71,8 @@ def _check_quench(kind: str, final_mode: str, h_sur_a: Operator,
     if kind == SYSTEM_QUENCH:
         _check_acts_on_s_only(h_sur_b - h_sur_a.matrix, h_sur_a.dims)
     elif kind == INTERACTION_QUENCH:
-        bare = h_sur_a - embed_reservoir(h_r, h_sur_a.dims[0])
-        _check_acts_on_s_only(bare.matrix[None], h_sur_a.dims)
+        bare = h_sur_a.matrix - np.kron(np.eye(h_sur_a.dims[0]), h_r.matrix)
+        _check_acts_on_s_only(bare[None], h_sur_a.dims)
 
 
 def _check_acts_on_s_only(ops: np.ndarray, dims: tuple[int, int]):
@@ -182,10 +180,15 @@ def _evolve(rho: np.ndarray, evals: np.ndarray, evecs: np.ndarray, t: float) -> 
 
 
 def evolve_unitary(rho: DensityMatrix, h: Operator, t: float) -> DensityMatrix:
-    """Conjugate rho by e^{-iHt}, via the spectral decomposition of H."""
-    dec = hermitian_eig(h)
-    evolved = _evolve(rho.matrix, dec.eigenvalues, dec.eigenvectors, t)
-    return DensityMatrix(Operator(evolved, rho.dims), rho.spectrum)
+    """Conjugate rho by e^{-iHt}: rho's eigenvalues on the eigenvectors e^{-iHt} V_rho.
+
+    Reads the cached eigenpairs of H and of rho, so it adds no `eigh`.
+    """
+    dec_h, dec_rho = h.eig, rho.op.eig
+    u = dec_h.eigenvectors * np.exp(-1j * dec_h.eigenvalues * t)
+    evecs = u @ (dagger(dec_h.eigenvectors) @ dec_rho.eigenvectors)
+    return DensityMatrix(Operator.from_eig(
+        SpectralDecomposition(dec_rho.eigenvalues, evecs, rho.dims)))
 
 
 def _expectations(ctx: ThermalContext, rho: np.ndarray, rho_s: np.ndarray) -> np.ndarray:
@@ -290,41 +293,38 @@ def _check_first_law(works, heats, u_initial, u_final):
         )
 
 
-def _relative_entropy(
-    dec_r: SpectralDecomposition, dec_s: SpectralDecomposition,
-    floor: float = _SUPPORT_FLOOR,
-) -> float:
+def _relative_entropy(dec_r: SpectralDecomposition, dec_s: SpectralDecomposition) -> float:
     """Tr(rho (ln rho - ln sigma)) from the eigenpairs of rho and sigma."""
     p = np.clip(dec_r.eigenvalues, 0.0, None)
     q = dec_s.eigenvalues
 
     overlap = np.abs(dec_r.eigenvectors.conj().T @ dec_s.eigenvectors) ** 2
     weight_on_sigma_modes = p @ overlap
-    bad = (q <= floor) & (weight_on_sigma_modes > 1e-10)
+    bad = (q <= _SUPPORT_FLOOR) & (weight_on_sigma_modes > 1e-10)
     if np.any(bad):
         raise SupportMismatch(
             f"sigma eigenvalue(s) {q[bad]} below floor where rho has weight"
         )
 
     entropy_term = float(np.sum(p[p > 0] * np.log(p[p > 0])))
-    cross_term = float(weight_on_sigma_modes @ np.log(np.clip(q, floor, None)))
+    cross_term = float(weight_on_sigma_modes @ np.log(np.clip(q, _SUPPORT_FLOOR, None)))
     value = entropy_term - cross_term
     if value < -1e-12:
         raise QuenchThermError(f"relative entropy {value:.3e} below -1e-12")
     return max(value, 0.0)
 
 
-def relative_entropy(
-    rho: DensityMatrix, sigma: DensityMatrix, floor: float = _SUPPORT_FLOOR
-) -> float:
+def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Quantum relative entropy Tr(rho (ln rho - ln sigma)), nonnegative.
 
-    Raises SupportMismatch when sigma is effectively rank-deficient where
-    rho carries weight, signalling a divergent value.
+    Reads both states' cached eigenpairs, so states the engine built (as
+    `gibbs(h, beta).state`) need no `eigh`.  Raises SupportMismatch when
+    sigma is effectively rank-deficient where rho carries weight, signalling
+    a divergent value.
     """
     if rho.dims != sigma.dims:
         raise DimensionMismatch(f"dims {rho.dims} vs {sigma.dims}")
-    return _relative_entropy(hermitian_eig(rho.op), hermitian_eig(sigma.op), floor)
+    return _relative_entropy(rho.op.eig, sigma.op.eig)
 
 
 @dataclass(frozen=True)

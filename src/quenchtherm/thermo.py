@@ -26,7 +26,6 @@ from .operators import (
     _symmetrized,
     at_index,
     dagger,
-    hermitian_eig,
     identity,
     tensor_product,
 )
@@ -74,16 +73,16 @@ def _check_beta(beta: float):
 def gibbs(h: Operator, beta: float) -> GibbsEnsemble:
     """Thermal state e^{-beta H} / Z with its log partition function."""
     _check_beta(beta)
-    dec = hermitian_eig(h)
+    dec = h.eig
     weights, log_z = _shifted_weights(dec.eigenvalues, beta)
     populations = weights / weights.sum()
-    state = DensityMatrix(Operator(dec.apply(lambda _: populations), h.dims), populations)
-    return GibbsEnsemble(h, beta, state, float(log_z))
+    state = Operator.from_eig(SpectralDecomposition(populations, dec.eigenvectors, h.dims))
+    return GibbsEnsemble(h, beta, DensityMatrix(state), float(log_z))
 
 
 def log_partition(h: Operator, beta: float) -> float:
     _check_beta(beta)
-    return float(_shifted_weights(hermitian_eig(h).eigenvalues, beta)[1])
+    return float(_shifted_weights(h.eig.eigenvalues, beta)[1])
 
 
 def _log_divided_differences(m: np.ndarray) -> np.ndarray:

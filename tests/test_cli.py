@@ -334,6 +334,15 @@ class TestRun:
         main(["run", "--config", cfg, "--out", str(dest)])
         assert dest.read_text() == capsys.readouterr().out
 
+    def test_unwritable_output_path(self, tmp_path, capsys):
+        # the ledger still prints; the failed write is reported, not raised
+        cfg = write(tmp_path, "r.ini", RUN_TWO_SPIN)
+        dest = tmp_path / "missing" / "ledger.txt"
+        assert main(["run", "--config", cfg, "--out", str(dest)]) == EXIT_TOLERANCE
+        captured = capsys.readouterr()
+        assert "w_diff = " in captured.out
+        assert captured.err.startswith("write failure: ")
+
     def test_custom_matrix_model(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.ini", RUN_CUSTOM)
         assert main(["run", "--config", cfg]) == EXIT_OK
@@ -360,6 +369,14 @@ class TestAudit:
     def test_runs_without_config(self, capsys):
         assert main(["audit", "--seed", "5"]) == EXIT_OK
         capsys.readouterr()
+
+    def test_unwritable_output_path(self, tmp_path, capsys):
+        cfg = write(tmp_path, "a.ini", AUDIT_CFG)
+        dest = tmp_path / "missing" / "audit.txt"
+        assert main(["audit", "--config", cfg, "--out", str(dest)]) == EXIT_TOLERANCE
+        captured = capsys.readouterr()
+        assert captured.out.strip().endswith("RESULT PASS")
+        assert captured.err.startswith("write failure: ")
 
     def test_impossible_tolerance_fails(self, tmp_path, capsys):
         cfg = write(tmp_path, "a.ini", AUDIT_CFG)

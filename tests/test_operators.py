@@ -10,7 +10,6 @@ from quenchtherm import (
     DomainError,
     Operator,
     func_of_hermitian,
-    hermitian_eig,
     identity,
     partial_trace,
     pauli,
@@ -66,11 +65,11 @@ class TestTensorProduct:
 
 class TestHermitianEig:
     def test_diagonal_input_sorted(self):
-        dec = hermitian_eig(Operator(np.diag([3.0, 1.0, 2.0]), (3,)))
+        dec = Operator(np.diag([3.0, 1.0, 2.0]), (3,)).eig
         np.testing.assert_allclose(dec.eigenvalues, [1.0, 2.0, 3.0])
 
     def test_pauli_x_spectrum(self):
-        dec = hermitian_eig(pauli("x"))
+        dec = pauli("x").eig
         np.testing.assert_allclose(dec.eigenvalues, [-1.0, 1.0], atol=1e-15)
 
     def test_two_spin_spectrum_closed_form(self):
@@ -88,11 +87,11 @@ class TestHermitianEig:
         expected = sorted(
             [gamma - eta_p, gamma + eta_p, -gamma - eta_m, -gamma + eta_m]
         )
-        np.testing.assert_allclose(hermitian_eig(h).eigenvalues, expected, atol=1e-12)
+        np.testing.assert_allclose(h.eig.eigenvalues, expected, atol=1e-12)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
-            hermitian_eig(Operator(np.array([[0.0, 1.0], [0.0, 0.0]]), (2,)))
+            Operator(np.array([[0.0, 1.0], [0.0, 0.0]]), (2,)).eig
 
     def test_reconstruction_many_sizes(self):
         # reconstruction invariant over seeded random Hermitians, sides 2-16
@@ -100,7 +99,7 @@ class TestHermitianEig:
         for _ in range(1000):
             d = int(rng.integers(2, 17))
             a = rand_hermitian(rng, d)
-            dec = hermitian_eig(a)
+            dec = a.eig
             defect = np.max(np.abs(a.matrix - dec.reconstruct()))
             assert defect <= 1e-10 * max(1.0, np.max(np.abs(a.matrix)))
             unitary_defect = np.max(
@@ -123,15 +122,14 @@ class TestOperatorOwnsItsEigenpairs:
 
     def test_matrix_and_eigenpairs_read_only(self):
         op = rand_hermitian(np.random.default_rng(3), 3)
-        dec = hermitian_eig(op)
+        dec = op.eig
         for arr in (op.matrix, dec.eigenvalues, dec.eigenvectors):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
     def test_decomposed_once(self, eig_calls):
         op = rand_hermitian(np.random.default_rng(5), 4)
-        assert hermitian_eig(op) is hermitian_eig(op)
-        assert op.eig is hermitian_eig(op)
+        assert op.eig is op.eig
         func_of_hermitian(op, np.exp)
         assert eig_calls["eigh"] == [4]
 
@@ -139,9 +137,7 @@ class TestOperatorOwnsItsEigenpairs:
         op = Operator(np.array([[0.0, 1.0], [0.0, 0.0]]), (2,))
         for _ in range(3):
             with pytest.raises(NotHermitian):
-                hermitian_eig(op)
-        with pytest.raises(NotHermitian):
-            op.eig
+                op.eig
         assert eig_calls["eigh"] == []
 
 
@@ -171,6 +167,19 @@ class TestFuncOfHermitian:
         comm = a.matrix @ f.matrix - f.matrix @ a.matrix
         assert np.max(np.abs(comm)) <= 1e-10 * np.max(np.abs(f.matrix))
 
+    @pytest.mark.parametrize("f", [np.exp, lambda x: -x, lambda x: x**2],
+                             ids=["increasing", "decreasing", "not-monotone"])
+    def test_result_carries_ascending_eigenpairs(self, eig_calls, f):
+        a = rand_hermitian(np.random.default_rng(4), 5)
+        a.eig
+        out = func_of_hermitian(a, f)
+        dec = out.eig
+        assert eig_calls["eigh"] == [5]
+        np.testing.assert_array_equal(dec.eigenvalues, np.sort(f(a.eig.eigenvalues)))
+        np.testing.assert_allclose(dec.reconstruct(), out.matrix, atol=1e-13)
+        for arr in (dec.eigenvalues, dec.eigenvectors):
+            assert not arr.flags.writeable
+
     def test_ln_of_nonpositive_rejected(self):
         with pytest.raises(DomainError):
             func_of_hermitian(pauli("z"), np.log)
@@ -180,7 +189,7 @@ class TestFuncOfHermitian:
     def test_exp_positive_definite(self, seed):
         rng = np.random.default_rng(seed)
         a = rand_hermitian(rng, int(rng.integers(2, 6)))
-        evals = hermitian_eig(func_of_hermitian(a, np.exp)).eigenvalues
+        evals = np.linalg.eigvalsh(func_of_hermitian(a, np.exp).matrix)
         assert np.all(evals > 0)
 
 

@@ -179,6 +179,22 @@ class TestRelativeEntropy:
             d = relative_entropy(gibbs(h1, 1.0).state, gibbs(h2, 1.0).state)
             assert d >= 0.0
 
+    def test_gibbs_states_need_no_eigh(self, eig_calls):
+        rng = np.random.default_rng(29)
+        h1, _, _, _ = random_bipartite(rng, 4, 8)
+        h2, _, _, _ = random_bipartite(rng, 4, 8)
+        rho, sigma = gibbs(h1, 0.8).state, gibbs(h2, 0.8).state
+        assert eig_calls["eigh"] == [32, 32]
+        d = relative_entropy(rho, sigma)
+        assert eig_calls["eigh"] == [32, 32]
+        assert eig_calls["eigvalsh"] == []
+        # against Tr(rho ln rho) - Tr(rho ln sigma) from fresh decompositions
+        p, _ = np.linalg.eigh(rho.matrix)
+        q, v = np.linalg.eigh(sigma.matrix)
+        ln_sigma = (v * np.log(q)) @ v.conj().T
+        reference = np.sum(p * np.log(p)) - np.trace(rho.matrix @ ln_sigma).real
+        assert d == pytest.approx(reference, abs=1e-12)
+
     def test_support_mismatch(self):
         pure = DensityMatrix(Operator(np.diag([1.0, 0.0]), (2,)))
         mixed = DensityMatrix(Operator(np.diag([0.0, 1.0]), (2,)))
@@ -446,6 +462,23 @@ class TestEvolveUnitary:
         rho = gibbs(h, 1.3).state
         out = evolve_unitary(rho, h, 5.7)
         np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-12)
+
+    def test_adds_no_eigh(self, eig_calls):
+        rng = np.random.default_rng(85)
+        h, _, _, _ = random_bipartite(rng, 2, 3)
+        rho = gibbs(0.5 * tensor_product(pauli("z"), identity(3)), 1.0).state
+        h.eig
+        calls = list(eig_calls["eigh"])
+        t = 1.9
+        out = evolve_unitary(rho, h, t)
+        dec = out.op.eig
+        assert eig_calls["eigh"] == calls
+        assert eig_calls["eigvalsh"] == []
+        np.testing.assert_array_equal(dec.eigenvalues, rho.op.eig.eigenvalues)
+        np.testing.assert_allclose(dec.reconstruct(), out.matrix, atol=1e-14)
+        e, v = h.eig.eigenvalues, h.eig.eigenvectors
+        u = (v * np.exp(-1j * e * t)) @ v.conj().T
+        np.testing.assert_allclose(out.matrix, u @ rho.matrix @ u.conj().T, atol=1e-13)
 
     def test_spectrum_preserved(self):
         rng = np.random.default_rng(83)

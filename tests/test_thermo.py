@@ -67,6 +67,26 @@ class TestGibbs:
         with pytest.raises(NotHermitian):
             gibbs(Operator(np.array([[0.0, 1.0], [0.0, 0.0]]), (2,)), 1.0)
 
+    def test_state_carries_hamiltonian_eigenpairs(self, eig_calls):
+        # the populations on H's eigenvectors: ascending and read-only in the
+        # cache, the matrix built in H's order, and no eigh beyond H's own
+        rng = np.random.default_rng(17)
+        h, _, _, _ = random_bipartite(rng, 2, 4)
+        beta = 1.3
+        state = gibbs(h, beta).state.op
+        evals, u = h.eig.eigenvalues, h.eig.eigenvectors
+        weights = np.exp(-beta * (evals - evals.min()))
+        p = weights / weights.sum()
+        dec = state.eig
+        assert eig_calls["eigh"] == [8]
+        assert eig_calls["eigvalsh"] == []
+        np.testing.assert_array_equal(dec.eigenvalues, np.sort(p))
+        assert np.all(np.diff(dec.eigenvalues) >= 0)
+        assert np.array_equal(state.matrix, (u * p) @ u.conj().T)
+        np.testing.assert_allclose(dec.reconstruct(), state.matrix, atol=1e-15)
+        for arr in (dec.eigenvalues, dec.eigenvectors):
+            assert not arr.flags.writeable
+
 
 class TestMeanForce:
     def test_reduces_to_bare_hamiltonian_without_coupling(self):
@@ -246,7 +266,8 @@ class TestFreeEnergies:
 class TestSharedEigendecomposition:
     def test_statics_on_one_hamiltonian_share_its_eigh(self, eig_calls):
         # the public statics called one after another on one (H, H_R) pair:
-        # H, H_R, M and H* are each decomposed once
+        # H, H_R, M and H* are each decomposed once, and the partial trace of
+        # the Gibbs state, built from outside the engine, gets one checked eigh
         rng = np.random.default_rng(23)
         d_s, d_r, beta = 2, 8, 0.9
         h, _, h_r, _ = random_bipartite(rng, d_s, d_r)
@@ -258,8 +279,8 @@ class TestSharedEigendecomposition:
         rebuilt = gibbs(bundle.h_star, beta).state
         u_diff = internal_energy_diff(ens.state, h, h_r, beta)
         u_estar = internal_energy_estar(rho_s, bundle.e_star)
-        assert sorted(eig_calls["eigh"]) == [d_s, d_s, d_r, d_s * d_r]
-        assert eig_calls["eigvalsh"] == [d_s]
+        assert sorted(eig_calls["eigh"]) == [d_s, d_s, d_s, d_r, d_s * d_r]
+        assert eig_calls["eigvalsh"] == []
         assert abs(log_z[0] - log_z[1] - log_z[2]) <= 1e-12
         assert np.max(np.abs(rho_s.matrix - rebuilt.matrix)) <= 1e-12
         assert abs(u_diff - u_estar) <= 1e-12

@@ -6,7 +6,6 @@ from quenchtherm import (
     build_lgt_hamiltonian,
     closed_form_statics,
     gibbs,
-    hermitian_eig,
     interaction_quench_ledger,
     pauli,
     reservoir_hamiltonian,
@@ -53,7 +52,7 @@ class TestClosedFormStatics:
 
     def test_partition_function_vs_brute_force(self):
         st = closed_form_statics(BENCH)
-        evals = hermitian_eig(two_spin_hamiltonian(BENCH)).eigenvalues
+        evals = two_spin_hamiltonian(BENCH).eig.eigenvalues
         z_brute = np.exp(-BENCH.beta * evals).sum()
         assert st.z_sur == pytest.approx(z_brute, abs=1e-10)
         assert st.z_sur == pytest.approx(st.x_minus + st.x_plus, abs=1e-12)
@@ -214,8 +213,8 @@ class TestLgtHamiltonian:
         h = build_lgt_hamiltonian(0.7, 0.8, 1.8, k)
         plain = two_spin_hamiltonian(TwoSpinParams(0.7, 0.8, -k, 1.8, 1.0))
         np.testing.assert_allclose(
-            hermitian_eig(h).eigenvalues,
-            hermitian_eig(plain).eigenvalues + k,
+            h.eig.eigenvalues,
+            plain.eig.eigenvalues + k,
             atol=1e-12,
         )
 
