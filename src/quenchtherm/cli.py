@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import sys
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -95,10 +97,9 @@ def _parse_matrix(text: str, side: int) -> np.ndarray:
 
 def load_config(path: str) -> RunConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
     try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
         run = parser["run"]
         cfg = RunConfig(
             mode=run.get("mode", "run"),
@@ -152,7 +153,7 @@ def load_config(path: str) -> RunConfig:
                 cfg.matrices[key] = _parse_matrix(
                     parser.get("matrices", key), sides[key]
                 )
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, configparser.Error) as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
     return cfg
 
@@ -238,8 +239,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     oracles = [oracle(v) for v in grid.tolist()]
 
     fields = ThermoLedger.FIELDS
-    eng = np.array([[getattr(led, name) for name in fields] for led in ledgers])
-    ora = np.array([[getattr(led, name) for name in fields] for led in oracles])
+    numbers = attrgetter(*fields)
+    eng = np.array([numbers(led) for led in ledgers])
+    ora = np.array([numbers(led) for led in oracles])
     header = ["value"]
     for name in fields:
         header += [f"eng_{name}", f"ora_{name}"]
@@ -247,12 +249,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
         "flag_w_diff", "flag_w_hstar", "flag_w_estar",
         "flag_q_diff", "flag_q_hstar", "flag_q_estar",
     ]
-    rows = []
-    for value, e_row, o_row, ledger in zip(grid.tolist(), eng.tolist(), ora.tolist(), ledgers):
-        row = [FMT % value]
-        for e, o in zip(e_row, o_row):
-            row += [FMT % e, FMT % o]
-        rows.append(row + _bits(ledger.second_law_w) + _bits(ledger.second_law_q or ()))
+    # value, then engine and oracle interleaved: one row template formats them
+    cells = np.column_stack([grid, np.stack([eng, ora], axis=-1).reshape(len(grid), -1)])
+    row = ",".join([FMT] * cells.shape[1]) + ",%s\n"
+    rows = "".join(
+        row % (*cell_row, ",".join(_bits(led.second_law_w) + _bits(led.second_law_q or ())))
+        for cell_row, led in zip(cells.tolist(), ledgers)
+    )
 
     # NaN propagates through these reductions, so a non-finite engine or
     # oracle value shows in the summary and fails the gate below
@@ -262,7 +265,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     min_diss = eng[:, diss_cols].min(axis=0)
     estar_violations = grid[eng[:, fields.index("diss_estar")] < -VIOLATION_THRESHOLD]
 
-    if not _write(cfg.output_path, "".join(",".join(r) + "\n" for r in [header] + rows)):
+    if not _write(cfg.output_path, ",".join(header) + "\n" + rows):
         return EXIT_TOLERANCE
 
     summary = [f"sweep variable={cfg.sweep_variable or cfg.quench} "
@@ -393,7 +396,9 @@ def cmd_run(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="quenchtherm",
         description="strong-coupling quench thermodynamics toolbox",

@@ -19,7 +19,7 @@ from .errors import BadFactorCount, DimensionMismatch, DomainError, NotHermitian
 HERMITICITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Operator:
     """A dense complex square matrix tagged with subsystem dimensions.
 
@@ -116,7 +116,7 @@ class Operator:
             raise DimensionMismatch(f"dims {self.dims} vs {other.dims}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A unit-trace, positive-semidefinite Hermitian operator.
 
@@ -167,7 +167,7 @@ class DensityMatrix:
         return float(np.trace(self.matrix @ self.matrix).real)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Ascending eigenvalues and a matching unitary of eigenvector columns."""
 

@@ -41,7 +41,7 @@ def _shifted_weights(evals: np.ndarray, beta: float) -> tuple[np.ndarray, np.nda
     return weights, np.log(weights.sum(axis=-1)) - beta * shift[..., 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GibbsEnsemble:
     """A Hamiltonian, its thermal state at beta, and ln Z."""
 
@@ -55,7 +55,7 @@ class GibbsEnsemble:
         return self.hamiltonian.expectation(self.state.op)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeanForceBundle:
     """Mean-force Hamiltonian, its beta-derivative companion, ln Z*_S and F_S."""
 
@@ -101,7 +101,7 @@ def _log_divided_differences(m: np.ndarray) -> np.ndarray:
     return np.where(np.abs(z) < 0.5, 2.0 * atanh_ratio / (mi + mj), quotient)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThermalContext:
     """Every equilibrium quantity of a stack of N global Hamiltonians at one beta.
 

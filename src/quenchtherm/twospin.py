@@ -16,7 +16,8 @@ reduced thermal state in the sz_S eigenbasis, with Z_SUR = X_- + X_+.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,11 @@ class TwoSpinParams:
                 raise ValueError(f"{name} must be finite")
         if self.beta <= 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
+
+    @cached_property
+    def statics(self) -> ClosedFormStatics:
+        """`closed_form_statics(self)`, evaluated on first access only."""
+        return closed_form_statics(self)
 
 
 @dataclass(frozen=True)
@@ -107,8 +113,8 @@ def closed_form_statics(p: TwoSpinParams) -> ClosedFormStatics:
 def system_quench_ledger(p_a: TwoSpinParams, epsilon_b: float) -> ThermoLedger:
     """Closed-form ledger for an abrupt change of the system field epsilon."""
     b = p_a.beta
-    p_b = replace(p_a, epsilon=epsilon_b)
-    sa = closed_form_statics(p_a)
+    p_b = TwoSpinParams(epsilon_b, p_a.alpha, p_a.gamma, p_a.chi, b)
+    sa = p_a.statics
     sb = closed_form_statics(p_b)
 
     em = math.exp(-b * p_a.gamma)

@@ -3,8 +3,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from quenchtherm import cli, twospin
 from quenchtherm.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, main
 from quenchtherm.quench import ThermoLedger
+from quenchtherm.twospin import TwoSpinParams
 
 DATA = Path(__file__).parent / "data"
 
@@ -229,6 +231,63 @@ class TestSweep:
         capsys.readouterr()
 
 
+class TestSweepOracleStatics:
+    """A system sweep evaluates the pre-quench statics once, not per point."""
+
+    def test_statics_evaluated_once_per_point_plus_one(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        original = twospin.closed_form_statics
+        monkeypatch.setattr(twospin, "closed_form_statics",
+                            lambda p: calls.append(p) or original(p))
+        cfg = write(tmp_path, "a.ini", SWEEP_SYSTEM.format(out=tmp_path / "a.csv"))
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
+        capsys.readouterr()
+        assert len(calls) == 42
+        assert calls[0] == TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0)
+
+    def test_oracle_ledgers_equal_fresh_evaluations(self, tmp_path, capsys, monkeypatch):
+        seen = []
+        original = cli.system_quench_ledger
+
+        def recorded(p_a, epsilon_b):
+            seen.append((epsilon_b, original(p_a, epsilon_b)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(cli, "system_quench_ledger", recorded)
+        cfg = write(tmp_path, "a.ini", SWEEP_SYSTEM.format(out=tmp_path / "a.csv"))
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
+        capsys.readouterr()
+        assert [v for v, _ in seen] == np.linspace(-5.0, 5.0, 41).tolist()
+        for v, ledger in seen:
+            assert ledger == twospin.system_quench_ledger(
+                TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0), v)
+
+
+class TestRepeatedMainCalls:
+    """`main` shares one parser across calls; no call's options reach the next."""
+
+    def test_tolerance_override_does_not_persist(self, tmp_path, capsys):
+        cfg = write(tmp_path, "a.ini", SWEEP_SYSTEM.format(out=tmp_path / "unused.csv"))
+        outs = [tmp_path / f"s{i}.csv" for i in range(3)]
+        assert main(["sweep", "--config", cfg, "--out", str(outs[0])]) == EXIT_OK
+        assert main(["sweep", "--config", cfg, "--out", str(outs[1]),
+                     "--tol", "oracle_match_rel=1e-16",
+                     "--tol", "oracle_match_abs=1e-16"]) == EXIT_TOLERANCE
+        assert main(["sweep", "--config", cfg, "--out", str(outs[2])]) == EXIT_OK
+        capsys.readouterr()
+        for suffix in ("", ".summary.txt"):
+            first = Path(str(outs[0]) + suffix).read_bytes()
+            assert Path(str(outs[2]) + suffix).read_bytes() == first
+
+    def test_seed_does_not_persist(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.ini", "[run]\nmode = compare\ncount = 25\n")
+        assert main(["compare", "--config", cfg, "--seed", "3"]) == EXIT_OK
+        seeded = capsys.readouterr().out
+        assert seeded.encode() == (DATA / "compare_seed3_count25.txt").read_bytes()
+        assert main(["compare", "--config", cfg]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("compare seed=1 points=25")
+
+
 class TestGoldenSweep:
     """Sweep outputs against files generated before the engine was batched.
 
@@ -433,6 +492,20 @@ class TestErrors:
         cfg = write(tmp_path, "r.ini", RUN_TWO_SPIN.replace("beta = 1.0", "beta = -1"))
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
         capsys.readouterr()
+
+    @pytest.mark.parametrize("text, fault", [
+        (RUN_TWO_SPIN + "alpha = 0.9\n", "DuplicateOptionError"),
+        ("beta = 1.0\n" + RUN_TWO_SPIN, "MissingSectionHeaderError"),
+        (RUN_TWO_SPIN.replace("beta = 1.0", "beta = 1%"), "InterpolationSyntaxError"),
+        (RUN_CUSTOM.replace("d_r = 2\n", ""), "NoOptionError"),
+    ], ids=["duplicate_option", "no_section_header", "bare_percent", "missing_d_r"])
+    def test_malformed_ini_is_a_config_error(self, tmp_path, capsys, text, fault):
+        cfg = write(tmp_path, "bad.ini", text)
+        with pytest.raises(cli.ConfigError) as info:
+            cli.load_config(cfg)
+        assert type(info.value.__cause__).__name__ == fault
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: bad config {cfg}: ")
 
     def test_bad_matrix_length(self, tmp_path, capsys):
         bad = RUN_CUSTOM.replace("h_r = 0.4, 0, 0, -0.4", "h_r = 0.4, 0, 0")

@@ -23,7 +23,7 @@ from quenchtherm import (
 )
 from quenchtherm.audits import random_bipartite
 from quenchtherm.thermo import embed_reservoir, embed_system
-from quenchtherm.twospin import TwoSpinParams, two_spin_hamiltonian
+from quenchtherm.twospin import TwoSpinParams, reservoir_hamiltonian, two_spin_hamiltonian
 
 # Tr e^{-H} for the 4x4 benchmark at beta=1, eps=0, alpha=0.8, gamma=1.2,
 # chi=1.8; precomputed by direct eigendecomposition of the explicit matrix.
@@ -284,6 +284,41 @@ class TestSharedEigendecomposition:
         assert abs(log_z[0] - log_z[1] - log_z[2]) <= 1e-12
         assert np.max(np.abs(rho_s.matrix - rebuilt.matrix)) <= 1e-12
         assert abs(u_diff - u_estar) <= 1e-12
+
+
+def array_records() -> dict:
+    """One of each record that holds numpy arrays, built from BENCH."""
+    h = two_spin_hamiltonian(BENCH)
+    ens = gibbs(h, BENCH.beta)
+    ctx = thermal_context(h, reservoir_hamiltonian(BENCH), BENCH.beta)
+    return {
+        "Operator": h, "DensityMatrix": ens.state, "SpectralDecomposition": h.eig,
+        "GibbsEnsemble": ens, "MeanForceBundle": ctx.bundle, "ThermalContext": ctx,
+    }
+
+
+class TestArrayRecordsCompareByIdentity:
+    """Records over arrays have no value equality: `==` is identity, and
+    they hash, so they can sit in sets and serve as dict keys."""
+
+    @pytest.mark.parametrize("name", sorted(array_records()))
+    def test_eq_hash_and_set_membership(self, name):
+        record, twin = array_records()[name], array_records()[name]
+        assert type(record).__name__ == name
+        assert record == record and not record != record
+        assert record != twin and not record == twin
+        assert hash(record) == hash(record)
+        assert record in {record} and twin not in {record}
+        assert len({record, twin, record}) == 2
+
+    def test_pauli_compares_and_hashes(self):
+        z = pauli("z")
+        assert z == z and z != pauli("z")
+        assert {z: 1}[z] == 1
+
+    def test_scalar_records_keep_value_equality(self):
+        p = TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0)
+        assert p == BENCH and hash(p) == hash(BENCH)
 
 
 class TestThermalEntropy:

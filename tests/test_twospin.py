@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from quenchtherm import (
     two_spin_matrices,
     TwoSpinParams,
 )
+from quenchtherm import twospin
 from quenchtherm.audits import random_two_spin_params
 from quenchtherm.quench import INTERACTION_QUENCH, SYSTEM_QUENCH, ThermoLedger
 
@@ -86,6 +89,32 @@ class TestClosedFormStatics:
             fd_plus = (up.x_plus - dn.x_plus) / (2 * h)
             assert st.d_beta_x_minus == pytest.approx(fd_minus, rel=1e-7, abs=1e-9)
             assert st.d_beta_x_plus == pytest.approx(fd_plus, rel=1e-7, abs=1e-9)
+
+
+class TestCachedStatics:
+    def test_lazy_cached_and_equal_to_closed_form(self, monkeypatch):
+        calls = []
+        original = twospin.closed_form_statics
+        monkeypatch.setattr(twospin, "closed_form_statics",
+                            lambda p: calls.append(p) or original(p))
+        p = TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0)
+        assert calls == []
+        assert p.statics is p.statics
+        assert calls == [p]
+        assert p.statics == closed_form_statics(BENCH)
+
+    def test_not_shared_with_replaced_params(self):
+        p = TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0)
+        q = replace(p, epsilon=1.5)
+        assert q.statics is not p.statics
+        assert q.statics == closed_form_statics(TwoSpinParams(1.5, 0.8, 1.2, 1.8, 1.0))
+        assert q == TwoSpinParams(1.5, 0.8, 1.2, 1.8, 1.0)
+
+    def test_overflow_is_not_cached(self):
+        p = TwoSpinParams(1.0, 0.5, 0.7, 0.4, 1e4)
+        for _ in range(2):
+            with pytest.raises(OverflowError):
+                p.statics
 
 
 class TestOracleRecord:
