@@ -8,6 +8,7 @@ throughout is row-major ordering with the system factor leading, i.e.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -35,7 +36,7 @@ class Operator:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        side = int(np.prod(self.dims))
+        side = math.prod(self.dims)
         if mat.shape != (side, side):
             raise ValueError(
                 f"matrix shape {mat.shape} inconsistent with dims {self.dims}"
@@ -139,18 +140,20 @@ class DensityMatrix:
         """Unit trace and no eigenvalue below EIGENVALUE_FLOOR, for each row.
 
         `spectra` is a (N, d) stack of state spectra.  Raises ValueError
-        naming the first bad member.
+        naming the first bad member; NaN fails both checks.
         """
         traces = spectra.sum(axis=-1)
         lowest = spectra.min(axis=-1)
-        bad_trace = np.abs(traces - 1.0) > cls.TRACE_TOL
-        bad_min = lowest < cls.EIGENVALUE_FLOOR
-        if bad_trace.any():
-            n = int(np.argmax(bad_trace))
+        good_trace = np.abs(traces - 1.0) <= cls.TRACE_TOL
+        good_min = lowest >= cls.EIGENVALUE_FLOOR
+        if (good_trace & good_min).all():
+            return
+        if not good_trace.all():
+            n = int(np.argmin(good_trace))
             raise ValueError(f"trace {traces[n]} differs from 1 beyond tolerance"
                              f"{at_index(n, len(traces))}")
-        if bad_min.any():
-            n = int(np.argmax(bad_min))
+        if not good_min.all():
+            n = int(np.argmin(good_min))
             raise ValueError(f"negative eigenvalue {lowest[n]:.3e}"
                              f"{at_index(n, len(traces))}")
 
@@ -200,18 +203,21 @@ def at_index(n: int, size: int) -> str:
     return f" at stack index {n}" if size > 1 else ""
 
 
-def require_hermitian_stack(mats: np.ndarray):
+def require_hermitian_stack(mats: np.ndarray) -> np.ndarray:
     """Raise NotHermitian naming the first member of a (N, d, d) stack that is not.
 
     A member passes when max |A - A^dag| <= HERMITICITY_TOL * max(1, max |A|).
+    Returns the conjugate transposes A^dag it computed.
     """
-    defect = np.abs(mats - dagger(mats)).max(axis=(-2, -1))
+    mats_h = dagger(mats)
+    defect = np.abs(mats - mats_h).max(axis=(-2, -1))
     scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
     ok = defect <= HERMITICITY_TOL * scale
     if not np.all(ok):
         n = int(np.argmin(ok))
         raise NotHermitian(f"hermiticity defect {defect[n]:.3e} exceeds tolerance"
                            f"{at_index(n, len(mats))}")
+    return mats_h
 
 
 def eigh_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,8 +225,7 @@ def eigh_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Checks every member first; errors name the first bad one.
     """
-    require_hermitian_stack(mats)
-    return np.linalg.eigh(_symmetrized(mats))
+    return np.linalg.eigh(0.5 * (mats + require_hermitian_stack(mats)))
 
 
 _PAULI = {
@@ -240,7 +245,7 @@ def pauli(axis: str) -> Operator:
 def identity(dims: int | Sequence[int]) -> Operator:
     if isinstance(dims, int):
         dims = (dims,)
-    side = int(np.prod(dims))
+    side = math.prod(dims)
     return Operator(np.eye(side, dtype=complex), tuple(dims))
 
 

@@ -8,6 +8,7 @@ definitions (diff, H*, E*) give three parallel ledgers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -104,6 +105,8 @@ class QuenchSpec:
     t_f: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.t_f):
+            raise InvalidSpec(f"t_f must be finite, got {self.t_f}")
         _check_quench(self.kind, self.final_mode, self.h_sur_a,
                       self.h_sur_b.matrix[None], self.h_sur_b.dims, self.h_r)
 
@@ -284,8 +287,8 @@ def run_sweep(
 
 def _check_first_law(works, heats, u_initial, u_final):
     residual = np.abs(works + heats - (u_final - u_initial))
-    if np.any(residual > _FIRST_LAW_TOL):
-        k, n = np.unravel_index(np.argmax(residual > _FIRST_LAW_TOL), residual.shape)
+    if not np.all(residual <= _FIRST_LAW_TOL):  # NaN fails too
+        k, n = np.unravel_index(np.argmin(residual <= _FIRST_LAW_TOL), residual.shape)
         name = ("diff", "hstar", "estar")[k]
         raise QuenchThermError(
             f"first-law residual {residual[k, n]:.3e} for definition "

@@ -13,6 +13,7 @@ share one `eigh`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -66,22 +67,32 @@ class MeanForceBundle:
 
 
 def _check_beta(beta: float):
-    if not (np.isfinite(beta) and beta > 0):
+    if not (math.isfinite(beta) and beta > 0):
         raise ValueError(f"beta must be positive and finite, got {beta}")
 
 
 def gibbs(h: Operator, beta: float) -> GibbsEnsemble:
-    """Thermal state e^{-beta H} / Z with its log partition function."""
+    """Thermal state e^{-beta H} / Z with its log partition function.
+
+    Keeps (beta, state, ln Z) on `h`: a repeat call at that beta reuses them.
+    """
     _check_beta(beta)
-    dec = h.eig
-    weights, log_z = _shifted_weights(dec.eigenvalues, beta)
-    populations = weights / weights.sum()
-    state = Operator.from_eig(SpectralDecomposition(populations, dec.eigenvectors, h.dims))
-    return GibbsEnsemble(h, beta, DensityMatrix(state), float(log_z))
+    slot = vars(h).get("_gibbs")
+    if slot is None or slot[0] != beta:
+        dec = h.eig
+        weights, log_z = _shifted_weights(dec.eigenvalues, beta)
+        populations = weights / weights.sum()
+        state = Operator.from_eig(SpectralDecomposition(populations, dec.eigenvectors, h.dims))
+        slot = vars(h)["_gibbs"] = (beta, DensityMatrix(state), float(log_z))
+    return GibbsEnsemble(h, beta, slot[1], slot[2])
 
 
 def log_partition(h: Operator, beta: float) -> float:
+    """ln Tr e^{-beta H}, read from `gibbs`'s slot on `h` when it holds this beta."""
     _check_beta(beta)
+    slot = vars(h).get("_gibbs")
+    if slot is not None and slot[0] == beta:
+        return slot[2]
     return float(_shifted_weights(h.eig.eigenvalues, beta)[1])
 
 
@@ -160,9 +171,10 @@ class ThermalContext:
         # M and X as Tr_R(U diag(f) U^dag) for f = w, wE in one product: rows
         # of U grouped by s, the column (r, k) of the grouped matrix weighted
         # by f_k
-        grouped = evecs.reshape(n, d_s, d_r * side)
-        f = np.tile(np.stack((weights, weights * evals)), d_r)[:, :, None, :]
-        m, x = _symmetrized((grouped * f) @ dagger(grouped))
+        grouped = evecs.reshape(n, d_s, d_r, side)
+        f = np.stack((weights, weights * evals))[:, :, None, None, :]
+        weighted = (grouped * f).reshape(2, n, d_s, d_r * side)
+        m, x = _symmetrized(weighted @ dagger(grouped.reshape(n, d_s, d_r * side)))
         mvals, v = np.linalg.eigh(m)
         if np.any(mvals[:, 0] <= 0):
             k = int(np.argmax(mvals[:, 0] <= 0))

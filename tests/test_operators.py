@@ -242,3 +242,16 @@ class TestDensityMatrix:
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
             DensityMatrix(Operator(np.diag([1.5, -0.5]), (2,)))
+
+    def test_check_spectra_passes_valid_stack(self):
+        DensityMatrix.check_spectra(np.array([[0.25, 0.75], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("spectra, message", [
+        ([[0.5, 0.5], [0.5, 0.75]], "trace 1.25 differs from 1 beyond tolerance at stack index 1"),
+        ([[0.5, 0.5], [1.5, -0.5]], "negative eigenvalue -5.000e-01 at stack index 1"),
+        ([[np.nan, np.nan]], "trace nan differs from 1 beyond tolerance"),
+        ([[0.5, 0.5], [np.nan, 1.0]], "trace nan differs from 1 beyond tolerance at stack index 1"),
+    ], ids=["trace", "negative", "nan", "nan_member"])
+    def test_check_spectra_names_first_bad_member(self, spectra, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DensityMatrix.check_spectra(np.array(spectra))

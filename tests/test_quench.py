@@ -7,6 +7,7 @@ from quenchtherm import (
     NotHermitian,
     Operator,
     QuenchSpec,
+    QuenchThermError,
     SupportMismatch,
     evolve_unitary,
     gibbs,
@@ -32,6 +33,7 @@ from quenchtherm.quench import (
     UNITARY,
     VIOLATION_THRESHOLD,
     ThermoLedger,
+    _check_first_law,
 )
 from quenchtherm.thermo import embed_reservoir, embed_system
 from quenchtherm.twospin import (
@@ -80,6 +82,22 @@ class TestQuenchSpecValidation:
         h6 = Operator(np.zeros((6, 6)), (2, 3))
         with pytest.raises(InvalidSpec):
             QuenchSpec(h4, h6, Operator(np.zeros((2, 2)), (2,)), 1.0)
+
+    @pytest.mark.parametrize("t_f", [np.nan, np.inf, -np.inf])
+    def test_non_finite_t_f_rejected(self, t_f):
+        p_a = TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0)
+        p_b = TwoSpinParams(1.5, 0.8, 1.2, 1.8, 1.0)
+        with pytest.raises(InvalidSpec, match="t_f"):
+            two_spin_spec(p_a, p_b, SYSTEM_QUENCH, final_mode=UNITARY, t_f=t_f)
+
+    def test_negative_t_f_accepted(self):
+        p_a = TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0)
+        p_b = TwoSpinParams(1.5, 0.8, 1.2, 1.8, 1.0)
+        ledger = run_quench(
+            two_spin_spec(p_a, p_b, SYSTEM_QUENCH, final_mode=UNITARY, t_f=-2.7)
+        )
+        assert all(np.isfinite(list(ledger.numeric_fields().values())))
+        assert abs(ledger.q_diff) <= 1e-10
 
 
 class TestRunQuench:
@@ -136,6 +154,15 @@ class TestRunQuench:
                 two_spin_spec(p_a, p_b, SYSTEM_QUENCH, final_mode=UNITARY, t_f=t_f)
             )
             assert abs(ledger.q_diff) <= 1e-10
+
+    def test_first_law_check_flags_nan(self):
+        # NaN compares false with everything, so `residual > tol` let it pass
+        zeros = np.zeros((3, 2))
+        heats = zeros.copy()
+        heats[1, 1] = np.nan
+        with pytest.raises(QuenchThermError, match="nan for definition hstar at stack index 1"):
+            _check_first_law(zeros, heats, zeros, zeros)
+        _check_first_law(zeros, zeros, zeros, zeros)
 
     def test_first_law_random(self):
         rng = np.random.default_rng(67)

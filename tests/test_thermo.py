@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from quenchtherm import (
     DensityMatrix,
     NotHermitian,
     Operator,
+    SpectralDecomposition,
     effective_energy_operator,
     free_energies,
     gibbs,
@@ -57,6 +61,65 @@ class TestGibbs:
         ens = gibbs(h_sur, 1.0)
         comm = ens.state.matrix @ h_sur.matrix - h_sur.matrix @ ens.state.matrix
         assert np.max(np.abs(comm)) <= 1e-10
+
+
+class TestGibbsSlot:
+    """`gibbs` keeps its last (beta, state, ln Z) on the Operator."""
+
+    @pytest.fixture
+    def reconstructs(self, monkeypatch):
+        calls = []
+        original = SpectralDecomposition.reconstruct
+
+        def counted(dec):
+            calls.append(dec)
+            return original(dec)
+
+        monkeypatch.setattr(SpectralDecomposition, "reconstruct", counted)
+        return calls
+
+    @staticmethod
+    def hamiltonian() -> Operator:
+        return random_bipartite(np.random.default_rng(29), 2, 4)[0]
+
+    def test_repeat_call_reuses_the_state(self, reconstructs):
+        h = self.hamiltonian()
+        first, second = gibbs(h, 0.7), gibbs(h, 0.7)
+        assert len(reconstructs) == 1
+        assert second.state is first.state
+        assert second.hamiltonian is h and second.beta == 0.7
+        assert second.log_partition == first.log_partition
+
+    def test_other_beta_recomputes(self, reconstructs):
+        h = self.hamiltonian()
+        cold, hot = gibbs(h, 2.0), gibbs(h, 0.5)
+        assert len(reconstructs) == 2
+        assert hot.state is not cold.state
+        assert hot.log_partition != cold.log_partition
+        fresh = gibbs(self.hamiltonian(), 0.5)
+        np.testing.assert_array_equal(hot.state.matrix, fresh.state.matrix)
+        # one slot: going back to the first beta builds the state again
+        assert gibbs(h, 2.0).state is not cold.state
+        assert len(reconstructs) == 4
+
+    def test_log_partition_same_bits_with_and_without_slot(self):
+        for beta in (1e-2, 0.9, 40.0):
+            h = self.hamiltonian()
+            unslotted = log_partition(h, beta)
+            ens = gibbs(h, beta)
+            assert log_partition(h, beta) == ens.log_partition == unslotted
+            assert log_partition(h, 2 * beta) == log_partition(self.hamiltonian(), 2 * beta)
+
+    def test_slot_makes_no_reference_cycle(self):
+        h = self.hamiltonian()
+        gibbs(h, 0.7)
+        ref = weakref.ref(h)
+        gc.disable()
+        try:
+            del h
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_overflow_safe_at_large_beta(self):
         ens = gibbs(100.0 * pauli("z"), beta=50.0)
