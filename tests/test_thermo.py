@@ -62,6 +62,35 @@ class TestGibbs:
         comm = ens.state.matrix @ h_sur.matrix - h_sur.matrix @ ens.state.matrix
         assert np.max(np.abs(comm)) <= 1e-10
 
+    def test_overflow_safe_at_large_beta(self):
+        ens = gibbs(100.0 * pauli("z"), beta=50.0)
+        assert np.isfinite(ens.log_partition)
+        assert ens.log_partition == pytest.approx(5000.0, abs=1e-6)
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NotHermitian):
+            gibbs(Operator(np.array([[0.0, 1.0], [0.0, 0.0]]), (2,)), 1.0)
+
+    def test_state_carries_hamiltonian_eigenpairs(self, eig_calls):
+        # the populations on H's eigenvectors: ascending and read-only in the
+        # cache, the matrix built in H's order, and no eigh beyond H's own
+        rng = np.random.default_rng(17)
+        h, _, _, _ = random_bipartite(rng, 2, 4)
+        beta = 1.3
+        state = gibbs(h, beta).state.op
+        evals, u = h.eig.eigenvalues, h.eig.eigenvectors
+        weights = np.exp(-beta * (evals - evals.min()))
+        p = weights / weights.sum()
+        dec = state.eig
+        assert eig_calls["eigh"] == [8]
+        assert eig_calls["eigvalsh"] == []
+        np.testing.assert_array_equal(dec.eigenvalues, np.sort(p))
+        assert np.all(np.diff(dec.eigenvalues) >= 0)
+        assert np.array_equal(state.matrix, (u * p) @ u.conj().T)
+        np.testing.assert_allclose(dec.reconstruct(), state.matrix, atol=1e-15)
+        for arr in (dec.eigenvalues, dec.eigenvectors):
+            assert not arr.flags.writeable
+
 
 class TestGibbsSlot:
     """`gibbs` keeps its last (beta, state, ln Z) on the Operator."""
@@ -120,35 +149,6 @@ class TestGibbsSlot:
             assert ref() is None
         finally:
             gc.enable()
-
-    def test_overflow_safe_at_large_beta(self):
-        ens = gibbs(100.0 * pauli("z"), beta=50.0)
-        assert np.isfinite(ens.log_partition)
-        assert ens.log_partition == pytest.approx(5000.0, abs=1e-6)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            gibbs(Operator(np.array([[0.0, 1.0], [0.0, 0.0]]), (2,)), 1.0)
-
-    def test_state_carries_hamiltonian_eigenpairs(self, eig_calls):
-        # the populations on H's eigenvectors: ascending and read-only in the
-        # cache, the matrix built in H's order, and no eigh beyond H's own
-        rng = np.random.default_rng(17)
-        h, _, _, _ = random_bipartite(rng, 2, 4)
-        beta = 1.3
-        state = gibbs(h, beta).state.op
-        evals, u = h.eig.eigenvalues, h.eig.eigenvectors
-        weights = np.exp(-beta * (evals - evals.min()))
-        p = weights / weights.sum()
-        dec = state.eig
-        assert eig_calls["eigh"] == [8]
-        assert eig_calls["eigvalsh"] == []
-        np.testing.assert_array_equal(dec.eigenvalues, np.sort(p))
-        assert np.all(np.diff(dec.eigenvalues) >= 0)
-        assert np.array_equal(state.matrix, (u * p) @ u.conj().T)
-        np.testing.assert_allclose(dec.reconstruct(), state.matrix, atol=1e-15)
-        for arr in (dec.eigenvalues, dec.eigenvectors):
-            assert not arr.flags.writeable
 
 
 class TestMeanForce:
