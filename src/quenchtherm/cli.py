@@ -115,8 +115,8 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(f"unknown model {cfg.model!r}")
         if cfg.quench not in (SYSTEM_QUENCH, INTERACTION_QUENCH, GENERAL_QUENCH):
             raise ConfigError(f"unknown quench kind {cfg.quench!r}")
-        if cfg.beta <= 0:
-            raise ConfigError(f"beta must be positive, got {cfg.beta}")
+        if not 0 < cfg.beta < np.inf:  # NaN fails too
+            raise ConfigError(f"beta must be positive and finite, got {cfg.beta}")
 
         if parser.has_section("parameters"):
             cfg.parameters = {

@@ -203,6 +203,17 @@ def at_index(n: int, size: int) -> str:
     return f" at stack index {n}" if size > 1 else ""
 
 
+def _check_defect(mats: np.ndarray, target: np.ndarray, tol: float,
+                  error: type[Exception], message: str):
+    """Raise `error(message.format(defect))` naming the first member of a (N, d, d)
+    stack with defect max |A - target| > tol * max(1, max |A|); NaN fails."""
+    defect = np.abs(mats - target).max(axis=(-2, -1))
+    ok = defect <= tol * np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
+    if not np.all(ok):
+        n = int(np.argmin(ok))
+        raise error(message.format(defect[n]) + at_index(n, len(mats)))
+
+
 def require_hermitian_stack(mats: np.ndarray) -> np.ndarray:
     """Raise NotHermitian naming the first member of a (N, d, d) stack that is not.
 
@@ -210,13 +221,8 @@ def require_hermitian_stack(mats: np.ndarray) -> np.ndarray:
     Returns the conjugate transposes A^dag it computed.
     """
     mats_h = dagger(mats)
-    defect = np.abs(mats - mats_h).max(axis=(-2, -1))
-    scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
-    ok = defect <= HERMITICITY_TOL * scale
-    if not np.all(ok):
-        n = int(np.argmin(ok))
-        raise NotHermitian(f"hermiticity defect {defect[n]:.3e} exceeds tolerance"
-                           f"{at_index(n, len(mats))}")
+    _check_defect(mats, mats_h, HERMITICITY_TOL, NotHermitian,
+                  "hermiticity defect {:.3e} exceeds tolerance")
     return mats_h
 
 

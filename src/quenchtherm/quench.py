@@ -19,6 +19,7 @@ from .operators import (
     DensityMatrix,
     Operator,
     SpectralDecomposition,
+    _check_defect,
     at_index,
     dagger,
     eigh_stack,
@@ -28,6 +29,8 @@ from .operators import (
 from .thermo import (
     GibbsEnsemble,
     ThermalContext,
+    _check_beta,
+    _trace_out_weighted,
     gibbs,
     thermal_entropy,
 )
@@ -53,12 +56,14 @@ _SUPPORT_FLOOR = 1e-14
 
 
 def _check_quench(kind: str, final_mode: str, h_sur_a: Operator,
-                  h_sur_b: np.ndarray, dims_b: tuple[int, ...], h_r: Operator):
-    """Protocol names, shared spaces and kind structure for a stack of B's."""
+                  h_sur_b: np.ndarray, dims_b: tuple[int, ...], h_r: Operator,
+                  beta: float):
+    """Protocol names, beta, shared spaces and kind structure for a stack of B's."""
     if kind not in (SYSTEM_QUENCH, INTERACTION_QUENCH, GENERAL_QUENCH):
         raise InvalidSpec(f"unknown quench kind {kind!r}")
     if final_mode not in (EQUILIBRATED, UNITARY):
         raise InvalidSpec(f"unknown final mode {final_mode!r}")
+    _check_beta(beta, InvalidSpec)
     if len(h_sur_a.dims) != 2 or h_sur_a.dims != dims_b:
         raise InvalidSpec(
             f"global Hamiltonians must share a bipartite space, got "
@@ -81,15 +86,8 @@ def _check_acts_on_s_only(ops: np.ndarray, dims: tuple[int, int]):
     d_r = dims[1]
     on_s = trace_out_reservoir(ops, dims) * (1.0 / d_r)
     lifted = (on_s[:, :, None, :, None] * np.eye(d_r)[:, None, :]).reshape(ops.shape)
-    defect = np.abs(ops - lifted).max(axis=(-2, -1))
-    scale = np.maximum(1.0, np.abs(ops).max(axis=(-2, -1)))
-    bad = defect > _STRUCTURE_TOL * scale
-    if np.any(bad):
-        n = int(np.argmax(bad))
-        raise InvalidSpec(
-            f"operator is not of the form (S operator) x identity; "
-            f"defect {defect[n]:.3e}{at_index(n, len(ops))}"
-        )
+    _check_defect(ops, lifted, _STRUCTURE_TOL, InvalidSpec,
+                  "operator is not of the form (S operator) x identity; defect {:.3e}")
 
 
 @dataclass(frozen=True)
@@ -108,7 +106,7 @@ class QuenchSpec:
         if not math.isfinite(self.t_f):
             raise InvalidSpec(f"t_f must be finite, got {self.t_f}")
         _check_quench(self.kind, self.final_mode, self.h_sur_a,
-                      self.h_sur_b.matrix[None], self.h_sur_b.dims, self.h_r)
+                      self.h_sur_b.matrix[None], self.h_sur_b.dims, self.h_r, self.beta)
 
     @cached_property
     def _reservoir(self) -> GibbsEnsemble:
@@ -176,10 +174,9 @@ class ThermoLedger:
                    second_law_q=flags_q, beta=beta)
 
 
-def _evolve(rho: np.ndarray, evals: np.ndarray, evecs: np.ndarray, t: float) -> np.ndarray:
-    """rho conjugated by e^{-iHt} from H's eigenpairs, over leading axes."""
-    u = evecs * np.exp(-1j * evals * t)[..., None, :]
-    return u @ (dagger(evecs) @ rho @ evecs) @ dagger(u)
+def _propagate(evals: np.ndarray, evecs: np.ndarray, vecs: np.ndarray, t: float) -> np.ndarray:
+    """e^{-iHt} vecs from H's eigenpairs, over leading axes."""
+    return (evecs * np.exp(-1j * evals * t)[..., None, :]) @ (dagger(evecs) @ vecs)
 
 
 def evolve_unitary(rho: DensityMatrix, h: Operator, t: float) -> DensityMatrix:
@@ -187,17 +184,18 @@ def evolve_unitary(rho: DensityMatrix, h: Operator, t: float) -> DensityMatrix:
 
     Reads the cached eigenpairs of H and of rho, so it adds no `eigh`.
     """
+    if not math.isfinite(t):
+        raise InvalidSpec(f"t must be finite, got {t}")
     dec_h, dec_rho = h.eig, rho.op.eig
-    u = dec_h.eigenvectors * np.exp(-1j * dec_h.eigenvalues * t)
-    evecs = u @ (dagger(dec_h.eigenvectors) @ dec_rho.eigenvectors)
+    evecs = _propagate(dec_h.eigenvalues, dec_h.eigenvectors, dec_rho.eigenvectors, t)
     return DensityMatrix(Operator.from_eig(
         SpectralDecomposition(dec_rho.eigenvalues, evecs, rho.dims)))
 
 
-def _expectations(ctx: ThermalContext, rho: np.ndarray, rho_s: np.ndarray) -> np.ndarray:
-    """(3, N) values of <H>, <H*>, <E*> under ctx in global and reduced states."""
+def _expectations(ctx: ThermalContext, h_mean: np.ndarray, rho_s: np.ndarray) -> np.ndarray:
+    """(3, N) values of <H>, <H*>, <E*> under ctx, from <H> and the reduced states."""
     return np.stack((
-        expectation(ctx.hamiltonians, rho),
+        h_mean,
         expectation(ctx.h_star, rho_s),
         expectation(ctx.e_star, rho_s),
     ))
@@ -224,26 +222,23 @@ def _ledgers(ctx_a: ThermalContext, ctx_b: ThermalContext,
         expectation(ctx_b.e_star - ctx_a.e_star, pi_s_a),
     ))
 
-    if final_mode == EQUILIBRATED:
-        rho_f, rho_s_f = ctx_b.rho, ctx_b.rho_s
-    else:
-        # same spectrum as pi_A, already checked when ctx_a was built
-        rho_f = _evolve(pi_a, ctx_b.evals, ctx_b.evecs, t_f)
-        rho_s_f = trace_out_reservoir(rho_f, ctx_b.dims)
-
     # Heat: energy change from t = 0+ to t_f under the fixed Hamiltonian B.
-    at_f = _expectations(ctx_b, rho_f, rho_s_f)
-    heats = at_f - _expectations(ctx_b, pi_a, pi_s_a)
+    h_b_0 = expectation(ctx_b.hamiltonians, pi_a)
+    at_b = _expectations(ctx_b, expectation(ctx_b.hamiltonians, ctx_b.rho), ctx_b.rho_s)
+    if final_mode == EQUILIBRATED:
+        at_f = at_b
+    else:
+        # pi_A's eigenvectors carried to t_f; H_B's evolution conserves <H_B>
+        vecs = _propagate(ctx_b.evals, ctx_b.evecs, ctx_a.evecs, t_f)
+        at_f = _expectations(ctx_b, h_b_0,
+                             _trace_out_weighted(vecs, ctx_a.populations, ctx_b.dims))
+    heats = at_f - _expectations(ctx_b, h_b_0, pi_s_a)
 
     delta_f_s = ctx_b.f_s - ctx_a.f_s
 
-    # pi_A is A's equilibrium state; the final state is B's when equilibrated
-    u_a = _energies(ctx_a, _expectations(ctx_a, pi_a, pi_s_a))
-    u_f = _energies(ctx_b, at_f)
-    if final_mode == EQUILIBRATED:
-        u_b = u_f
-    else:
-        u_b = _energies(ctx_b, _expectations(ctx_b, ctx_b.rho, ctx_b.rho_s))
+    # pi_A is A's equilibrium state, B's is the equilibrated final state
+    u_a = _energies(ctx_a, _expectations(ctx_a, expectation(ctx_a.hamiltonians, pi_a), pi_s_a))
+    u_f, u_b = _energies(ctx_b, at_f), _energies(ctx_b, at_b)
     _check_first_law(works, heats, u_a, u_f)
 
     # Entropy changes between the equilibrium endpoints (independent of t_f).
@@ -278,7 +273,7 @@ def run_sweep(
     if stack.ndim != 3 or len(stack) == 0 or stack.shape[1:] != h_sur_a.matrix.shape:
         raise InvalidSpec(f"post-quench stack must have shape (N, {h_sur_a.side}, "
                           f"{h_sur_a.side}) with N >= 1, got {stack.shape}")
-    _check_quench(kind, EQUILIBRATED, h_sur_a, stack, h_sur_a.dims, h_r)
+    _check_quench(kind, EQUILIBRATED, h_sur_a, stack, h_sur_a.dims, h_r, beta)
     reservoir = gibbs(h_r, beta)
     ctx_a = ThermalContext.of(h_sur_a, reservoir)
     ctx_b = ThermalContext.build(stack, *eigh_stack(stack), h_sur_a.dims, reservoir)
@@ -296,12 +291,10 @@ def _check_first_law(works, heats, u_initial, u_final):
         )
 
 
-def _relative_entropy(dec_r: SpectralDecomposition, dec_s: SpectralDecomposition) -> float:
-    """Tr(rho (ln rho - ln sigma)) from the eigenpairs of rho and sigma."""
-    p = np.clip(dec_r.eigenvalues, 0.0, None)
-    q = dec_s.eigenvalues
-
-    overlap = np.abs(dec_r.eigenvectors.conj().T @ dec_s.eigenvectors) ** 2
+def _relative_entropy(p: np.ndarray, u: np.ndarray, q: np.ndarray, v: np.ndarray) -> float:
+    """Tr(rho (ln rho - ln sigma)) for rho = U diag(p) U^dag and sigma = V diag(q) V^dag."""
+    p = np.clip(p, 0.0, None)
+    overlap = np.abs(u.conj().T @ v) ** 2
     weight_on_sigma_modes = p @ overlap
     bad = (q <= _SUPPORT_FLOOR) & (weight_on_sigma_modes > 1e-10)
     if np.any(bad):
@@ -327,7 +320,9 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dims != sigma.dims:
         raise DimensionMismatch(f"dims {rho.dims} vs {sigma.dims}")
-    return _relative_entropy(rho.op.eig, sigma.op.eig)
+    dec_r, dec_s = rho.op.eig, sigma.op.eig
+    return _relative_entropy(dec_r.eigenvalues, dec_r.eigenvectors,
+                             dec_s.eigenvalues, dec_s.eigenvectors)
 
 
 @dataclass(frozen=True)
@@ -348,8 +343,10 @@ def second_law_audit(spec: QuenchSpec, ledger: ThermoLedger) -> SecondLawAudit:
     """
     beta = spec.beta
     ctx_a, ctx_b = spec.context_a, spec.context_b
-    d_global = _relative_entropy(ctx_a.state_spectrum, ctx_b.state_spectrum)
-    d_reduced = _relative_entropy(ctx_a.reduced_spectrum, ctx_b.reduced_spectrum)
+    d_global = _relative_entropy(ctx_a.populations[0], ctx_a.evecs[0],
+                                 ctx_b.populations[0], ctx_b.evecs[0])
+    d_reduced = _relative_entropy(ctx_a.rho_s_evals[0], ctx_a.m_evecs[0],
+                                  ctx_b.rho_s_evals[0], ctx_b.m_evecs[0])
     residual_diff = abs(beta * ledger.diss_diff - d_global)
     residual_hstar = abs(beta * ledger.diss_hstar - d_reduced)
     return SecondLawAudit(residual_diff, residual_hstar)

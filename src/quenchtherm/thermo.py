@@ -66,9 +66,9 @@ class MeanForceBundle:
     f_s: float
 
 
-def _check_beta(beta: float):
+def _check_beta(beta: float, error: type[Exception] = ValueError):
     if not (math.isfinite(beta) and beta > 0):
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+        raise error(f"beta must be positive and finite, got {beta}")
 
 
 def gibbs(h: Operator, beta: float) -> GibbsEnsemble:
@@ -94,6 +94,20 @@ def log_partition(h: Operator, beta: float) -> float:
     if slot is not None and slot[0] == beta:
         return slot[2]
     return float(_shifted_weights(h.eig.eigenvalues, beta)[1])
+
+
+def _trace_out_weighted(evecs: np.ndarray, weights: np.ndarray,
+                        dims: tuple[int, int]) -> np.ndarray:
+    """Tr_R(U diag(f) U^dag), symmetrized, for U in a (N, D, D) stack, f in a (..., N, D).
+
+    One product: rows of U grouped by s, the column (r, k) weighted by f_k.
+    """
+    n, side = evecs.shape[:2]
+    d_s, d_r = dims
+    grouped = evecs.reshape(n, d_s, d_r, side)
+    weighted = grouped * weights[..., None, None, :]
+    weighted = weighted.reshape(weighted.shape[:-2] + (d_r * side,))
+    return _symmetrized(weighted @ dagger(grouped.reshape(n, d_s, d_r * side)))
 
 
 def _log_divided_differences(m: np.ndarray) -> np.ndarray:
@@ -130,8 +144,8 @@ class ThermalContext:
     Arrays carry the batch axis first.  All members come from the
     eigenpairs of the (N, D, D) stack (one broadcasting `eigh`, or the
     cached `Operator.eig` of a single Hamiltonian) and one broadcasting
-    `eigh` of the (N, d_s, d_s) stack of M.  `bundle`, `state_spectrum` and
-    `reduced_spectrum` view a context of one Hamiltonian.
+    `eigh` of the (N, d_s, d_s) stack of M.  `bundle` views a context of
+    one Hamiltonian.
     """
 
     hamiltonians: np.ndarray  # (N, D, D)
@@ -166,27 +180,19 @@ class ThermalContext:
         beta = reservoir.beta
         weights, log_z = _shifted_weights(evals, beta)
         z = weights.sum(axis=-1)
-        n, side = evals.shape
-        d_s, d_r = dims
-        # M and X as Tr_R(U diag(f) U^dag) for f = w, wE in one product: rows
-        # of U grouped by s, the column (r, k) of the grouped matrix weighted
-        # by f_k
-        grouped = evecs.reshape(n, d_s, d_r, side)
-        f = np.stack((weights, weights * evals))[:, :, None, None, :]
-        weighted = (grouped * f).reshape(2, n, d_s, d_r * side)
-        m, x = _symmetrized(weighted @ dagger(grouped.reshape(n, d_s, d_r * side)))
+        m, x = _trace_out_weighted(evecs, np.stack((weights, weights * evals)), dims)
         mvals, v = np.linalg.eigh(m)
         if np.any(mvals[:, 0] <= 0):
             k = int(np.argmax(mvals[:, 0] <= 0))
             raise NotPositiveDefinite(f"Tr_R e^(-beta H) has eigenvalue "
-                                      f"{mvals[k, 0]:.3e}{at_index(k, n)}")
+                                      f"{mvals[k, 0]:.3e}{at_index(k, len(evals))}")
         offset = beta * evals[:, :1] + reservoir.log_partition
         hstar_evals = -(np.log(mvals) - offset) / beta
         vh = dagger(v)
         h_star = _symmetrized((v * hstar_evals[:, None, :]) @ vh)
         dlog = v @ ((vh @ x @ v) * _log_divided_differences(mvals)) @ vh
         u_r = reservoir.mean_energy
-        e_star = _symmetrized(dlog) - u_r * np.eye(d_s)
+        e_star = _symmetrized(dlog) - u_r * np.eye(dims[0])
         log_z_star = _shifted_weights(hstar_evals, beta)[1]
         populations = weights / z[:, None]
         rho_s_evals = mvals / z[:, None]
@@ -225,18 +231,6 @@ class ThermalContext:
         return MeanForceBundle(Operator(self.h_star[k], (d_s,)),
                                Operator(self.e_star[k], (d_s,)),
                                float(self.log_z_star[k]), float(self.f_s[k]))
-
-    @property
-    def state_spectrum(self) -> SpectralDecomposition:
-        """Gibbs populations on H's eigenvectors."""
-        k = self._only
-        return SpectralDecomposition(self.populations[k], self.evecs[k], self.dims)
-
-    @property
-    def reduced_spectrum(self) -> SpectralDecomposition:
-        """Eigenpairs of the reduced Gibbs state M / Tr M."""
-        k = self._only
-        return SpectralDecomposition(self.rho_s_evals[k], self.m_evecs[k], self.dims[:1])
 
 
 def thermal_context(h_sur: Operator, h_r: Operator, beta: float) -> ThermalContext:

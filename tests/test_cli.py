@@ -493,6 +493,14 @@ class TestErrors:
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
         capsys.readouterr()
 
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
+    def test_non_finite_beta_is_a_config_error(self, tmp_path, capsys, beta):
+        cfg = write(tmp_path, "c.ini", RUN_CUSTOM.replace("beta = 0.9", f"beta = {beta}"))
+        with pytest.raises(cli.ConfigError, match="beta must be positive and finite"):
+            cli.load_config(cfg)
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+
     @pytest.mark.parametrize("text, fault", [
         (RUN_TWO_SPIN + "alpha = 0.9\n", "DuplicateOptionError"),
         ("beta = 1.0\n" + RUN_TWO_SPIN, "MissingSectionHeaderError"),
