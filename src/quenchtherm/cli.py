@@ -22,6 +22,7 @@ from operator import attrgetter
 import numpy as np
 
 from .audits import DEFAULT_TOLERANCES, random_two_spin_params, run_invariant_audit
+from .errors import QuenchThermError
 from .operators import Operator
 from .quench import (
     INTERACTION_QUENCH,
@@ -30,6 +31,7 @@ from .quench import (
     VIOLATION_THRESHOLD,
     QuenchSpec,
     ThermoLedger,
+    _sweep_ledger,
     run_quench,
     run_sweep,
 )
@@ -117,6 +119,8 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(f"unknown quench kind {cfg.quench!r}")
         if not 0 < cfg.beta < np.inf:  # NaN fails too
             raise ConfigError(f"beta must be positive and finite, got {cfg.beta}")
+        if cfg.count < 1:
+            raise ConfigError(f"count must be >= 1, got {cfg.count}")
 
         if parser.has_section("parameters"):
             cfg.parameters = {
@@ -235,27 +239,20 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
     grid = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
     h_a, h_b, h_r, oracle = _two_spin_config(cfg, grid)
-    ledgers = run_sweep(h_a, h_b, h_r, cfg.beta, cfg.quench)
+    columns = _sweep_ledger(h_a, h_b, h_r, cfg.beta, cfg.quench)
     oracles = [oracle(v) for v in grid.tolist()]
 
     fields = ThermoLedger.FIELDS
-    numbers = attrgetter(*fields)
-    eng = np.array([numbers(led) for led in ledgers])
-    ora = np.array([numbers(led) for led in oracles])
-    header = ["value"]
-    for name in fields:
-        header += [f"eng_{name}", f"ora_{name}"]
-    header += [
-        "flag_w_diff", "flag_w_hstar", "flag_w_estar",
-        "flag_q_diff", "flag_q_hstar", "flag_q_estar",
-    ]
-    # value, then engine and oracle interleaved: one row template formats them
-    cells = np.column_stack([grid, np.stack([eng, ora], axis=-1).reshape(len(grid), -1)])
-    row = ",".join([FMT] * cells.shape[1]) + ",%s\n"
-    rows = "".join(
-        row % (*cell_row, ",".join(_bits(led.second_law_w) + _bits(led.second_law_q or ())))
-        for cell_row, led in zip(cells.tolist(), ledgers)
-    )
+    eng = np.column_stack([getattr(columns, name) for name in fields])
+    ora = np.array(list(map(attrgetter(*fields), oracles)))
+    header = ["value", *(f"{side}_{name}" for name in fields for side in ("eng", "ora")),
+              *(f"flag_{kind}_{name}" for kind in "wq" for name in ("diff", "hstar", "estar"))]
+    # value, engine and oracle interleaved, then the flags: one template
+    # formats the whole table
+    cells = np.column_stack([grid, np.stack([eng, ora], axis=-1).reshape(len(grid), -1),
+                             *columns.second_law_w, *columns.second_law_q])
+    row = ",".join([FMT] * (1 + 2 * len(fields)) + ["%d"] * 6) + "\n"
+    rows = (row * len(grid)) % tuple(cells.ravel().tolist())
 
     # NaN propagates through these reductions, so a non-finite engine or
     # oracle value shows in the summary and fails the gate below
@@ -314,7 +311,7 @@ def _intervals(points: list[float], grid: np.ndarray):
 
 
 def cmd_audit(cfg: RunConfig) -> int:
-    report = run_invariant_audit(cfg.seed, n_quenches=cfg.count or 200,
+    report = run_invariant_audit(cfg.seed, n_quenches=cfg.count,
                                  tolerances=cfg.tolerances or None)
     text = "\n".join(report.lines()) + "\n"
     print(text, end="")
@@ -329,9 +326,8 @@ def cmd_compare(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     worst_desc = ""
-    n = cfg.count or 100
     for kind in (SYSTEM_QUENCH, INTERACTION_QUENCH):
-        for _ in range(n):
+        for _ in range(cfg.count):
             p = random_two_spin_params(rng)
             value = float(rng.uniform(-2, 2)) if kind == SYSTEM_QUENCH else p.gamma
             h_a, h_b, h_r, oracle = _two_spin_sweep(
@@ -344,7 +340,7 @@ def cmd_compare(cfg: RunConfig) -> int:
                 if excess > worst:
                     worst = excess
                     worst_desc = f"{kind}:{name}"
-    print(f"compare seed={cfg.seed} points={n} per kind")
+    print(f"compare seed={cfg.seed} points={cfg.count} per kind")
     print(f"worst tolerance fraction = {FMT % worst} at {worst_desc}")
     status = worst <= 1.0
     print("RESULT " + ("PASS" if status else "FAIL"))
@@ -372,7 +368,10 @@ def _custom_spec(cfg: RunConfig) -> QuenchSpec:
     else:
         h_a = op("h_sur_a", (d_s, d_r))
         h_b = op("h_sur_b", (d_s, d_r))
-    return QuenchSpec(h_a, h_b, h_r, cfg.beta, kind=cfg.quench)
+    try:
+        return QuenchSpec(h_a, h_b, h_r, cfg.beta, kind=cfg.quench)
+    except QuenchThermError as exc:
+        raise ConfigError(f"custom_matrix quench: {exc}") from exc
 
 
 def cmd_run(cfg: RunConfig) -> int:

@@ -107,6 +107,8 @@ class QuenchSpec:
             raise InvalidSpec(f"t_f must be finite, got {self.t_f}")
         _check_quench(self.kind, self.final_mode, self.h_sur_a,
                       self.h_sur_b.matrix[None], self.h_sur_b.dims, self.h_r, self.beta)
+        # NotHermitian here; the contexts read these cached eigenpairs anyway
+        self.h_sur_a.eig, self.h_sur_b.eig
 
     @cached_property
     def _reservoir(self) -> GibbsEnsemble:
@@ -162,7 +164,9 @@ class ThermoLedger:
 
         Derives the dissipated works W - dF_S and the second-law flags
         W >= dF_S and Q <= dS / beta, each against VIOLATION_THRESHOLD; the
-        heat flags are None unless the final state is equilibrated.
+        heat flags are None unless the final state is equilibrated.  Given
+        (3, N) arrays and an (N,) dF_S, the same expressions derive a ledger
+        of N quenches whose fields hold (N,) columns, which `_records` splits.
         """
         diss = [w - delta_f_s for w in works]
         flags_q = None
@@ -172,6 +176,16 @@ class ThermoLedger:
         return cls(*works, *heats, delta_f_s, *delta_s, *diss,
                    second_law_w=tuple(d >= -VIOLATION_THRESHOLD for d in diss),
                    second_law_q=flags_q, beta=beta)
+
+
+def _records(columns: ThermoLedger) -> list[ThermoLedger]:
+    """One record of Python scalars per quench of a ledger of (N,) columns."""
+    numbers = zip(*(getattr(columns, name).tolist() for name in ThermoLedger.FIELDS))
+    flags_w = zip(*(f.tolist() for f in columns.second_law_w))
+    flags_q = ([None] * len(columns.w_diff) if columns.second_law_q is None
+               else zip(*(f.tolist() for f in columns.second_law_q)))
+    return [ThermoLedger(*nums, second_law_w=w, second_law_q=q, beta=columns.beta)
+            for nums, w, q in zip(numbers, flags_w, flags_q)]
 
 
 def _propagate(evals: np.ndarray, evecs: np.ndarray, vecs: np.ndarray, t: float) -> np.ndarray:
@@ -207,8 +221,8 @@ def _energies(ctx: ThermalContext, expectations: np.ndarray) -> np.ndarray:
 
 
 def _ledgers(ctx_a: ThermalContext, ctx_b: ThermalContext,
-             final_mode: str, t_f: float) -> list[ThermoLedger]:
-    """Ledgers of quenches from ctx_a's one Hamiltonian to each of ctx_b's.
+             final_mode: str, t_f: float) -> ThermoLedger:
+    """Ledger of (N,) columns, of quenches from ctx_a's one Hamiltonian to each of ctx_b's.
 
     Quantities are (3, N) arrays, one row per definition (diff, H*, E*).
     """
@@ -244,17 +258,34 @@ def _ledgers(ctx_a: ThermalContext, ctx_b: ThermalContext,
     # Entropy changes between the equilibrium endpoints (independent of t_f).
     delta_s = (thermal_entropy(u_b, ctx_b.f_s, beta)
                - thermal_entropy(u_a, ctx_a.f_s, beta))
-    equilibrated = final_mode == EQUILIBRATED
-    return [
-        ThermoLedger.assemble(w, q, df, ds, beta, equilibrated)
-        for w, q, df, ds in zip(works.T.tolist(), heats.T.tolist(),
-                                delta_f_s.tolist(), delta_s.T.tolist())
-    ]
+    return ThermoLedger.assemble(works, heats, delta_f_s, delta_s, beta,
+                                 final_mode == EQUILIBRATED)
 
 
 def run_quench(spec: QuenchSpec) -> ThermoLedger:
     """Execute a sudden quench and assemble its three-way thermodynamic ledger."""
-    return _ledgers(spec.context_a, spec.context_b, spec.final_mode, spec.t_f)[0]
+    return _records(_ledgers(spec.context_a, spec.context_b, spec.final_mode, spec.t_f))[0]
+
+
+def _sweep_ledger(h_sur_a: Operator, h_sur_b_stack: np.ndarray, h_r: Operator,
+                  beta: float, kind: str) -> ThermoLedger:
+    """`run_sweep`'s ledgers as one ledger of (N,) columns."""
+    stack = np.asarray(h_sur_b_stack, dtype=complex)
+    if stack.ndim != 3 or len(stack) == 0 or stack.shape[1:] != h_sur_a.matrix.shape:
+        raise InvalidSpec(f"post-quench stack must have shape (N, {h_sur_a.side}, "
+                          f"{h_sur_a.side}) with N >= 1, got {stack.shape}")
+    _check_quench(kind, EQUILIBRATED, h_sur_a, stack, h_sur_a.dims, h_r, beta)
+    reservoir = gibbs(h_r, beta)
+    hams = np.concatenate((h_sur_a.matrix[None], stack))
+    try:
+        ctx = ThermalContext.build(hams, *eigh_stack(hams), h_sur_a.dims, reservoir)
+    except (QuenchThermError, ValueError):
+        # redo H_A and the stack apart, so that the error names H_A without
+        # an index, or the member by its index in the caller's stack
+        ThermalContext.of(h_sur_a, reservoir)
+        ThermalContext.build(stack, *eigh_stack(stack), h_sur_a.dims, reservoir)
+        raise
+    return _ledgers(ctx._members(slice(1)), ctx._members(slice(1, None)), EQUILIBRATED, 0.0)
 
 
 def run_sweep(
@@ -264,20 +295,12 @@ def run_sweep(
     """Equilibrated quenches from H_A to each member of a (N, D, D) stack.
 
     One ledger per member, equal to `run_quench` on the matching
-    `QuenchSpec`, from one broadcasting eigendecomposition of the stack and
-    H_A's cached `Operator.eig`: two global `eigh` at most.  The
-    stack shares H_A's dims; every member gets the checks a `QuenchSpec`
-    makes, and errors name the first bad member.
+    `QuenchSpec`, from one context of the (N + 1, D, D) stack [H_A; stack]:
+    one broadcasting global `eigh`.  The stack shares H_A's dims; every
+    member gets the checks a `QuenchSpec` makes, and errors name H_A or the
+    first bad member of the caller's stack.
     """
-    stack = np.asarray(h_sur_b_stack, dtype=complex)
-    if stack.ndim != 3 or len(stack) == 0 or stack.shape[1:] != h_sur_a.matrix.shape:
-        raise InvalidSpec(f"post-quench stack must have shape (N, {h_sur_a.side}, "
-                          f"{h_sur_a.side}) with N >= 1, got {stack.shape}")
-    _check_quench(kind, EQUILIBRATED, h_sur_a, stack, h_sur_a.dims, h_r, beta)
-    reservoir = gibbs(h_r, beta)
-    ctx_a = ThermalContext.of(h_sur_a, reservoir)
-    ctx_b = ThermalContext.build(stack, *eigh_stack(stack), h_sur_a.dims, reservoir)
-    return _ledgers(ctx_a, ctx_b, EQUILIBRATED, 0.0)
+    return _records(_sweep_ledger(h_sur_a, h_sur_b_stack, h_r, beta, kind))
 
 
 def _check_first_law(works, heats, u_initial, u_final):

@@ -14,7 +14,7 @@ share one `eigh`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -212,6 +212,11 @@ class ThermalContext:
     @property
     def beta(self) -> float:
         return self.reservoir.beta
+
+    def _members(self, index: slice) -> "ThermalContext":
+        """The members `index` selects, as a context of views of these arrays."""
+        return replace(self, **{f.name: getattr(self, f.name)[index] for f in fields(self)
+                                if f.name not in ("dims", "reservoir", "u_r")})
 
     @cached_property
     def rho(self) -> np.ndarray:

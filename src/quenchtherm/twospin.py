@@ -73,34 +73,23 @@ def closed_form_statics(p: TwoSpinParams) -> ClosedFormStatics:
     a_m = (p.epsilon - p.alpha) / 2
     em = math.exp(-b * p.gamma)
     ep = math.exp(b * p.gamma)
+    ch_p, sh_p = math.cosh(b * eta_p), math.sinh(b * eta_p)
+    ch_m, sh_m = math.cosh(b * eta_m), math.sinh(b * eta_m)
+    r_p, r_m = _ratio(a_p, eta_p), _ratio(a_m, eta_m)
 
-    z_sur = 2 * em * math.cosh(b * eta_p) + 2 * ep * math.cosh(b * eta_m)
+    z_sur = 2 * em * ch_p + 2 * ep * ch_m
 
-    def x(sign: float) -> float:
-        return em * (
-            math.cosh(b * eta_p) + sign * _ratio(a_p, eta_p) * math.sinh(b * eta_p)
-        ) + ep * (
-            math.cosh(b * eta_m) + sign * _ratio(a_m, eta_m) * math.sinh(b * eta_m)
-        )
+    def x_dx(sign: float) -> tuple[float, float]:
+        # x(sign) and its term-wise beta-derivative; d/dbeta of e^{-+ b gamma}
+        # brings down -+ gamma, cosh/sinh differentiate to eta sinh / eta
+        # cosh, and the (a/eta) sinh term differentiates to a cosh
+        in_p = ch_p + sign * r_p * sh_p
+        in_m = ch_m + sign * r_m * sh_m
+        term_p = em * (-p.gamma * in_p + eta_p * sh_p + sign * a_p * ch_p)
+        term_m = ep * (p.gamma * in_m + eta_m * sh_m + sign * a_m * ch_m)
+        return em * in_p + ep * in_m, term_p + term_m
 
-    def dx(sign: float) -> float:
-        # term-wise beta-derivative of x(sign); d/dbeta of e^{-+ b gamma} brings
-        # down -+ gamma, cosh/sinh differentiate to eta sinh / eta cosh, and the
-        # (a/eta) sinh term differentiates to a cosh
-        term_p = em * (
-            -p.gamma * (math.cosh(b * eta_p) + sign * _ratio(a_p, eta_p) * math.sinh(b * eta_p))
-            + eta_p * math.sinh(b * eta_p)
-            + sign * a_p * math.cosh(b * eta_p)
-        )
-        term_m = ep * (
-            p.gamma * (math.cosh(b * eta_m) + sign * _ratio(a_m, eta_m) * math.sinh(b * eta_m))
-            + eta_m * math.sinh(b * eta_m)
-            + sign * a_m * math.cosh(b * eta_m)
-        )
-        return term_p + term_m
-
-    x_minus, x_plus = x(-1.0), x(+1.0)
-    dx_minus, dx_plus = dx(-1.0), dx(+1.0)
+    (x_minus, dx_minus), (x_plus, dx_plus) = x_dx(-1.0), x_dx(+1.0)
 
     denom = 2 * math.cosh(b * p.alpha / 2)
     h_star = (-math.log(x_minus / denom) / b, -math.log(x_plus / denom) / b)
@@ -126,9 +115,14 @@ def system_quench_ledger(p_a: TwoSpinParams, epsilon_b: float) -> ThermoLedger:
     a_p_a, a_m_a = (p_a.epsilon + p_a.alpha) / 2, (p_a.epsilon - p_a.alpha) / 2
     a_p_b, a_m_b = (epsilon_b + p_a.alpha) / 2, (epsilon_b - p_a.alpha) / 2
 
+    ch_p_a, sh_p_a = math.cosh(b * eta_p_a), math.sinh(b * eta_p_a)
+    ch_m_a, sh_m_a = math.cosh(b * eta_m_a), math.sinh(b * eta_m_a)
+    ch_p_b, sh_p_b = math.cosh(b * eta_p_b), math.sinh(b * eta_p_b)
+    ch_m_b, sh_m_b = math.cosh(b * eta_m_b), math.sinh(b * eta_m_b)
+
     w_diff = (p_a.epsilon - epsilon_b) / sa.z_sur * (
-        _ratio(a_p_a, eta_p_a) * em * math.sinh(b * eta_p_a)
-        + _ratio(a_m_a, eta_m_a) * ep * math.sinh(b * eta_m_a)
+        _ratio(a_p_a, eta_p_a) * em * sh_p_a
+        + _ratio(a_m_a, eta_m_a) * ep * sh_m_a
     )
     w_hstar = -1.0 / (b * sa.z_sur) * (
         sa.x_minus * math.log(sb.x_minus / sa.x_minus)
@@ -143,13 +137,13 @@ def system_quench_ledger(p_a: TwoSpinParams, epsilon_b: float) -> ThermoLedger:
 
     g = p_a.gamma
     q_diff = (
-        2 * g * (em * math.cosh(b * eta_p_b) - ep * math.cosh(b * eta_m_b))
-        - 2 * eta_p_b * em * math.sinh(b * eta_p_b)
-        - 2 * eta_m_b * ep * math.sinh(b * eta_m_b)
+        2 * g * (em * ch_p_b - ep * ch_m_b)
+        - 2 * eta_p_b * em * sh_p_b
+        - 2 * eta_m_b * ep * sh_m_b
     ) / sb.z_sur + (
-        2 * g * (-em * math.cosh(b * eta_p_a) + ep * math.cosh(b * eta_m_a))
-        + 2 * em * math.sinh(b * eta_p_a) * (a_p_b * a_p_a + p_a.chi**2) / eta_p_a
-        + 2 * ep * math.sinh(b * eta_m_a) * (a_m_b * a_m_a + p_a.chi**2) / eta_m_a
+        2 * g * (-em * ch_p_a + ep * ch_m_a)
+        + 2 * em * sh_p_a * (a_p_b * a_p_a + p_a.chi**2) / eta_p_a
+        + 2 * ep * sh_m_a * (a_m_b * a_m_a + p_a.chi**2) / eta_m_a
     ) / sa.z_sur
     q_hstar = (
         (sa.x_minus / sa.z_sur - sb.x_minus / sb.z_sur) * math.log(sb.x_minus)
@@ -163,8 +157,7 @@ def system_quench_ledger(p_a: TwoSpinParams, epsilon_b: float) -> ThermoLedger:
     )
 
     delta_f_s = -math.log(
-        (em * math.cosh(b * eta_p_b) + ep * math.cosh(b * eta_m_b))
-        / (em * math.cosh(b * eta_p_a) + ep * math.cosh(b * eta_m_a))
+        (em * ch_p_b + ep * ch_m_b) / (em * ch_p_a + ep * ch_m_a)
     ) / b
 
     ds_diff = -b * (
@@ -202,6 +195,8 @@ def interaction_quench_ledger(
     g = gamma_b
     em = math.exp(-b * g)
     ep = math.exp(b * g)
+    ch_p, sh_p = math.cosh(b * eta_p), math.sinh(b * eta_p)
+    ch_m, sh_m = math.cosh(b * eta_m), math.sinh(b * eta_m)
     ce = math.cosh(b * epsilon / 2)
     ca = math.cosh(b * alpha / 2)
     te = (epsilon / 2) * math.tanh(b * epsilon / 2)
@@ -210,6 +205,9 @@ def interaction_quench_ledger(
     pop_m = math.exp(-b * epsilon / 2) / (2 * ce)
     pop_p = math.exp(b * epsilon / 2) / (2 * ce)
 
+    log_x_m, log_x_p = math.log(sb.x_minus), math.log(sb.x_plus)
+    log_2ca, log_z_ratio = math.log(2 * ca), math.log(sb.z_sur / (4 * ce * ca))
+
     free_term = (
         2 * a_p * math.sinh(b * a_p)
         - 2 * g * math.cosh(b * a_p)
@@ -217,44 +215,38 @@ def interaction_quench_ledger(
         + 2 * g * math.cosh(b * a_m)
     ) / (4 * ce * ca)
     w_diff = te + ta - free_term
-    w_hstar = -(
-        (pop_m * math.log(sb.x_minus) + pop_p * math.log(sb.x_plus))
-        - math.log(2 * ca)
-    ) / b + te
+    w_hstar = -((pop_m * log_x_m + pop_p * log_x_p) - log_2ca) / b + te
     w_estar = te + ta - (
         pop_m * sb.d_beta_x_minus / sb.x_minus
         + pop_p * sb.d_beta_x_plus / sb.x_plus
     )
 
     q_diff = (
-        2 * g * (em * math.cosh(b * eta_p) - ep * math.cosh(b * eta_m))
-        - 2 * eta_p * em * math.sinh(b * eta_p)
-        - 2 * eta_m * ep * math.sinh(b * eta_m)
+        2 * g * (em * ch_p - ep * ch_m)
+        - 2 * eta_p * em * sh_p
+        - 2 * eta_m * ep * sh_m
     ) / sb.z_sur + free_term
     q_hstar = (
-        (pop_m - sb.x_minus / sb.z_sur) * math.log(sb.x_minus)
-        + (pop_p - sb.x_plus / sb.z_sur) * math.log(sb.x_plus)
+        (pop_m - sb.x_minus / sb.z_sur) * log_x_m
+        + (pop_p - sb.x_plus / sb.z_sur) * log_x_p
     ) / b
     q_estar = (
         (pop_m / sb.x_minus - 1.0 / sb.z_sur) * sb.d_beta_x_minus
         + (pop_p / sb.x_plus - 1.0 / sb.z_sur) * sb.d_beta_x_plus
     )
 
-    delta_f_s = -math.log(
-        (em * math.cosh(b * eta_p) + ep * math.cosh(b * eta_m)) / (2 * ce * ca)
-    ) / b
+    delta_f_s = -math.log((em * ch_p + ep * ch_m) / (2 * ce * ca)) / b
 
     ds_diff = (
         b * te + b * ta
         - b * (sb.d_beta_x_minus + sb.d_beta_x_plus) / sb.z_sur
-        + math.log(sb.z_sur / (4 * ce * ca))
+        + log_z_ratio
     )
     ds_hstar = (
         b * te
-        - (sb.x_minus * math.log(sb.x_minus) + sb.x_plus * math.log(sb.x_plus))
-        / sb.z_sur
-        + math.log(2 * ca)
-        + math.log(sb.z_sur / (4 * ce * ca))
+        - (sb.x_minus * log_x_m + sb.x_plus * log_x_p) / sb.z_sur
+        + log_2ca
+        + log_z_ratio
     )
 
     return ThermoLedger.assemble(

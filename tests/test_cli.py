@@ -5,7 +5,7 @@ import pytest
 
 from quenchtherm import cli, twospin
 from quenchtherm.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, main
-from quenchtherm.quench import ThermoLedger
+from quenchtherm.quench import ThermoLedger, run_sweep
 from quenchtherm.twospin import TwoSpinParams
 
 DATA = Path(__file__).parent / "data"
@@ -229,6 +229,31 @@ class TestSweep:
         cfg = write(tmp_path, "d.ini", bad.format(out=tmp_path / "x.csv"))
         assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
         capsys.readouterr()
+
+
+class TestSweepColumns:
+    """The CLI formats the engine cells straight from the ledger columns."""
+
+    @pytest.mark.parametrize("template, kind", [
+        (SWEEP_SYSTEM, "system"), (SWEEP_INTERACTION, "interaction")])
+    def test_cells_equal_run_sweep_records(self, tmp_path, capsys, template, kind):
+        out = tmp_path / "s.csv"
+        cfg = cli.load_config(write(tmp_path, "s.ini", template.format(out=out)))
+        assert main(["sweep", "--config", str(tmp_path / "s.ini")]) == EXIT_OK
+        capsys.readouterr()
+        grid = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
+        h_a, h_b, h_r, _ = cli._two_spin_config(cfg, grid)
+        ledgers = run_sweep(h_a, h_b, h_r, cfg.beta, kind)
+        lines = out.read_text().splitlines()
+        header = lines[0].split(",")
+        assert len(lines) == len(ledgers) + 1
+        for line, ledger in zip(lines[1:], ledgers):
+            row = dict(zip(header, line.split(",")))
+            for name, value in ledger.numeric_fields().items():
+                assert float(row[f"eng_{name}"]) == value, name
+            flags = ledger.second_law_w + ledger.second_law_q
+            assert [row[f"flag_{k}_{d}"] for k in "wq" for d in ("diff", "hstar", "estar")] \
+                == ["1" if f else "0" for f in flags]
 
 
 class TestSweepOracleStatics:
@@ -514,6 +539,27 @@ class TestErrors:
         assert type(info.value.__cause__).__name__ == fault
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: bad config {cfg}: ")
+
+    @pytest.mark.parametrize("command", ["compare", "audit"])
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_non_positive_count_is_a_config_error(self, tmp_path, capsys, command, count):
+        cfg = write(tmp_path, "c.ini", f"[run]\nmode = {command}\ncount = {count}\n")
+        with pytest.raises(cli.ConfigError, match=f"count must be >= 1, got {count}"):
+            cli.load_config(cfg)
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+
+    def test_non_hermitian_custom_matrix_is_a_config_error(self, tmp_path, capsys):
+        bad = RUN_CUSTOM.replace("h_sur_b = 0.8, 0,", "h_sur_b = 0.8, 0.5,")
+        assert bad != RUN_CUSTOM
+        cfg = write(tmp_path, "c.ini", bad)
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: custom_matrix quench: "
+                                "hermiticity defect 5.000e-01 exceeds tolerance\n")
 
     def test_bad_matrix_length(self, tmp_path, capsys):
         bad = RUN_CUSTOM.replace("h_r = 0.4, 0, 0, -0.4", "h_r = 0.4, 0, 0")

@@ -5,6 +5,7 @@ from quenchtherm import (
     DensityMatrix,
     InvalidSpec,
     NotHermitian,
+    NotPositiveDefinite,
     Operator,
     QuenchSpec,
     QuenchThermError,
@@ -35,6 +36,7 @@ from quenchtherm.quench import (
     VIOLATION_THRESHOLD,
     ThermoLedger,
     _check_first_law,
+    _records,
 )
 from quenchtherm.thermo import embed_reservoir, embed_system
 from quenchtherm.twospin import (
@@ -111,6 +113,15 @@ class TestQuenchSpecValidation:
             Operator(bad, (2, 2)), h_a)
         with pytest.raises(InvalidSpec, match="defect nan"):
             QuenchSpec(h_a, h_b, h_r, 1.0, kind=kind)
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_non_hermitian_rejected_at_construction(self, side):
+        h_a, _, h_r, _ = random_bipartite(np.random.default_rng(1), 2, 2)
+        bad = h_a.matrix.copy()
+        bad[0, 1] += 0.5
+        h_a, h_b = (Operator(bad, (2, 2)), h_a) if side == "a" else (h_a, Operator(bad, (2, 2)))
+        with pytest.raises(NotHermitian, match="hermiticity defect 5.000e-01"):
+            QuenchSpec(h_a, h_b, h_r, 1.0)
 
     def test_negative_t_f_accepted(self):
         p_a = TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0)
@@ -267,17 +278,38 @@ class TestThermoLedgerAssemble:
     EDGE = -VIOLATION_THRESHOLD
     BELOW = float(np.nextafter(-VIOLATION_THRESHOLD, -np.inf))
 
+    @staticmethod
+    def columns(*rows):
+        """(3, 4) columns whose member 2 holds `rows` and the others zeros."""
+        out = np.zeros((3, 4))
+        out[:, 2] = rows
+        return out
+
     def test_work_flag_threshold_is_inclusive(self):
         led = ThermoLedger.assemble((self.EDGE, self.BELOW, 0.0), (0.0, 0.0, 0.0),
                                     0.0, (0.0, 0.0, 0.0), 1.0, equilibrated=True)
         assert (led.diss_diff, led.diss_hstar, led.diss_estar) == (self.EDGE, self.BELOW, 0.0)
         assert led.second_law_w == (True, False, True)
+        zeros = np.zeros((3, 4))
+        cols = ThermoLedger.assemble(self.columns(self.EDGE, self.BELOW, 0.0), zeros,
+                                     np.zeros(4), zeros, 1.0, equilibrated=True)
+        assert cols.diss_hstar.tolist() == [0.0, 0.0, self.BELOW, 0.0]
+        assert np.array(cols.second_law_w).tolist() == [
+            [True] * 4, [True, True, False, True], [True] * 4]
+        assert _records(cols)[2] == led
 
     def test_heat_flag_threshold_is_inclusive(self):
         # dS / beta - Q equals -Q here
         led = ThermoLedger.assemble((0.0, 0.0, 0.0), (-self.EDGE, -self.BELOW, 0.0),
                                     0.0, (0.0, 0.0, 0.0), 1.0, equilibrated=True)
         assert led.second_law_q == (True, False, True)
+        zeros = np.zeros((3, 4))
+        cols = ThermoLedger.assemble(zeros, self.columns(-self.EDGE, -self.BELOW, 0.0),
+                                     np.zeros(4), zeros, 1.0, equilibrated=True)
+        assert np.array(cols.second_law_q).tolist() == [
+            [True] * 4, [True, True, False, True], [True] * 4]
+        assert _records(cols)[2] == led
+        assert _records(cols)[0].second_law_q == (True, True, True)
 
     def test_dissipated_work_subtracts_free_energy(self):
         led = ThermoLedger.assemble((0.5, 0.25, -0.75), (0.1, 0.2, 0.5), 0.25,
@@ -452,7 +484,7 @@ class TestRunSweep:
         h_a, stack, h_r, beta = self.system_sweep()
         ledgers = run_sweep(h_a, stack, h_r, beta, SYSTEM_QUENCH)
         assert len(ledgers) == 41
-        assert eig_calls["eigh"].count(4) <= 2
+        assert eig_calls["eigh"].count(4) == 1
         assert eig_calls["eigvalsh"].count(4) == 0
 
     def test_system_ledgers_match_independent_assembly(self):
@@ -487,6 +519,23 @@ class TestRunSweep:
         stack[7, 0, 1] += 1e-3
         with pytest.raises(NotHermitian, match="stack index 7"):
             run_sweep(h_a, stack, h_r, beta)
+
+    def test_non_hermitian_h_a_named_without_index(self):
+        h_a, stack, h_r, beta = self.system_sweep()
+        bad = h_a.matrix.copy()
+        bad[0, 1] += 1e-3
+        with pytest.raises(NotHermitian) as info:
+            run_sweep(Operator(bad, (2, 2)), stack, h_r, beta)
+        assert str(info.value) == "hermiticity defect 1.000e-03 exceeds tolerance"
+
+    def test_not_positive_definite_member_named(self):
+        # uncoupled, M is diagonal with weight e^{-beta epsilon} on one state:
+        # it underflows to 0 from epsilon = 20 (member 1) on, but not at H_A
+        p = TwoSpinParams(0.0, 0.8, 0.0, 0.0, 40.0)
+        stack = two_spin_matrices(np.linspace(0.0, 80.0, 5), p.alpha, p.gamma, p.chi)
+        with pytest.raises(NotPositiveDefinite, match="stack index 1$"):
+            run_sweep(two_spin_hamiltonian(p), stack, reservoir_hamiltonian(p), p.beta,
+                      SYSTEM_QUENCH)
 
     def test_system_structure_violation_named(self):
         h_a, stack, h_r, beta = self.system_sweep()
