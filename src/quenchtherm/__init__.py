@@ -3,7 +3,6 @@
 from .errors import (
     BadFactorCount,
     DimensionMismatch,
-    DomainError,
     InvalidSpec,
     NotHermitian,
     NotPositiveDefinite,
@@ -14,7 +13,6 @@ from .operators import (
     DensityMatrix,
     Operator,
     SpectralDecomposition,
-    func_of_hermitian,
     identity,
     partial_trace,
     pauli,
@@ -27,11 +25,9 @@ from .thermo import (
     effective_energy_operator,
     embed_reservoir,
     embed_system,
-    free_energies,
     gibbs,
     internal_energy_diff,
     internal_energy_estar,
-    internal_energy_hstar,
     log_partition,
     mean_force_bundle,
     mean_force_hamiltonian,
@@ -56,7 +52,6 @@ from .quench import (
 from .twospin import (
     ClosedFormStatics,
     TwoSpinParams,
-    build_lgt_hamiltonian,
     closed_form_statics,
     interaction_quench_ledger,
     reservoir_hamiltonian,

@@ -432,12 +432,14 @@ def main(argv=None) -> int:
             name, _, value = item.partition("=")
             cfg.tolerances[name] = float(value)
         known = TOLERANCE_TABLES[args.command]
-        for name in cfg.tolerances:
+        for name, value in cfg.tolerances.items():
             if name not in known:
                 raise ConfigError(
                     f"unknown tolerance {name!r} for {args.command}; known: "
                     f"{', '.join(sorted(known)) or 'none'}"
                 )
+            if not 0 <= value < np.inf:  # NaN fails too; it would pass every gate
+                raise ConfigError(f"tolerance {name!r} must be finite and >= 0, got {value}")
         handler = {
             "run": cmd_run, "sweep": cmd_sweep,
             "audit": cmd_audit, "compare": cmd_compare,

@@ -13,10 +13,6 @@ class BadFactorCount(QuenchThermError):
     """Operation requires a bipartite operator (exactly two tensor factors)."""
 
 
-class DomainError(QuenchThermError):
-    """Scalar function undefined at some eigenvalue of the operator."""
-
-
 class DimensionMismatch(QuenchThermError):
     """Operands live on incompatible Hilbert spaces."""
 

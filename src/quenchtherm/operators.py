@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import BadFactorCount, DimensionMismatch, DomainError, NotHermitian
+from .errors import BadFactorCount, DimensionMismatch, NotHermitian
 
 HERMITICITY_TOL = 1e-12
 
@@ -65,18 +65,17 @@ class Operator:
     def from_eig(cls, dec: SpectralDecomposition) -> "Operator":
         """The operator (U * lambda) @ U^dag, with `dec` as its cached eigenpairs.
 
-        The matrix is built from `dec` in the order given; the cache holds
-        the eigenpairs read-only and ascending, as `eig` does, so the operator
-        never needs an `eigh`.  The cache may hold views of `dec`'s arrays,
-        which must not be written to afterwards.
+        `dec`'s values must be monotone, ascending or descending; the cache
+        holds the eigenpairs read-only and ascending, as `eig` does, so the
+        operator never needs an `eigh`.  The cache may hold views of `dec`'s
+        arrays, which must not be written to afterwards.
         """
         op = cls(dec.reconstruct(), dec.dims)
         # views, reversed for non-increasing values such as Gibbs populations
         step = -1 if dec.eigenvalues[0] > dec.eigenvalues[-1] else 1
         evals, evecs = dec.eigenvalues[::step], dec.eigenvectors[:, ::step]
         if (evals[1:] < evals[:-1]).any():
-            order = np.argsort(evals, kind="stable")
-            evals, evecs = evals[order], evecs[:, order]
+            raise ValueError(f"eigenvalues must be monotone, got {dec.eigenvalues}")
         evals.setflags(write=False)
         evecs.setflags(write=False)
         vars(op)["eig"] = SpectralDecomposition(evals, evecs, op.dims)
@@ -85,9 +84,6 @@ class Operator:
     def require_hermitian(self) -> "Operator":
         require_hermitian_stack(self.matrix[None])
         return self
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
 
     def expectation(self, rho: "Operator") -> float:
         """Real part of Tr(self @ rho); imaginary part must be round-off."""
@@ -164,10 +160,6 @@ class DensityMatrix:
     @property
     def dims(self) -> tuple[int, ...]:
         return self.op.dims
-
-    @property
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,22 +250,6 @@ def identity(dims: int | Sequence[int]) -> Operator:
 def tensor_product(a: Operator, b: Operator) -> Operator:
     """Kronecker product; dims concatenate with `a` as the leading factor."""
     return Operator(np.kron(a.matrix, b.matrix), a.dims + b.dims)
-
-
-def func_of_hermitian(a: Operator, f: Callable[[np.ndarray], np.ndarray]) -> Operator:
-    """Apply a real scalar function to a Hermitian operator via its spectrum.
-
-    `f` receives the operator's cached, read-only eigenvalues and must return
-    a new array, not modify its argument in place.
-    """
-    dec = a.eig
-    with np.errstate(invalid="ignore", divide="ignore"):
-        fvals = np.asarray(f(dec.eigenvalues), dtype=float)
-    if not np.all(np.isfinite(fvals)):
-        raise DomainError(
-            f"function not finite on spectrum; eigenvalues {dec.eigenvalues}"
-        )
-    return Operator.from_eig(SpectralDecomposition(fvals, dec.eigenvectors, a.dims))
 
 
 def partial_trace(o: Operator, keep: str) -> Operator:

@@ -27,11 +27,11 @@ from .operators import (
     trace_out_reservoir,
 )
 from .thermo import (
-    GibbsEnsemble,
     ThermalContext,
     _check_beta,
     _trace_out_weighted,
     gibbs,
+    thermal_context,
     thermal_entropy,
 )
 
@@ -111,18 +111,14 @@ class QuenchSpec:
         self.h_sur_a.eig, self.h_sur_b.eig
 
     @cached_property
-    def _reservoir(self) -> GibbsEnsemble:
-        return gibbs(self.h_r, self.beta)
-
-    @cached_property
     def context_a(self) -> ThermalContext:
         """Equilibrium quantities of the pre-quench Hamiltonian, computed once."""
-        return ThermalContext.of(self.h_sur_a, self._reservoir)
+        return thermal_context(self.h_sur_a, self.h_r, self.beta)
 
     @cached_property
     def context_b(self) -> ThermalContext:
         """Equilibrium quantities of the post-quench Hamiltonian, computed once."""
-        return ThermalContext.of(self.h_sur_b, self._reservoir)
+        return thermal_context(self.h_sur_b, self.h_r, self.beta)
 
 
 @dataclass(frozen=True)
@@ -200,6 +196,7 @@ def evolve_unitary(rho: DensityMatrix, h: Operator, t: float) -> DensityMatrix:
     """
     if not math.isfinite(t):
         raise InvalidSpec(f"t must be finite, got {t}")
+    h._check_same_space(rho.op)
     dec_h, dec_rho = h.eig, rho.op.eig
     evecs = _propagate(dec_h.eigenvalues, dec_h.eigenvectors, dec_rho.eigenvectors, t)
     return DensityMatrix(Operator.from_eig(
@@ -282,7 +279,7 @@ def _sweep_ledger(h_sur_a: Operator, h_sur_b_stack: np.ndarray, h_r: Operator,
     except (QuenchThermError, ValueError):
         # redo H_A and the stack apart, so that the error names H_A without
         # an index, or the member by its index in the caller's stack
-        ThermalContext.of(h_sur_a, reservoir)
+        thermal_context(h_sur_a, h_r, beta)
         ThermalContext.build(stack, *eigh_stack(stack), h_sur_a.dims, reservoir)
         raise
     return _ledgers(ctx._members(slice(1)), ctx._members(slice(1, None)), EQUILIBRATED, 0.0)

@@ -6,9 +6,9 @@ beta * ||H|| cannot overflow.
 
 All equilibrium quantities of a global Hamiltonian, or of a stack of them,
 come from one `ThermalContext`, built from one broadcasting
-eigendecomposition; the public statics below read a context of one, built
-from the Hamiltonian's cached `Operator.eig`, so statics on one `Operator`
-share one `eigh`.
+eigendecomposition; the public statics below read the context of one that
+`thermal_context` builds from the Hamiltonian's cached `Operator.eig`, so
+statics on one `Operator` share one `eigh`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadFactorCount, NotPositiveDefinite
+from .errors import BadFactorCount, DimensionMismatch, NotPositiveDefinite
 from .operators import (
     DensityMatrix,
     Operator,
@@ -144,8 +144,7 @@ class ThermalContext:
     Arrays carry the batch axis first.  All members come from the
     eigenpairs of the (N, D, D) stack (one broadcasting `eigh`, or the
     cached `Operator.eig` of a single Hamiltonian) and one broadcasting
-    `eigh` of the (N, d_s, d_s) stack of M.  `bundle` views a context of
-    one Hamiltonian.
+    `eigh` of the (N, d_s, d_s) stack of M.
     """
 
     hamiltonians: np.ndarray  # (N, D, D)
@@ -154,7 +153,6 @@ class ThermalContext:
     evals: np.ndarray  # (N, D), ascending
     evecs: np.ndarray  # (N, D, D)
     populations: np.ndarray  # (N, D), Gibbs populations w / Z
-    log_z: np.ndarray  # (N,)
     m: np.ndarray  # (N, d_s, d_s)
     m_evecs: np.ndarray  # (N, d_s, d_s), V
     rho_s: np.ndarray  # (N, d_s, d_s), reduced Gibbs states M / Tr M
@@ -177,8 +175,9 @@ class ThermalContext:
         """
         if len(dims) != 2:
             raise BadFactorCount(f"need exactly two factors, got dims {dims}")
+        _check_reservoir(dims, reservoir.hamiltonian)
         beta = reservoir.beta
-        weights, log_z = _shifted_weights(evals, beta)
+        weights = _shifted_weights(evals, beta)[0]
         z = weights.sum(axis=-1)
         m, x = _trace_out_weighted(evecs, np.stack((weights, weights * evals)), dims)
         mvals, v = np.linalg.eigh(m)
@@ -199,15 +198,8 @@ class ThermalContext:
         DensityMatrix.check_spectra(populations)
         DensityMatrix.check_spectra(rho_s_evals)
         return cls(hamiltonians, tuple(dims), reservoir, evals, evecs, populations,
-                   log_z, m, v, m / z[:, None, None], rho_s_evals, h_star, e_star,
+                   m, v, m / z[:, None, None], rho_s_evals, h_star, e_star,
                    log_z_star, -log_z_star / beta, u_r)
-
-    @classmethod
-    def of(cls, h: Operator, reservoir: GibbsEnsemble) -> "ThermalContext":
-        """Context of one Hamiltonian, from its cached eigenpairs."""
-        dec = h.eig
-        return cls.build(h.matrix[None], dec.eigenvalues[None], dec.eigenvectors[None],
-                         h.dims, reservoir)
 
     @property
     def beta(self) -> float:
@@ -223,65 +215,46 @@ class ThermalContext:
         """Global Gibbs states U diag(w / Z) U^dag, (N, D, D)."""
         return (self.evecs * self.populations[:, None, :]) @ dagger(self.evecs)
 
-    @property
-    def _only(self) -> int:
-        if len(self.evals) != 1:
-            raise ValueError(f"view of a single-Hamiltonian context, but the "
-                             f"context holds {len(self.evals)}")
-        return 0
 
-    @property
-    def bundle(self) -> MeanForceBundle:
-        k, (d_s, _) = self._only, self.dims
-        return MeanForceBundle(Operator(self.h_star[k], (d_s,)),
-                               Operator(self.e_star[k], (d_s,)),
-                               float(self.log_z_star[k]), float(self.f_s[k]))
+def _check_reservoir(dims: tuple[int, ...], h_r: Operator):
+    if h_r.dims != dims[1:]:  # R is the trailing factor of (d_s, d_r)
+        raise DimensionMismatch(f"reservoir dims {h_r.dims} vs global dims {dims}")
 
 
 def thermal_context(h_sur: Operator, h_r: Operator, beta: float) -> ThermalContext:
-    """Thermal context of a bipartite Hamiltonian over reservoir `h_r` at beta."""
-    return ThermalContext.of(h_sur, gibbs(h_r, beta))
+    """Context of one bipartite Hamiltonian, from its cached eigenpairs, over `h_r` at beta."""
+    dec = h_sur.eig
+    return ThermalContext.build(h_sur.matrix[None], dec.eigenvalues[None],
+                                dec.eigenvectors[None], h_sur.dims, gibbs(h_r, beta))
+
+
+def mean_force_bundle(h_sur: Operator, h_r: Operator, beta: float) -> MeanForceBundle:
+    """H*, E*, ln Z*_S and F_S of one bipartite Hamiltonian over `h_r` at beta."""
+    ctx, d_s = thermal_context(h_sur, h_r, beta), h_sur.dims[:1]
+    return MeanForceBundle(Operator(ctx.h_star[0], d_s), Operator(ctx.e_star[0], d_s),
+                           float(ctx.log_z_star[0]), float(ctx.f_s[0]))
 
 
 def mean_force_hamiltonian(h_sur: Operator, h_r: Operator, beta: float) -> Operator:
     """H* = -(1/beta) [ln Tr_R e^{-beta H_SUR} - (ln Z_R) 1_S], reproducing Tr_R pi."""
-    return thermal_context(h_sur, h_r, beta).bundle.h_star
+    return mean_force_bundle(h_sur, h_r, beta).h_star
 
 
 def effective_energy_operator(h_sur: Operator, h_r: Operator, beta: float) -> Operator:
     """E* = d_beta(beta H*(beta)), exactly, via the derivative of the matrix log."""
-    return thermal_context(h_sur, h_r, beta).bundle.e_star
-
-
-def mean_force_bundle(h_sur: Operator, h_r: Operator, beta: float) -> MeanForceBundle:
-    return thermal_context(h_sur, h_r, beta).bundle
+    return mean_force_bundle(h_sur, h_r, beta).e_star
 
 
 def internal_energy_diff(
     rho_sur: DensityMatrix, h_sur: Operator, h_r: Operator, beta: float
 ) -> float:
     """Total internal energy minus the bare reservoir's equilibrium energy."""
+    _check_reservoir(h_sur.dims, h_r)
     return h_sur.expectation(rho_sur.op) - gibbs(h_r, beta).mean_energy
-
-
-def internal_energy_hstar(rho_s: DensityMatrix, h_star: Operator) -> float:
-    return h_star.expectation(rho_s.op)
 
 
 def internal_energy_estar(rho_s: DensityMatrix, e_star: Operator) -> float:
     return e_star.expectation(rho_s.op)
-
-
-def free_energies(
-    h_sur: Operator, h_r: Operator, beta: float
-) -> tuple[float, float, float]:
-    """(F_SUR, F_S, F_R); F_S comes independently from the mean-force spectrum."""
-    ctx = thermal_context(h_sur, h_r, beta)
-    return (
-        -float(ctx.log_z[0]) / beta,
-        ctx.bundle.f_s,
-        -ctx.reservoir.log_partition / beta,
-    )
 
 
 def thermal_entropy(u_s: float, f_s: float, beta: float) -> float:

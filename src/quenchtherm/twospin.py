@@ -286,17 +286,3 @@ def reservoir_hamiltonian(p: TwoSpinParams) -> Operator:
     """Bare reservoir term (alpha/2) sz_R."""
     return Operator((p.alpha / 2) * np.diag([1.0, -1.0]).astype(complex), (2,))
 
-
-def build_lgt_hamiltonian(
-    epsilon: float, alpha: float, chi: float, k: float
-) -> Operator:
-    """Gauss-law penalty variant: replace the zz coupling by k(1 - sz_S sz_R).
-
-    Equals the plain model at gamma = -k, shifted by +k times the identity;
-    large k energetically confines weight to the eigenvalue-1 eigenspace of
-    sz_S sz_R.
-    """
-    if k < 0:
-        raise ValueError(f"penalty strength k must be nonnegative, got {k}")
-    base = two_spin_hamiltonian(TwoSpinParams(epsilon, alpha, -k, chi, 1.0))
-    return Operator(base.matrix + k * np.eye(4), (2, 2))

@@ -513,6 +513,30 @@ class TestErrors:
         assert main(["sweep", "--config", cfg]) == EXIT_OK
         capsys.readouterr()
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, name", [
+        ("sweep", "oracle_match_rel"),
+        ("compare", "oracle_match_rel"),
+        ("audit", "factorization"),
+    ])
+    def test_tolerance_not_finite_and_nonnegative_is_a_config_error(
+            self, tmp_path, capsys, command, name, source, value):
+        # a NaN tolerance used to switch its gate off: compare printed PASS
+        template = {"sweep": SWEEP_SYSTEM, "compare": "[run]\nmode = compare\ncount = 2\n",
+                    "audit": AUDIT_CFG}[command]
+        text, args = template.format(out=tmp_path / "x.csv"), []
+        if source == "config":
+            text += f"\n[tolerances]\n{name} = {value}\n"
+        else:
+            args = ["--tol", f"{name}={value}"]
+        cfg = write(tmp_path, "t.ini", text)
+        assert main([command, "--config", cfg, *args]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: tolerance {name!r} must be finite and "
+                                f">= 0, got {float(value)}\n")
+
     def test_bad_beta(self, tmp_path, capsys):
         cfg = write(tmp_path, "r.ini", RUN_TWO_SPIN.replace("beta = 1.0", "beta = -1"))
         assert main(["run", "--config", cfg]) == EXIT_CONFIG

@@ -3,6 +3,7 @@ import pytest
 
 from quenchtherm import (
     DensityMatrix,
+    DimensionMismatch,
     InvalidSpec,
     NotHermitian,
     NotPositiveDefinite,
@@ -15,7 +16,6 @@ from quenchtherm import (
     identity,
     internal_energy_diff,
     internal_energy_estar,
-    internal_energy_hstar,
     mean_force_bundle,
     partial_trace,
     pauli,
@@ -450,7 +450,7 @@ def independent_ledger(h_a, h_b, h_r, beta, mode=EQUILIBRATED, t_f=0.0):
     def energies(rho, rho_s, h, bun):
         return (
             internal_energy_diff(rho, h, h_r, beta),
-            internal_energy_hstar(rho_s, bun.h_star),
+            bun.h_star.expectation(rho_s.op),
             internal_energy_estar(rho_s, bun.e_star),
         )
 
@@ -592,6 +592,16 @@ class TestEvolveUnitary:
         rho = gibbs(pauli("x"), 1.0).state
         with pytest.raises(InvalidSpec, match="^t must be finite"):
             evolve_unitary(rho, 0.7 * pauli("z") + 0.3 * pauli("x"), t)
+
+    @pytest.mark.parametrize("dims", [(2,), (4,)], ids=["d2", "d4_flat"])
+    def test_state_of_another_space_rejected(self, dims):
+        # a (2,) state used to reach matmul; a (4,) one passed for a (2, 2) state
+        side = int(np.prod(dims))
+        rho = DensityMatrix(Operator(np.eye(side) / side, dims))
+        h = two_spin_hamiltonian(TwoSpinParams(0.3, 0.8, 1.2, 1.8, 1.0))
+        with pytest.raises(DimensionMismatch) as info:
+            evolve_unitary(rho, h, 1.0)
+        assert str(info.value) == f"dims (2, 2) vs {dims}"
 
     def test_spectrum_preserved(self):
         rng = np.random.default_rng(83)

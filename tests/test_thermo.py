@@ -6,16 +6,15 @@ import pytest
 
 from quenchtherm import (
     DensityMatrix,
+    DimensionMismatch,
     NotHermitian,
     Operator,
     SpectralDecomposition,
     effective_energy_operator,
-    free_energies,
     gibbs,
     identity,
     internal_energy_diff,
     internal_energy_estar,
-    internal_energy_hstar,
     log_partition,
     mean_force_bundle,
     mean_force_hamiltonian,
@@ -33,6 +32,12 @@ from quenchtherm.twospin import TwoSpinParams, reservoir_hamiltonian, two_spin_h
 # chi=1.8; precomputed by direct eigendecomposition of the explicit matrix.
 Z_SUR_BENCH = 23.463911596311252
 BENCH = TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0)
+
+
+def free_energies(h_sur, h_r, beta):
+    """(F_SUR, F_S, F_R); F_S comes independently from the mean-force spectrum."""
+    return (-log_partition(h_sur, beta) / beta, mean_force_bundle(h_sur, h_r, beta).f_s,
+            -log_partition(h_r, beta) / beta)
 
 
 class TestGibbs:
@@ -202,7 +207,8 @@ class TestEffectiveEnergyOperator:
             for beta in (0.3, 1.1, 4.0):
                 ctx = thermal_context(h_sur, h_r, beta)
                 tol = 1e-12 * max(1.0, np.linalg.cond(ctx.m) / 1e3)
-                assert np.max(np.abs(ctx.bundle.e_star.matrix - h_s.matrix)) <= tol
+                e_star = mean_force_bundle(h_sur, h_r, beta).e_star
+                assert np.max(np.abs(e_star.matrix - h_s.matrix)) <= tol
 
     def test_benchmark_closed_form(self):
         from quenchtherm.twospin import closed_form_statics
@@ -263,7 +269,7 @@ class TestInternalEnergies:
         assert internal_energy_diff(ens.state, h_sur, h_r, beta) == pytest.approx(
             u_s0, abs=1e-6
         )
-        assert internal_energy_hstar(rho_s, bun.h_star) == pytest.approx(
+        assert bun.h_star.expectation(rho_s.op) == pytest.approx(
             u_s0, abs=1e-6
         )
         assert internal_energy_estar(rho_s, bun.e_star) == pytest.approx(
@@ -279,7 +285,7 @@ class TestInternalEnergies:
         bun = mean_force_bundle(h_sur, h_r, beta)
         probs = rng.dirichlet(np.ones(2))
         rho_s = DensityMatrix(Operator(np.diag(probs).astype(complex), (2,)))
-        u_h = internal_energy_hstar(rho_s, bun.h_star)
+        u_h = bun.h_star.expectation(rho_s.op)
         u_e = internal_energy_estar(rho_s, bun.e_star)
         assert u_h == pytest.approx(u_e, abs=1e-6)
 
@@ -326,6 +332,26 @@ class TestFreeEnergies:
                 assert abs(beta * (f_sur - f_s - f_r)) <= 1e-9
 
 
+class TestReservoirSpace:
+    """A reservoir on another space than the global R factor is refused: H*
+    would be offset by the wrong ln Z_R."""
+
+    H_R3 = Operator(np.diag([0.4, 0.0, -0.4]), (3,))
+
+    @pytest.mark.parametrize("static", [
+        thermal_context, mean_force_bundle, mean_force_hamiltonian, effective_energy_operator,
+    ], ids=lambda f: f.__name__)
+    def test_statics_reject_reservoir_of_another_space(self, static):
+        message = r"reservoir dims \(3,\) vs global dims \(2, 2\)"
+        with pytest.raises(DimensionMismatch, match=message):
+            static(two_spin_hamiltonian(BENCH), self.H_R3, BENCH.beta)
+
+    def test_internal_energy_diff_rejects_reservoir_of_another_space(self):
+        h = two_spin_hamiltonian(BENCH)
+        with pytest.raises(DimensionMismatch, match=r"reservoir dims \(3,\)"):
+            internal_energy_diff(gibbs(h, BENCH.beta).state, h, self.H_R3, BENCH.beta)
+
+
 class TestSharedEigendecomposition:
     def test_statics_on_one_hamiltonian_share_its_eigh(self, eig_calls):
         # the public statics called one after another on one (H, H_R) pair:
@@ -353,10 +379,11 @@ def array_records() -> dict:
     """One of each record that holds numpy arrays, built from BENCH."""
     h = two_spin_hamiltonian(BENCH)
     ens = gibbs(h, BENCH.beta)
-    ctx = thermal_context(h, reservoir_hamiltonian(BENCH), BENCH.beta)
+    h_r = reservoir_hamiltonian(BENCH)
     return {
         "Operator": h, "DensityMatrix": ens.state, "SpectralDecomposition": h.eig,
-        "GibbsEnsemble": ens, "MeanForceBundle": ctx.bundle, "ThermalContext": ctx,
+        "GibbsEnsemble": ens, "MeanForceBundle": mean_force_bundle(h, h_r, BENCH.beta),
+        "ThermalContext": thermal_context(h, h_r, BENCH.beta),
     }
 
 

@@ -5,9 +5,9 @@ import pytest
 
 from quenchtherm import (
     QuenchSpec,
-    build_lgt_hamiltonian,
     closed_form_statics,
     gibbs,
+    identity,
     interaction_quench_ledger,
     pauli,
     reservoir_hamiltonian,
@@ -232,14 +232,17 @@ class TestTwoSpinHamiltonian:
 
 
 class TestLgtHamiltonian:
-    def test_zero_penalty_matches_plain_model(self):
-        h = build_lgt_hamiltonian(0.7, 0.8, 1.8, 0.0)
-        plain = two_spin_hamiltonian(TwoSpinParams(0.7, 0.8, 0.0, 1.8, 1.0))
-        np.testing.assert_allclose(h.matrix, plain.matrix, atol=1e-14)
+    """The Gauss-law penalty form: k(1 - sz_S sz_R) in place of the zz
+    coupling, which is the plain model at gamma = -k plus k times the identity."""
+
+    @staticmethod
+    def penalty_hamiltonian(epsilon, k):
+        plain = two_spin_hamiltonian(TwoSpinParams(epsilon, 0.8, -k, 1.8, 1.0))
+        return plain + k * identity((2, 2))
 
     def test_spectrum_is_shifted_plain_spectrum(self):
         k = 2.3
-        h = build_lgt_hamiltonian(0.7, 0.8, 1.8, k)
+        h = self.penalty_hamiltonian(0.7, k)
         plain = two_spin_hamiltonian(TwoSpinParams(0.7, 0.8, -k, 1.8, 1.0))
         np.testing.assert_allclose(
             h.eig.eigenvalues,
@@ -247,13 +250,9 @@ class TestLgtHamiltonian:
             atol=1e-12,
         )
 
-    def test_negative_penalty_rejected(self):
-        with pytest.raises(ValueError):
-            build_lgt_hamiltonian(0.7, 0.8, 1.8, -1.0)
-
     def test_large_penalty_confines_to_constraint_subspace(self):
         k, beta = 50.0, 1.0
-        h = build_lgt_hamiltonian(0.7, 0.8, 1.8, k)
+        h = self.penalty_hamiltonian(0.7, k)
         state = gibbs(h, beta).state
         gauss = tensor_product(pauli("z"), pauli("z"))
         # projector onto the eigenvalue -1 (constraint-violating) subspace
@@ -266,8 +265,8 @@ class TestLgtHamiltonian:
         # no work, heat, or system free-energy difference
         beta = 1.0
         for k in (0.5, 2.0, 7.5):
-            h_a = build_lgt_hamiltonian(0.0, 0.8, 1.8, k)
-            h_b = build_lgt_hamiltonian(1.5, 0.8, 1.8, k)
+            h_a = self.penalty_hamiltonian(0.0, k)
+            h_b = self.penalty_hamiltonian(1.5, k)
             h_r = reservoir_hamiltonian(TwoSpinParams(0.0, 0.8, 0.0, 0.0, beta))
             shifted = run_quench(
                 QuenchSpec(h_a, h_b, h_r, beta, kind=SYSTEM_QUENCH)
