@@ -120,6 +120,11 @@ class QuenchSpec:
         """Equilibrium quantities of the post-quench Hamiltonian, computed once."""
         return thermal_context(self.h_sur_b, self.h_r, self.beta)
 
+    @cached_property
+    def _overlap(self) -> np.ndarray:
+        """C = U_B^dag U_A, (1, D, D), which `run_quench` and `second_law_audit` share."""
+        return _eigen_overlap(self.context_a, self.context_b)
+
 
 @dataclass(frozen=True)
 class ThermoLedger:
@@ -184,9 +189,9 @@ def _records(columns: ThermoLedger) -> list[ThermoLedger]:
             for nums, w, q in zip(numbers, flags_w, flags_q)]
 
 
-def _propagate(evals: np.ndarray, evecs: np.ndarray, vecs: np.ndarray, t: float) -> np.ndarray:
-    """e^{-iHt} vecs from H's eigenpairs, over leading axes."""
-    return (evecs * np.exp(-1j * evals * t)[..., None, :]) @ (dagger(evecs) @ vecs)
+def _propagate(evals: np.ndarray, evecs: np.ndarray, overlap: np.ndarray, t: float):
+    """e^{-iHt} W from H's eigenpairs (E, U) and the overlap U^dag W, over leading axes."""
+    return (evecs * np.exp(-1j * evals * t)[..., None, :]) @ overlap
 
 
 def evolve_unitary(rho: DensityMatrix, h: Operator, t: float) -> DensityMatrix:
@@ -198,18 +203,15 @@ def evolve_unitary(rho: DensityMatrix, h: Operator, t: float) -> DensityMatrix:
         raise InvalidSpec(f"t must be finite, got {t}")
     h._check_same_space(rho.op)
     dec_h, dec_rho = h.eig, rho.op.eig
-    evecs = _propagate(dec_h.eigenvalues, dec_h.eigenvectors, dec_rho.eigenvectors, t)
+    evecs = _propagate(dec_h.eigenvalues, dec_h.eigenvectors,
+                       dagger(dec_h.eigenvectors) @ dec_rho.eigenvectors, t)
     return DensityMatrix(Operator.from_eig(
         SpectralDecomposition(dec_rho.eigenvalues, evecs, rho.dims)))
 
 
 def _expectations(ctx: ThermalContext, h_mean: np.ndarray, rho_s: np.ndarray) -> np.ndarray:
     """(3, N) values of <H>, <H*>, <E*> under ctx, from <H> and the reduced states."""
-    return np.stack((
-        h_mean,
-        expectation(ctx.h_star, rho_s),
-        expectation(ctx.e_star, rho_s),
-    ))
+    return np.stack((h_mean, expectation(ctx.h_star, rho_s), expectation(ctx.e_star, rho_s)))
 
 
 def _energies(ctx: ThermalContext, expectations: np.ndarray) -> np.ndarray:
@@ -217,30 +219,39 @@ def _energies(ctx: ThermalContext, expectations: np.ndarray) -> np.ndarray:
     return expectations - np.array([[ctx.u_r], [0.0], [0.0]])
 
 
-def _ledgers(ctx_a: ThermalContext, ctx_b: ThermalContext,
+def _eigen_overlap(ctx_a: ThermalContext, ctx_b: ThermalContext) -> np.ndarray:
+    """C = U_B^dag U_A, (N, D, D), for ctx_a's one Hamiltonian and each of ctx_b's."""
+    return dagger(ctx_b.evecs) @ ctx_a.evecs
+
+
+def _ledgers(ctx_a: ThermalContext, ctx_b: ThermalContext, overlap: np.ndarray,
              final_mode: str, t_f: float) -> ThermoLedger:
     """Ledger of (N,) columns, of quenches from ctx_a's one Hamiltonian to each of ctx_b's.
 
     Quantities are (3, N) arrays, one row per definition (diff, H*, E*).
+    Global energies come in eigen-coordinates from `overlap`, C = U_B^dag U_A:
+    pi_A's population p_A,i flows to B's level j as F_ji = |C_ji|^2 p_A,i.
     """
-    beta = ctx_a.beta
-    pi_a, pi_s_a = ctx_a.rho, ctx_a.rho_s
+    beta, pi_s_a = ctx_a.beta, ctx_a.rho_s
+    e_a, e_b = ctx_a.evals, ctx_b.evals
+    flow = np.abs(overlap) ** 2 * ctx_a.populations[:, None, :]
+    h_b_0 = (flow.sum(axis=-1) * e_b).sum(axis=-1)  # <H_B> in pi_A
 
-    # Work: energy jump at t = 0 with the state frozen at pi_A.
+    # Work: energy jump at t = 0 with the state frozen at pi_A.  The diff row
+    # sums the gap E_B,j - E_A,i of each pair, so no two O(||H||) sums cancel.
     works = np.stack((
-        expectation(ctx_b.hamiltonians - ctx_a.hamiltonians, pi_a),
+        (flow * (e_b[:, :, None] - e_a[:, None, :])).sum(axis=(-2, -1)),
         expectation(ctx_b.h_star - ctx_a.h_star, pi_s_a),
         expectation(ctx_b.e_star - ctx_a.e_star, pi_s_a),
     ))
 
     # Heat: energy change from t = 0+ to t_f under the fixed Hamiltonian B.
-    h_b_0 = expectation(ctx_b.hamiltonians, pi_a)
-    at_b = _expectations(ctx_b, expectation(ctx_b.hamiltonians, ctx_b.rho), ctx_b.rho_s)
+    at_b = _expectations(ctx_b, (e_b * ctx_b.populations).sum(axis=-1), ctx_b.rho_s)
     if final_mode == EQUILIBRATED:
         at_f = at_b
     else:
         # pi_A's eigenvectors carried to t_f; H_B's evolution conserves <H_B>
-        vecs = _propagate(ctx_b.evals, ctx_b.evecs, ctx_a.evecs, t_f)
+        vecs = _propagate(e_b, ctx_b.evecs, overlap, t_f)
         at_f = _expectations(ctx_b, h_b_0,
                              _trace_out_weighted(vecs, ctx_a.populations, ctx_b.dims))
     heats = at_f - _expectations(ctx_b, h_b_0, pi_s_a)
@@ -248,7 +259,8 @@ def _ledgers(ctx_a: ThermalContext, ctx_b: ThermalContext,
     delta_f_s = ctx_b.f_s - ctx_a.f_s
 
     # pi_A is A's equilibrium state, B's is the equilibrated final state
-    u_a = _energies(ctx_a, _expectations(ctx_a, expectation(ctx_a.hamiltonians, pi_a), pi_s_a))
+    h_a = (e_a * ctx_a.populations).sum(axis=-1)
+    u_a = _energies(ctx_a, _expectations(ctx_a, h_a, pi_s_a))
     u_f, u_b = _energies(ctx_b, at_f), _energies(ctx_b, at_b)
     _check_first_law(works, heats, u_a, u_f)
 
@@ -261,7 +273,8 @@ def _ledgers(ctx_a: ThermalContext, ctx_b: ThermalContext,
 
 def run_quench(spec: QuenchSpec) -> ThermoLedger:
     """Execute a sudden quench and assemble its three-way thermodynamic ledger."""
-    return _records(_ledgers(spec.context_a, spec.context_b, spec.final_mode, spec.t_f))[0]
+    return _records(_ledgers(spec.context_a, spec.context_b, spec._overlap,
+                             spec.final_mode, spec.t_f))[0]
 
 
 def _sweep_ledger(h_sur_a: Operator, h_sur_b_stack: np.ndarray, h_r: Operator,
@@ -275,14 +288,15 @@ def _sweep_ledger(h_sur_a: Operator, h_sur_b_stack: np.ndarray, h_r: Operator,
     reservoir = gibbs(h_r, beta)
     hams = np.concatenate((h_sur_a.matrix[None], stack))
     try:
-        ctx = ThermalContext.build(hams, *eigh_stack(hams), h_sur_a.dims, reservoir)
+        ctx = ThermalContext.build(*eigh_stack(hams), h_sur_a.dims, reservoir)
     except (QuenchThermError, ValueError):
         # redo H_A and the stack apart, so that the error names H_A without
         # an index, or the member by its index in the caller's stack
         thermal_context(h_sur_a, h_r, beta)
-        ThermalContext.build(stack, *eigh_stack(stack), h_sur_a.dims, reservoir)
+        ThermalContext.build(*eigh_stack(stack), h_sur_a.dims, reservoir)
         raise
-    return _ledgers(ctx._members(slice(1)), ctx._members(slice(1, None)), EQUILIBRATED, 0.0)
+    ctx_a, ctx_b = ctx._members(slice(1)), ctx._members(slice(1, None))
+    return _ledgers(ctx_a, ctx_b, _eigen_overlap(ctx_a, ctx_b), EQUILIBRATED, 0.0)
 
 
 def run_sweep(
@@ -311,20 +325,11 @@ def _check_first_law(works, heats, u_initial, u_final):
         )
 
 
-def _relative_entropy(p: np.ndarray, u: np.ndarray, q: np.ndarray, v: np.ndarray) -> float:
-    """Tr(rho (ln rho - ln sigma)) for rho = U diag(p) U^dag and sigma = V diag(q) V^dag."""
-    p = np.clip(p, 0.0, None)
-    overlap = np.abs(u.conj().T @ v) ** 2
-    weight_on_sigma_modes = p @ overlap
-    bad = (q <= _SUPPORT_FLOOR) & (weight_on_sigma_modes > 1e-10)
-    if np.any(bad):
-        raise SupportMismatch(
-            f"sigma eigenvalue(s) {q[bad]} below floor where rho has weight"
-        )
-
-    entropy_term = float(np.sum(p[p > 0] * np.log(p[p > 0])))
-    cross_term = float(weight_on_sigma_modes @ np.log(np.clip(q, _SUPPORT_FLOOR, None)))
-    value = entropy_term - cross_term
+def _relative_entropy(p: np.ndarray, log_p: np.ndarray, overlap: np.ndarray,
+                      log_q: np.ndarray) -> float:
+    """Tr(rho (ln rho - ln sigma)) = p . ln p - (|C|^2 p) . ln q, for rho =
+    U diag(p) U^dag, sigma = V diag(q) V^dag and their overlap C = V^dag U."""
+    value = float(p @ log_p - (np.abs(overlap) ** 2 @ p) @ log_q)
     if value < -1e-12:
         raise QuenchThermError(f"relative entropy {value:.3e} below -1e-12")
     return max(value, 0.0)
@@ -341,8 +346,13 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     if rho.dims != sigma.dims:
         raise DimensionMismatch(f"dims {rho.dims} vs {sigma.dims}")
     dec_r, dec_s = rho.op.eig, sigma.op.eig
-    return _relative_entropy(dec_r.eigenvalues, dec_r.eigenvectors,
-                             dec_s.eigenvalues, dec_s.eigenvectors)
+    p, q = np.clip(dec_r.eigenvalues, 0.0, None), dec_s.eigenvalues
+    overlap = dagger(dec_s.eigenvectors) @ dec_r.eigenvectors
+    bad = (q <= _SUPPORT_FLOOR) & (np.abs(overlap) ** 2 @ p > 1e-10)
+    if np.any(bad):
+        raise SupportMismatch(f"sigma eigenvalue(s) {q[bad]} below floor where rho has weight")
+    return _relative_entropy(p, np.log(np.where(p > 0, p, 1.0)), overlap,
+                             np.log(np.clip(q, _SUPPORT_FLOOR, None)))
 
 
 @dataclass(frozen=True)
@@ -359,14 +369,15 @@ def second_law_audit(spec: QuenchSpec, ledger: ThermoLedger) -> SecondLawAudit:
     The dissipated work equals beta^{-1} D(pi_A || pi_B) exactly for the diff
     definition (global states) and the H* definition (reduced states); the
     reported residuals quantify how well the computed ledger matches that.
+    Both relative entropies come from log-populations, exact where a Gibbs
+    population underflows, and the global one from the quench's overlap C.
     The second-law flags themselves live on the ledger.
     """
-    beta = spec.beta
-    ctx_a, ctx_b = spec.context_a, spec.context_b
-    d_global = _relative_entropy(ctx_a.populations[0], ctx_a.evecs[0],
-                                 ctx_b.populations[0], ctx_b.evecs[0])
-    d_reduced = _relative_entropy(ctx_a.rho_s_evals[0], ctx_a.m_evecs[0],
-                                  ctx_b.rho_s_evals[0], ctx_b.m_evecs[0])
+    beta, ctx_a, ctx_b = spec.beta, spec.context_a, spec.context_b
+    (log_p, log_p_s), (log_q, log_q_s) = ctx_a.log_spectra, ctx_b.log_spectra
+    d_global = _relative_entropy(ctx_a.populations[0], log_p[0], spec._overlap[0], log_q[0])
+    d_reduced = _relative_entropy(np.exp(log_p_s[0]), log_p_s[0],
+                                  dagger(ctx_b.m_evecs[0]) @ ctx_a.m_evecs[0], log_q_s[0])
     residual_diff = abs(beta * ledger.diss_diff - d_global)
     residual_hstar = abs(beta * ledger.diss_hstar - d_reduced)
     return SecondLawAudit(residual_diff, residual_hstar)

@@ -147,16 +147,15 @@ class ThermalContext:
     `eigh` of the (N, d_s, d_s) stack of M.
     """
 
-    hamiltonians: np.ndarray  # (N, D, D)
     dims: tuple[int, int]
     reservoir: GibbsEnsemble
     evals: np.ndarray  # (N, D), ascending
     evecs: np.ndarray  # (N, D, D)
-    populations: np.ndarray  # (N, D), Gibbs populations w / Z
+    populations: np.ndarray  # (N, D), Gibbs populations w / z, z = sum w
     m: np.ndarray  # (N, d_s, d_s)
+    m_evals: np.ndarray  # (N, d_s), m, ascending
     m_evecs: np.ndarray  # (N, d_s, d_s), V
-    rho_s: np.ndarray  # (N, d_s, d_s), reduced Gibbs states M / Tr M
-    rho_s_evals: np.ndarray  # (N, d_s), m / Tr M
+    rho_s: np.ndarray  # (N, d_s, d_s), reduced Gibbs states M / Tr M = M / z
     h_star: np.ndarray  # (N, d_s, d_s)
     e_star: np.ndarray  # (N, d_s, d_s)
     log_z_star: np.ndarray  # (N,)
@@ -165,8 +164,8 @@ class ThermalContext:
 
     @classmethod
     def build(
-        cls, hamiltonians: np.ndarray, evals: np.ndarray, evecs: np.ndarray,
-        dims: tuple[int, ...], reservoir: GibbsEnsemble,
+        cls, evals: np.ndarray, evecs: np.ndarray, dims: tuple[int, ...],
+        reservoir: GibbsEnsemble,
     ) -> "ThermalContext":
         """Contexts of a (N, D, D) stack on `dims` against one reservoir ensemble.
 
@@ -194,11 +193,10 @@ class ThermalContext:
         e_star = _symmetrized(dlog) - u_r * np.eye(dims[0])
         log_z_star = _shifted_weights(hstar_evals, beta)[1]
         populations = weights / z[:, None]
-        rho_s_evals = mvals / z[:, None]
         DensityMatrix.check_spectra(populations)
-        DensityMatrix.check_spectra(rho_s_evals)
-        return cls(hamiltonians, tuple(dims), reservoir, evals, evecs, populations,
-                   m, v, m / z[:, None, None], rho_s_evals, h_star, e_star,
+        DensityMatrix.check_spectra(mvals / z[:, None])
+        return cls(tuple(dims), reservoir, evals, evecs, populations,
+                   m, mvals, v, m / z[:, None, None], h_star, e_star,
                    log_z_star, -log_z_star / beta, u_r)
 
     @property
@@ -211,9 +209,12 @@ class ThermalContext:
                                 if f.name not in ("dims", "reservoir", "u_r")})
 
     @cached_property
-    def rho(self) -> np.ndarray:
-        """Global Gibbs states U diag(w / Z) U^dag, (N, D, D)."""
-        return (self.evecs * self.populations[:, None, :]) @ dagger(self.evecs)
+    def log_spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        """ln(w / z) = -beta (E - E_0) - ln z, (N, D), and ln(m / z) = ln m - ln z,
+        (N, d_s): the Gibbs spectra's logs, exact where the spectra underflow."""
+        log_w = -self.beta * (self.evals - self.evals[:, :1])
+        log_z = np.log(np.exp(log_w).sum(axis=-1, keepdims=True))
+        return log_w - log_z, np.log(self.m_evals) - log_z
 
 
 def _check_reservoir(dims: tuple[int, ...], h_r: Operator):
@@ -224,8 +225,8 @@ def _check_reservoir(dims: tuple[int, ...], h_r: Operator):
 def thermal_context(h_sur: Operator, h_r: Operator, beta: float) -> ThermalContext:
     """Context of one bipartite Hamiltonian, from its cached eigenpairs, over `h_r` at beta."""
     dec = h_sur.eig
-    return ThermalContext.build(h_sur.matrix[None], dec.eigenvalues[None],
-                                dec.eigenvectors[None], h_sur.dims, gibbs(h_r, beta))
+    return ThermalContext.build(dec.eigenvalues[None], dec.eigenvectors[None],
+                                h_sur.dims, gibbs(h_r, beta))
 
 
 def mean_force_bundle(h_sur: Operator, h_r: Operator, beta: float) -> MeanForceBundle:

@@ -55,51 +55,9 @@ count = 31
 path = {out}
 """
 
-RUN_TWO_SPIN = """\
-[run]
-mode = run
-model = two_spin
-quench = system
-beta = 1.0
-
-[parameters]
-epsilon_a = 0.0
-alpha = 0.8
-gamma = 1.2
-chi = 1.8
-epsilon_b = 1.5
-"""
-
-RUN_INTERACTION = """\
-[run]
-mode = run
-model = two_spin
-quench = interaction
-beta = 1.0
-
-[parameters]
-epsilon = 1.0
-alpha = 5.0
-chi_b = 1.2
-gamma_b = 0.7
-"""
-
-RUN_CUSTOM = """\
-[run]
-mode = run
-model = custom_matrix
-quench = general
-beta = 0.9
-
-[space]
-d_s = 2
-d_r = 2
-
-[matrices]
-h_r = 0.4, 0, 0, -0.4
-h_sur_a = 0.5, 0, 0, 0.2, 0, -0.1, 0.3, 0, 0, 0.3, 0.1, 0, 0.2, 0, 0, -0.5
-h_sur_b = 0.8, 0, 0, 0.2, 0, -0.4, 0.3, 0, 0, 0.3, 0.4, 0, 0.2, 0, 0, -0.8
-"""
+# the `run` golden configs; CI feeds the same files to the console script
+RUN_TWO_SPIN, RUN_INTERACTION, RUN_CUSTOM = (
+    (DATA / f"run_{tag}.ini").read_text() for tag in ("two_spin", "interaction", "custom"))
 
 # beta * spread ~ 1e3: the closed-form oracle returns NaN in every cell
 SWEEP_NONFINITE_ORACLE = """\

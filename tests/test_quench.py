@@ -26,7 +26,8 @@ from quenchtherm import (
     tensor_product,
     thermal_entropy,
 )
-from quenchtherm.audits import random_bipartite
+from quenchtherm import quench
+from quenchtherm.audits import DEFAULT_TOLERANCES, random_bipartite
 from quenchtherm.quench import (
     EQUILIBRATED,
     GENERAL_QUENCH,
@@ -358,6 +359,21 @@ class TestSecondLawAudit:
             assert audit.residual_hstar <= 1e-8
             assert ledger.diss_diff >= -1e-9 and ledger.diss_hstar >= -1e-9
 
+    @pytest.mark.parametrize("d_r", [4, 32], ids=["D8", "D64"])
+    @pytest.mark.parametrize("beta_spread", [100.0, 300.0, 1000.0])
+    def test_thermal_states_across_domain(self, d_r, beta_spread):
+        # most Gibbs populations underflow to 0 here; their logs come from
+        # log-weights, so no support floor is reached
+        rng = np.random.default_rng(int(beta_spread) + d_r)
+        for _ in range(3):
+            h_a, _, h_r, _ = random_bipartite(rng, 2, d_r, scale=0.5)
+            h_b, _, _, _ = random_bipartite(rng, 2, d_r, scale=0.5)
+            evals = h_a.eig.eigenvalues
+            spec = QuenchSpec(h_a, h_b, h_r, beta_spread / (evals[-1] - evals[0]))
+            audit = second_law_audit(spec, run_quench(spec))
+            assert audit.residual_diff <= DEFAULT_TOLERANCES["relative_entropy_diff"]
+            assert audit.residual_hstar <= DEFAULT_TOLERANCES["relative_entropy_hstar"]
+
     def test_estar_violation_found_on_sweep(self):
         p_a = TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0)
         flags = []
@@ -433,6 +449,65 @@ class TestThermalContextSharing:
                            - abs(beta * expected["diss_diff"] - d_global)) <= 1e-12, case
                 assert abs(audit.residual_hstar
                            - abs(beta * expected["diss_hstar"] - d_reduced)) <= 1e-12, case
+
+
+class TestEigenCoordinates:
+    """Global quantities of a quench and its audit come from one overlap C = U_B^dag U_A."""
+
+    @staticmethod
+    def count_overlaps(monkeypatch) -> list:
+        calls = []
+        build = quench._eigen_overlap
+
+        def counted(ctx_a, ctx_b):
+            calls.append(len(ctx_b.evals))
+            return build(ctx_a, ctx_b)
+
+        monkeypatch.setattr(quench, "_eigen_overlap", counted)
+        return calls
+
+    @pytest.mark.parametrize("mode", [EQUILIBRATED, UNITARY])
+    def test_degenerate_h_b_matches_dense_ledger(self, mode):
+        # H_B = H_S x 1 + 1 x H_R has levels -1.5, -0.5 (x3) and 0.5 (x2)
+        rng = np.random.default_rng(107)
+        h_r = Operator(np.diag([-1.0, 0.0, 0.0]).astype(complex), (3,))
+        _, h_s, _, v = random_bipartite(rng, 2, 3, scale=0.5)
+        h_a = embed_system(h_s, 3) + embed_reservoir(h_r, 2) + v
+        h_b = embed_system(0.5 * pauli("z"), 3) + embed_reservoir(h_r, 2)
+        assert np.allclose(h_b.eig.eigenvalues, [-1.5, -0.5, -0.5, -0.5, 0.5, 0.5])
+        spec = QuenchSpec(h_a, h_b, h_r, 0.9, final_mode=mode, t_f=1.7)
+        ledger = run_quench(spec)
+        expected, _ = independent_ledger(h_a, h_b, h_r, 0.9, mode, 1.7)
+        for name, value in ledger.numeric_fields().items():
+            assert abs(value - expected[name]) <= 1e-12, name
+
+    def test_identity_quench_work_is_exact(self):
+        # each pair's gap E_B,j - E_A,i is 0 or multiplies |C_ji|^2 ~ eps^2;
+        # E_B . (P p_A) - E_A . p_A would leave O(eps ||H||)
+        h_a, _, h_r, _ = random_bipartite(np.random.default_rng(109), 3, 4, scale=0.5)
+        spec = QuenchSpec(h_a, Operator(h_a.matrix.copy(), h_a.dims), h_r, 0.8)
+        ledger = run_quench(spec)
+        assert abs(ledger.w_diff) <= 1e-20
+        assert ledger.diss_diff >= 0.0
+
+    @pytest.mark.parametrize("mode", [EQUILIBRATED, UNITARY])
+    def test_one_overlap_per_quench_and_audit(self, monkeypatch, mode):
+        calls = self.count_overlaps(monkeypatch)
+        rng = np.random.default_rng(113)
+        h_a, _, h_r, _ = random_bipartite(rng, 2, 4, scale=0.5)
+        h_b, _, _, _ = random_bipartite(rng, 2, 4, scale=0.5)
+        spec = QuenchSpec(h_a, h_b, h_r, 0.8, final_mode=mode, t_f=1.3)
+        second_law_audit(spec, run_quench(spec))
+        assert calls == [1]
+        assert not hasattr(spec.context_a, "rho")
+
+    def test_one_overlap_per_sweep(self, monkeypatch):
+        calls = self.count_overlaps(monkeypatch)
+        p = TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0)
+        stack = two_spin_matrices(np.linspace(-5.0, 5.0, 41), p.alpha, p.gamma, p.chi)
+        run_sweep(two_spin_hamiltonian(p), stack, reservoir_hamiltonian(p), p.beta,
+                  SYSTEM_QUENCH)
+        assert calls == [41]
 
 
 def independent_ledger(h_a, h_b, h_r, beta, mode=EQUILIBRATED, t_f=0.0):
