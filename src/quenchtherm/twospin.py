@@ -1,23 +1,23 @@
 """Closed-form ground truth for the two-spin benchmark model.
 
 The model is H = (eps/2) sz_S + (alpha/2) sz_R + gamma sz_S sz_R
-+ chi sx_S sx_R on two qubits.  Every thermodynamic quantity of its sudden
-quenches has an explicit scalar expression; this module evaluates those
-expressions directly, sharing no linear-algebra code with the generic
-engine so the two can check each other.  The two share only the
-`ThermoLedger` record, which derives the dissipated works and the
-second-law flags from the scalar works, heats and entropy changes.
++ chi sx_S sx_R on two qubits.  This module evaluates the thermodynamics of
+its sudden quenches as scalar expressions and shares with the generic engine
+only the `ThermoLedger` record, so that the two can check each other.
 
-Conventions: eta_pm = sqrt((eps/2 +- alpha/2)^2 + chi^2) and
-a_pm = (eps +- alpha)/2.  X_pm are the (unnormalized) populations of the
-reduced thermal state in the sz_S eigenbasis, with Z_SUR = X_- + X_+.
+H splits into the blocks {|++>, |-->} (g = +1) and {|+->, |-+>} (g = -1),
+each g gamma + a sz + chi sx with a = (eps + g alpha)/2 and levels
+g gamma -+ eta, eta = hypot(a, chi).  A level's weight on sz_S = +-1 is
+(1 +- sz_S)/2, with sz_S = -+a/eta.  Boltzmann sums are kept as logs relative
+to the ground energy, finite at any beta.  Pairs are in diag order (sz_S = +1, -1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,217 +46,139 @@ class TwoSpinParams:
         return closed_form_statics(self)
 
 
-@dataclass(frozen=True)
-class ClosedFormStatics:
-    """Partition function, reduced-state populations, and effective operators."""
+class ClosedFormStatics(NamedTuple):
+    """Statics of one Hamiltonian, finite at any beta: ln Z, ln X_s with
+    X_s = <s| Tr_R e^{-beta H} |s>, the Gibbs means of (sz_S, sz_R, sz_S sz_R,
+    sx_S sx_R) and the entropies beta (U - F_S) of the diff, H* and E* rows."""
 
-    z_sur: float
-    x_minus: float
-    x_plus: float
-    d_beta_x_minus: float
-    d_beta_x_plus: float
+    log_z: float
+    log_x: tuple[float, float]
+    populations: tuple[float, float]
     h_star_diag: tuple[float, float]
     e_star_diag: tuple[float, float]
+    f_s: float
+    means: tuple[float, float, float, float]
+    entropies: tuple[float, float, float]
 
 
-def _ratio(a: float, eta: float) -> float:
-    # a/eta is bounded by 1 since eta^2 = a^2 + chi^2; at eta = 0 both vanish
-    return a / eta if eta > 0 else 0.0
+def _log_pair(x: float, y: float) -> tuple[float, float, float]:
+    """ln(e^x + e^y) and the shares of e^x and e^y in that sum, without overflow."""
+    if x >= y:
+        u = math.exp(y - x)
+        return x + math.log1p(u), 1 / (1 + u), u / (1 + u)
+    u = math.exp(x - y)
+    return y + math.log1p(u), u / (1 + u), 1 / (1 + u)
+
+
+def _block(a: float, chi: float, b: float) -> tuple[float, ...]:
+    """Block a sz + chi sx, levels -+eta: eta, tanh(b eta) / eta and the mean
+    excess over the lower level, then per sz_S = +1, -1 the log-weight and
+    mean excess of that spin's pair, with t = e^{-2 b eta}.  The smaller
+    level weight chi^2 / (2 eta (eta + |a|)) does not cancel; a zero one is
+    skipped, not logged."""
+    eta = math.hypot(a, chi)
+    if eta == 0:  # degenerate: each level weighs 1/2 on each spin
+        return 0.0, b, 0.0, 0.0, 0.0, 0.0, 0.0
+    gap = 2 * eta
+    t_1 = math.expm1(-b * gap)  # t - 1, exact where b eta is small
+    t = 1 + t_1
+    small = chi * chi / (gap * (eta + abs(a)))
+    big = 1 - small
+    # the lower level weighs `big` on sz_S = -sign(a), `small` on the other spin
+    pair = big + small * t
+    low = math.log(pair), gap * small * t / pair
+    if small > 0:
+        pair = small + big * t
+        high = math.log(pair), gap * big * t / pair
+    else:  # that spin's pair is the upper level alone, with weight 1
+        high = -b * gap, gap
+    if a < 0:
+        low, high = high, low
+    return eta, -t_1 / ((1 + t) * eta), gap * t / (1 + t), *high, *low
 
 
 def closed_form_statics(p: TwoSpinParams) -> ClosedFormStatics:
-    """Evaluate Z_SUR, X_pm, their beta-derivatives, H*_S and E*_S."""
-    b = p.beta
-    eta_p = math.sqrt((p.epsilon / 2 + p.alpha / 2) ** 2 + p.chi**2)
-    eta_m = math.sqrt((p.epsilon / 2 - p.alpha / 2) ** 2 + p.chi**2)
-    a_p = (p.epsilon + p.alpha) / 2
-    a_m = (p.epsilon - p.alpha) / 2
-    em = math.exp(-b * p.gamma)
-    ep = math.exp(b * p.gamma)
-    ch_p, sh_p = math.cosh(b * eta_p), math.sinh(b * eta_p)
-    ch_m, sh_m = math.cosh(b * eta_m), math.sinh(b * eta_m)
-    r_p, r_m = _ratio(a_p, eta_p), _ratio(a_m, eta_m)
+    """Evaluate ln Z, ln X_s, H*_S, E*_S, F_S, the means and entropies in log form."""
+    b, g, chi = p.beta, p.gamma, p.chi
+    a_p, a_m = (p.epsilon + p.alpha) / 2, (p.epsilon - p.alpha) / 2
+    eta_p, r_p, ex_p, lx_pp, ex_pp, lx_pm, ex_pm = _block(a_p, chi, b)
+    eta_m, r_m, ex_m, lx_mp, ex_mp, lx_mm, ex_mm = _block(a_m, chi, b)
+    # lower levels g gamma - eta of the blocks, relative to the ground energy
+    e_0 = min(g - eta_p, -g - eta_m)
+    d_p, d_m = g - eta_p - e_0, -g - eta_m - e_0
 
-    z_sur = 2 * em * ch_p + 2 * ep * ch_m
+    # ln x_s = ln X_s + beta E_0 and ln z = ln Z + beta E_0, with the shares
+    # of the blocks in X_s and of the spins in Z
+    log_xp, f_pp, f_mp = _log_pair(lx_pp - b * d_p, lx_mp - b * d_m)
+    log_xm, f_pm, f_mm = _log_pair(lx_pm - b * d_p, lx_mm - b * d_m)
+    log_z, pop_p, pop_m = _log_pair(log_xp, log_xm)
+    z_p, z_m = pop_p * f_pp + pop_m * f_pm, pop_p * f_mp + pop_m * f_mm  # blocks in Z
+    # mean excess of H over E_0, overall and given sz_S = +1, -1
+    excess = z_p * (d_p + ex_p) + z_m * (d_m + ex_m)
+    e_p = f_pp * (d_p + ex_pp) + f_mp * (d_m + ex_mp)
+    e_m = f_pm * (d_p + ex_pm) + f_mm * (d_m + ex_mm)
+    sz_p, sz_m = -a_p * r_p * z_p, -a_m * r_m * z_m  # block shares of <sz_S>
+    means = (sz_p + sz_m, sz_p - sz_m, z_p - z_m, -chi * (z_p * r_p + z_m * r_m))
 
-    def x_dx(sign: float) -> tuple[float, float]:
-        # x(sign) and its term-wise beta-derivative; d/dbeta of e^{-+ b gamma}
-        # brings down -+ gamma, cosh/sinh differentiate to eta sinh / eta
-        # cosh, and the (a/eta) sinh term differentiates to a cosh
-        in_p = ch_p + sign * r_p * sh_p
-        in_m = ch_m + sign * r_m * sh_m
-        term_p = em * (-p.gamma * in_p + eta_p * sh_p + sign * a_p * ch_p)
-        term_m = ep * (p.gamma * in_m + eta_m * sh_m + sign * a_m * ch_m)
-        return em * in_p + ep * in_m, term_p + term_m
+    # reservoir (alpha/2) sz_R: ln z_R = ln Z_R - beta |alpha|/2, u_r = <H_R> + |alpha|/2
+    t_r = math.exp(-b * abs(p.alpha))
+    log_zr, u_r = math.log1p(t_r), abs(p.alpha) * t_r / (1 + t_r)
+    s_r, e_ref = b * u_r + log_zr, e_0 + abs(p.alpha) / 2
+    return ClosedFormStatics(
+        log_z - b * e_0, (log_xp - b * e_0, log_xm - b * e_0), (pop_p, pop_m),
+        (e_ref - (log_xp - log_zr) / b, e_ref - (log_xm - log_zr) / b),
+        (e_ref + e_p - u_r, e_ref + e_m - u_r), e_ref - (log_z - log_zr) / b, means,
+        # -p ln p sums: S_SUR - S_R, S of the reduced state, and the E* row's
+        (b * excess + log_z - s_r, -pop_p * (log_xp - log_z) - pop_m * (log_xm - log_z),
+         b * (pop_p * e_p + pop_m * e_m) + log_z - s_r),
+    )
 
-    (x_minus, dx_minus), (x_plus, dx_plus) = x_dx(-1.0), x_dx(+1.0)
 
-    denom = 2 * math.cosh(b * p.alpha / 2)
-    h_star = (-math.log(x_minus / denom) / b, -math.log(x_plus / denom) / b)
-    tanh_term = (p.alpha / 2) * math.tanh(b * p.alpha / 2)
-    e_star = (-dx_minus / x_minus + tanh_term, -dx_plus / x_plus + tanh_term)
+def _quench_ledger(p_a: TwoSpinParams, p_b: TwoSpinParams) -> ThermoLedger:
+    """Ledger of the equilibrated quench A -> B, which share beta and alpha.
 
-    return ClosedFormStatics(z_sur, x_minus, x_plus, dx_minus, dx_plus, h_star, e_star)
+    With theta = (eps/2, alpha/2, gamma, chi) and O_k the matching operators,
+    W_diff = sum dtheta_k <O_k>_A and Q_diff = sum theta_B,k d<O_k>; each
+    H*/E* row is a two-term sum over sz_S.
+    """
+    sa, sb = p_a.statics, p_b.statics
+    ma, mb = sa.means, sb.means
+    w_diff = ((p_b.epsilon - p_a.epsilon) / 2 * ma[0] + (p_b.alpha - p_a.alpha) / 2 * ma[1]
+              + (p_b.gamma - p_a.gamma) * ma[2] + (p_b.chi - p_a.chi) * ma[3])
+    q_diff = (p_b.epsilon / 2 * (mb[0] - ma[0]) + p_b.alpha / 2 * (mb[1] - ma[1])
+              + p_b.gamma * (mb[2] - ma[2]) + p_b.chi * (mb[3] - ma[3]))
+    pa_p, pa_m = sa.populations
+    dp = sb.populations[0] - pa_p  # the sz_S = -1 population moves by -dp
+    (ha_p, ha_m), (hb_p, hb_m) = sa.h_star_diag, sb.h_star_diag
+    (ea_p, ea_m), (eb_p, eb_m) = sa.e_star_diag, sb.e_star_diag
+    (sa_d, sa_h, sa_e), (sb_d, sb_h, sb_e) = sa.entropies, sb.entropies
+    return ThermoLedger.assemble(
+        (w_diff, pa_p * (hb_p - ha_p) + pa_m * (hb_m - ha_m),
+         pa_p * (eb_p - ea_p) + pa_m * (eb_m - ea_m)),
+        (q_diff, dp * (hb_p - hb_m), dp * (eb_p - eb_m)),
+        sb.f_s - sa.f_s, (sb_d - sa_d, sb_h - sa_h, sb_e - sa_e), p_a.beta,
+        equilibrated=True,
+    )
 
 
 def system_quench_ledger(p_a: TwoSpinParams, epsilon_b: float) -> ThermoLedger:
     """Closed-form ledger for an abrupt change of the system field epsilon."""
-    b = p_a.beta
-    p_b = TwoSpinParams(epsilon_b, p_a.alpha, p_a.gamma, p_a.chi, b)
-    sa = p_a.statics
-    sb = closed_form_statics(p_b)
+    return _quench_ledger(p_a, TwoSpinParams(epsilon_b, p_a.alpha, p_a.gamma, p_a.chi,
+                                             p_a.beta))
 
-    em = math.exp(-b * p_a.gamma)
-    ep = math.exp(b * p_a.gamma)
-    eta_p_a = math.sqrt((p_a.epsilon / 2 + p_a.alpha / 2) ** 2 + p_a.chi**2)
-    eta_m_a = math.sqrt((p_a.epsilon / 2 - p_a.alpha / 2) ** 2 + p_a.chi**2)
-    eta_p_b = math.sqrt((epsilon_b / 2 + p_a.alpha / 2) ** 2 + p_a.chi**2)
-    eta_m_b = math.sqrt((epsilon_b / 2 - p_a.alpha / 2) ** 2 + p_a.chi**2)
-    a_p_a, a_m_a = (p_a.epsilon + p_a.alpha) / 2, (p_a.epsilon - p_a.alpha) / 2
-    a_p_b, a_m_b = (epsilon_b + p_a.alpha) / 2, (epsilon_b - p_a.alpha) / 2
 
-    ch_p_a, sh_p_a = math.cosh(b * eta_p_a), math.sinh(b * eta_p_a)
-    ch_m_a, sh_m_a = math.cosh(b * eta_m_a), math.sinh(b * eta_m_a)
-    ch_p_b, sh_p_b = math.cosh(b * eta_p_b), math.sinh(b * eta_p_b)
-    ch_m_b, sh_m_b = math.cosh(b * eta_m_b), math.sinh(b * eta_m_b)
-
-    w_diff = (p_a.epsilon - epsilon_b) / sa.z_sur * (
-        _ratio(a_p_a, eta_p_a) * em * sh_p_a
-        + _ratio(a_m_a, eta_m_a) * ep * sh_m_a
-    )
-    w_hstar = -1.0 / (b * sa.z_sur) * (
-        sa.x_minus * math.log(sb.x_minus / sa.x_minus)
-        + sa.x_plus * math.log(sb.x_plus / sa.x_plus)
-    )
-    w_estar = (
-        sa.d_beta_x_minus
-        - sa.x_minus / sb.x_minus * sb.d_beta_x_minus
-        + sa.d_beta_x_plus
-        - sa.x_plus / sb.x_plus * sb.d_beta_x_plus
-    ) / sa.z_sur
-
-    g = p_a.gamma
-    q_diff = (
-        2 * g * (em * ch_p_b - ep * ch_m_b)
-        - 2 * eta_p_b * em * sh_p_b
-        - 2 * eta_m_b * ep * sh_m_b
-    ) / sb.z_sur + (
-        2 * g * (-em * ch_p_a + ep * ch_m_a)
-        + 2 * em * sh_p_a * (a_p_b * a_p_a + p_a.chi**2) / eta_p_a
-        + 2 * ep * sh_m_a * (a_m_b * a_m_a + p_a.chi**2) / eta_m_a
-    ) / sa.z_sur
-    q_hstar = (
-        (sa.x_minus / sa.z_sur - sb.x_minus / sb.z_sur) * math.log(sb.x_minus)
-        + (sa.x_plus / sa.z_sur - sb.x_plus / sb.z_sur) * math.log(sb.x_plus)
-    ) / b
-    q_estar = (
-        (sa.x_minus / sa.z_sur - sb.x_minus / sb.z_sur)
-        * sb.d_beta_x_minus / sb.x_minus
-        + (sa.x_plus / sa.z_sur - sb.x_plus / sb.z_sur)
-        * sb.d_beta_x_plus / sb.x_plus
-    )
-
-    delta_f_s = -math.log(
-        (em * ch_p_b + ep * ch_m_b) / (em * ch_p_a + ep * ch_m_a)
-    ) / b
-
-    ds_diff = -b * (
-        (sb.d_beta_x_minus + sb.d_beta_x_plus) / sb.z_sur
-        - (sa.d_beta_x_minus + sa.d_beta_x_plus) / sa.z_sur
-    ) + math.log(sb.z_sur / sa.z_sur)
-    ds_hstar = (
-        sb.x_minus / sb.z_sur * math.log(sb.z_sur / sb.x_minus)
-        - sa.x_minus / sa.z_sur * math.log(sa.z_sur / sa.x_minus)
-        + sb.x_plus / sb.z_sur * math.log(sb.z_sur / sb.x_plus)
-        - sa.x_plus / sa.z_sur * math.log(sa.z_sur / sa.x_plus)
-    )
-
-    return ThermoLedger.assemble(
-        (w_diff, w_hstar, w_estar),
-        (q_diff, q_hstar, q_estar),
-        delta_f_s,
-        (ds_diff, ds_hstar, ds_diff),
-        b,
-        equilibrated=True,
-    )
+@lru_cache(maxsize=1)
+def _uncoupled(epsilon: float, alpha: float, beta: float) -> TwoSpinParams:
+    # one slot: a sweep's points share H_A, whose statics this instance caches
+    return TwoSpinParams(epsilon, alpha, 0.0, 0.0, beta)
 
 
 def interaction_quench_ledger(
     epsilon: float, alpha: float, gamma_b: float, chi_b: float, beta: float
 ) -> ThermoLedger:
     """Closed-form ledger for abruptly switching the couplings on from zero."""
-    b = beta
-    p_b = TwoSpinParams(epsilon, alpha, gamma_b, chi_b, beta)
-    sb = closed_form_statics(p_b)
-
-    eta_p = math.sqrt((epsilon / 2 + alpha / 2) ** 2 + chi_b**2)
-    eta_m = math.sqrt((epsilon / 2 - alpha / 2) ** 2 + chi_b**2)
-    a_p, a_m = (epsilon + alpha) / 2, (epsilon - alpha) / 2
-    g = gamma_b
-    em = math.exp(-b * g)
-    ep = math.exp(b * g)
-    ch_p, sh_p = math.cosh(b * eta_p), math.sinh(b * eta_p)
-    ch_m, sh_m = math.cosh(b * eta_m), math.sinh(b * eta_m)
-    ce = math.cosh(b * epsilon / 2)
-    ca = math.cosh(b * alpha / 2)
-    te = (epsilon / 2) * math.tanh(b * epsilon / 2)
-    ta = (alpha / 2) * math.tanh(b * alpha / 2)
-    # initial-state Boltzmann weights of S in the sz_S eigenbasis
-    pop_m = math.exp(-b * epsilon / 2) / (2 * ce)
-    pop_p = math.exp(b * epsilon / 2) / (2 * ce)
-
-    log_x_m, log_x_p = math.log(sb.x_minus), math.log(sb.x_plus)
-    log_2ca, log_z_ratio = math.log(2 * ca), math.log(sb.z_sur / (4 * ce * ca))
-
-    free_term = (
-        2 * a_p * math.sinh(b * a_p)
-        - 2 * g * math.cosh(b * a_p)
-        + 2 * a_m * math.sinh(b * a_m)
-        + 2 * g * math.cosh(b * a_m)
-    ) / (4 * ce * ca)
-    w_diff = te + ta - free_term
-    w_hstar = -((pop_m * log_x_m + pop_p * log_x_p) - log_2ca) / b + te
-    w_estar = te + ta - (
-        pop_m * sb.d_beta_x_minus / sb.x_minus
-        + pop_p * sb.d_beta_x_plus / sb.x_plus
-    )
-
-    q_diff = (
-        2 * g * (em * ch_p - ep * ch_m)
-        - 2 * eta_p * em * sh_p
-        - 2 * eta_m * ep * sh_m
-    ) / sb.z_sur + free_term
-    q_hstar = (
-        (pop_m - sb.x_minus / sb.z_sur) * log_x_m
-        + (pop_p - sb.x_plus / sb.z_sur) * log_x_p
-    ) / b
-    q_estar = (
-        (pop_m / sb.x_minus - 1.0 / sb.z_sur) * sb.d_beta_x_minus
-        + (pop_p / sb.x_plus - 1.0 / sb.z_sur) * sb.d_beta_x_plus
-    )
-
-    delta_f_s = -math.log((em * ch_p + ep * ch_m) / (2 * ce * ca)) / b
-
-    ds_diff = (
-        b * te + b * ta
-        - b * (sb.d_beta_x_minus + sb.d_beta_x_plus) / sb.z_sur
-        + log_z_ratio
-    )
-    ds_hstar = (
-        b * te
-        - (sb.x_minus * log_x_m + sb.x_plus * log_x_p) / sb.z_sur
-        + log_2ca
-        + log_z_ratio
-    )
-
-    return ThermoLedger.assemble(
-        (w_diff, w_hstar, w_estar),
-        (q_diff, q_hstar, q_estar),
-        delta_f_s,
-        (ds_diff, ds_hstar, ds_diff),
-        b,
-        equilibrated=True,
-    )
+    return _quench_ledger(_uncoupled(epsilon, alpha, beta),
+                          TwoSpinParams(epsilon, alpha, gamma_b, chi_b, beta))
 
 
 def _kron_terms() -> tuple[np.ndarray, ...]:

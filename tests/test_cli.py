@@ -59,29 +59,8 @@ path = {out}
 RUN_TWO_SPIN, RUN_INTERACTION, RUN_CUSTOM = (
     (DATA / f"run_{tag}.ini").read_text() for tag in ("two_spin", "interaction", "custom"))
 
-# beta * spread ~ 1e3: the closed-form oracle returns NaN in every cell
-SWEEP_NONFINITE_ORACLE = """\
-[run]
-mode = sweep
-model = two_spin
-quench = system
-beta = 800
-
-[parameters]
-epsilon_a = 1.0
-alpha = 0.5
-gamma = 0.7
-chi = 0.4
-
-[sweep]
-variable = epsilon_b
-start = -1.0
-stop = 1.0
-count = 41
-
-[output]
-path = {out}
-"""
+# a system sweep at beta * spread ~ 1e3; CI runs it through the console script
+SWEEP_BETA800 = (DATA / "sweep_beta800.ini").read_text()
 
 AUDIT_CFG = """\
 [run]
@@ -163,18 +142,34 @@ class TestSweep:
         assert code == EXIT_TOLERANCE
         assert "ORACLE MISMATCH" in capsys.readouterr().out
 
-    def test_non_finite_oracle_fails_the_gate(self, tmp_path, capsys):
+    @staticmethod
+    def oracle_cells(out) -> np.ndarray:
+        lines = out.read_text().splitlines()
+        header = lines[0].split(",")
+        ora = [j for j, name in enumerate(header) if name.startswith("ora_")]
+        return np.array([[float(line.split(",")[j]) for j in ora] for line in lines[1:]])
+
+    def test_non_finite_oracle_fails_the_gate(self, tmp_path, capsys, monkeypatch):
+        nan = float("nan")
+        monkeypatch.setattr(cli, "system_quench_ledger", lambda p_a, eps_b: ThermoLedger.assemble(
+            (nan,) * 3, (nan,) * 3, nan, (nan,) * 3, p_a.beta, equilibrated=True))
         out = tmp_path / "nan.csv"
-        cfg = write(tmp_path, "n.ini", SWEEP_NONFINITE_ORACLE.format(out=out))
+        cfg = write(tmp_path, "n.ini", SWEEP_BETA800.format(out=out))
         assert main(["sweep", "--config", cfg]) == EXIT_TOLERANCE
         summary = capsys.readouterr().out
         assert "max_abs_diff w_diff = nan" in summary
         assert "ORACLE MISMATCH w_diff: non-finite engine or oracle value" in summary
-        lines = out.read_text().splitlines()
-        header = lines[0].split(",")
-        ora = [j for j, name in enumerate(header) if name.startswith("ora_")]
-        cells = np.array([[float(line.split(",")[j]) for j in ora] for line in lines[1:]])
-        assert not np.isfinite(cells).any()
+        assert not np.isfinite(self.oracle_cells(out)).any()
+
+    def test_beta800_oracle_is_finite_within_the_gate(self, tmp_path, capsys):
+        # beta * spread ~ 1e3, where the oracle's hyperbolic products overflowed
+        out = tmp_path / "b.csv"
+        cfg = write(tmp_path, "b.ini", SWEEP_BETA800.format(out=out))
+        # exit 0: every field passed the oracle gate
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
+        assert "MISMATCH" not in capsys.readouterr().out
+        cells = self.oracle_cells(out)
+        assert cells.shape == (41, len(ThermoLedger.FIELDS)) and np.isfinite(cells).all()
 
     def test_degenerate_range_rejected(self, tmp_path, capsys):
         bad = SWEEP_SYSTEM.replace("stop = 5.0", "stop = -5.0")
@@ -215,18 +210,24 @@ class TestSweepColumns:
 
 
 class TestSweepOracleStatics:
-    """A system sweep evaluates the pre-quench statics once, not per point."""
+    """A sweep evaluates the pre-quench statics once, not per point."""
 
-    def test_statics_evaluated_once_per_point_plus_one(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("template, points, first", [
+        (SWEEP_SYSTEM, 41, TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0)),
+        (SWEEP_INTERACTION, 31, TwoSpinParams(1.0, 5.0, 0.0, 0.0, 1.0))],
+        ids=["system", "interaction"])
+    def test_statics_evaluated_once_per_point_plus_one(
+            self, tmp_path, capsys, monkeypatch, template, points, first):
         calls = []
         original = twospin.closed_form_statics
         monkeypatch.setattr(twospin, "closed_form_statics",
                             lambda p: calls.append(p) or original(p))
-        cfg = write(tmp_path, "a.ini", SWEEP_SYSTEM.format(out=tmp_path / "a.csv"))
+        twospin._uncoupled.cache_clear()  # an earlier sweep may hold this H_A
+        cfg = write(tmp_path, "a.ini", template.format(out=tmp_path / "a.csv"))
         assert main(["sweep", "--config", cfg]) == EXIT_OK
         capsys.readouterr()
-        assert len(calls) == 42
-        assert calls[0] == TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0)
+        assert len(calls) == points + 1
+        assert calls[0] == first
 
     def test_oracle_ledgers_equal_fresh_evaluations(self, tmp_path, capsys, monkeypatch):
         seen = []

@@ -43,12 +43,11 @@ class TestClosedFormStatics:
         p = TwoSpinParams(0.9, 0.8, 0.0, 0.0, 1.3)
         st = closed_form_statics(p)
         b = p.beta
-        # X_- is the unnormalized weight of the sz = +1 system state, which
-        # sits at energy +eps/2, so it carries the e^{-beta eps/2} factor
-        expect_minus = 2 * np.cosh(b * p.alpha / 2) * np.exp(-b * p.epsilon / 2)
-        expect_plus = 2 * np.cosh(b * p.alpha / 2) * np.exp(b * p.epsilon / 2)
-        assert st.x_minus == pytest.approx(expect_minus, rel=1e-12)
-        assert st.x_plus == pytest.approx(expect_plus, rel=1e-12)
+        # X_s of the sz_S = +1 state (index 0), at energy +eps/2, carries the
+        # e^{-beta eps/2} factor
+        log_zr = np.log(2 * np.cosh(b * p.alpha / 2))
+        assert st.log_x[0] == pytest.approx(log_zr - b * p.epsilon / 2, rel=1e-12)
+        assert st.log_x[1] == pytest.approx(log_zr + b * p.epsilon / 2, rel=1e-12)
         # mean-force Hamiltonian collapses to the bare field (eps/2) sz
         assert st.h_star_diag[0] == pytest.approx(p.epsilon / 2, rel=1e-12)
         assert st.h_star_diag[1] == pytest.approx(-p.epsilon / 2, rel=1e-12)
@@ -56,22 +55,25 @@ class TestClosedFormStatics:
     def test_partition_function_vs_brute_force(self):
         st = closed_form_statics(BENCH)
         evals = two_spin_hamiltonian(BENCH).eig.eigenvalues
-        z_brute = np.exp(-BENCH.beta * evals).sum()
-        assert st.z_sur == pytest.approx(z_brute, abs=1e-10)
-        assert st.z_sur == pytest.approx(st.x_minus + st.x_plus, abs=1e-12)
+        assert st.log_z == pytest.approx(np.log(np.exp(-BENCH.beta * evals).sum()), abs=1e-12)
+        assert st.log_z == pytest.approx(np.logaddexp(*st.log_x), abs=1e-12)
+        assert sum(st.populations) == pytest.approx(1.0, abs=1e-15)
 
     def test_symmetric_at_zero_field(self):
         # eps = 0 with gamma = 0: flipping the system spin is a symmetry,
         # so both weights coincide (a gamma sz sz term would break it)
         st = closed_form_statics(TwoSpinParams(0.0, 0.8, 0.0, 1.8, 1.0))
-        assert st.x_minus == pytest.approx(st.x_plus, rel=1e-14)
+        assert st.log_x[0] == pytest.approx(st.log_x[1], rel=1e-14)
         assert st.h_star_diag[0] == pytest.approx(st.h_star_diag[1], rel=1e-14)
 
     def test_x_positive(self):
         rng = np.random.default_rng(89)
         for _ in range(100):
+            # X_s > 0: its log is finite, and so is the population X_s / Z
             st = closed_form_statics(random_two_spin_params(rng))
-            assert st.x_minus > 0 and st.x_plus > 0
+            assert all(np.isfinite(v) for v in (st.log_z, *st.log_x, *st.entropies))
+            assert min(st.populations) > 0
+            assert sum(st.populations) == pytest.approx(1.0, abs=1e-15)
 
     def test_beta_derivative_vs_finite_difference(self):
         rng = np.random.default_rng(97)
@@ -79,16 +81,11 @@ class TestClosedFormStatics:
             p = random_two_spin_params(rng)
             st = closed_form_statics(p)
             h = 1e-6 * p.beta
-            up = closed_form_statics(
-                TwoSpinParams(p.epsilon, p.alpha, p.gamma, p.chi, p.beta + h)
-            )
-            dn = closed_form_statics(
-                TwoSpinParams(p.epsilon, p.alpha, p.gamma, p.chi, p.beta - h)
-            )
-            fd_minus = (up.x_minus - dn.x_minus) / (2 * h)
-            fd_plus = (up.x_plus - dn.x_plus) / (2 * h)
-            assert st.d_beta_x_minus == pytest.approx(fd_minus, rel=1e-7, abs=1e-9)
-            assert st.d_beta_x_plus == pytest.approx(fd_plus, rel=1e-7, abs=1e-9)
+            up, dn = (closed_form_statics(replace(p, beta=p.beta + d)) for d in (h, -h))
+            for s in range(2):  # E*_s = d(beta H*_s)/d beta
+                fd = ((p.beta + h) * up.h_star_diag[s]
+                      - (p.beta - h) * dn.h_star_diag[s]) / (2 * h)
+                assert st.e_star_diag[s] == pytest.approx(fd, rel=1e-7, abs=1e-9)
 
 
 class TestCachedStatics:
@@ -110,11 +107,10 @@ class TestCachedStatics:
         assert q.statics == closed_form_statics(TwoSpinParams(1.5, 0.8, 1.2, 1.8, 1.0))
         assert q == TwoSpinParams(1.5, 0.8, 1.2, 1.8, 1.0)
 
-    def test_overflow_is_not_cached(self):
-        p = TwoSpinParams(1.0, 0.5, 0.7, 0.4, 1e4)
-        for _ in range(2):
-            with pytest.raises(OverflowError):
-                p.statics
+    def test_large_beta_statics_are_finite(self):
+        # these parameters overflowed the hyperbolic products of the old form
+        st = TwoSpinParams(1.0, 0.5, 0.7, 0.4, 1e4).statics
+        assert np.isfinite(np.hstack(st)).all()  # every field
 
 
 class TestOracleRecord:
