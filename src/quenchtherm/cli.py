@@ -260,7 +260,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     scale = np.abs(ora).max(axis=0)
     diss_cols = [fields.index(name) for name in ("diss_diff", "diss_hstar", "diss_estar")]
     min_diss = eng[:, diss_cols].min(axis=0)
-    estar_violations = grid[eng[:, fields.index("diss_estar")] < -VIOLATION_THRESHOLD]
+    # runs of violating points: a run starts and ends where the mask, padded
+    # with False at both ends, changes value
+    violating = eng[:, fields.index("diss_estar")] < -VIOLATION_THRESHOLD
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], violating, [False]))))
 
     if not _write(cfg.output_path, ",".join(header) + "\n" + rows):
         return EXIT_TOLERANCE
@@ -273,8 +276,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         summary.append(f"max_abs_diff {name} = {FMT % v}")
     for name, v in zip(("diss_diff", "diss_hstar", "diss_estar"), min_diss.tolist()):
         summary.append(f"min {name} = {FMT % v}")
-    for lo, hi in _intervals(estar_violations.tolist(), grid):
-        summary.append(f"diss_estar_violation [{FMT % lo}, {FMT % hi}]")
+    for start, end in edges.reshape(-1, 2).tolist():
+        summary.append(f"diss_estar_violation [{FMT % grid[start]}, {FMT % grid[end - 1]}]")
 
     # oracle mismatch gate: each field must track the oracle on the whole grid
     limits = tol["oracle_match_abs"] + tol["oracle_match_rel"] * scale
@@ -291,23 +294,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if not _write(cfg.output_path + ".summary.txt", summary_text):
         return EXIT_TOLERANCE
     return EXIT_TOLERANCE if failed else EXIT_OK
-
-
-def _intervals(points: list[float], grid: np.ndarray):
-    """Collapse sorted grid points into contiguous [lo, hi] runs."""
-    if not points:
-        return []
-    step = abs(grid[1] - grid[0]) if len(grid) > 1 else 0.0
-    runs = []
-    lo = hi = points[0]
-    for p in points[1:]:
-        if abs(p - hi) <= 1.5 * step:
-            hi = p
-        else:
-            runs.append((lo, hi))
-            lo = hi = p
-    runs.append((lo, hi))
-    return runs
 
 
 def cmd_audit(cfg: RunConfig) -> int:

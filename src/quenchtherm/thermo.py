@@ -8,7 +8,9 @@ All equilibrium quantities of a global Hamiltonian, or of a stack of them,
 come from one `ThermalContext`, built from one broadcasting
 eigendecomposition; the public statics below read the context of one that
 `thermal_context` builds from the Hamiltonian's cached `Operator.eig`, so
-statics on one `Operator` share one `eigh`.
+statics on one `Operator` share one `eigh`.  A context needs only two numbers
+of the bare reservoir, ln Z_R and <H_R>_beta = sum_k p_k E_k, which `gibbs`
+reads off its spectrum, building the Gibbs state only when `.state` is read.
 """
 
 from __future__ import annotations
@@ -44,16 +46,19 @@ def _shifted_weights(evals: np.ndarray, beta: float) -> tuple[np.ndarray, np.nda
 
 @dataclass(frozen=True, eq=False)
 class GibbsEnsemble:
-    """A Hamiltonian, its thermal state at beta, and ln Z."""
+    """A Hamiltonian at beta: its Gibbs populations, ln Z and <H>; the state on read."""
 
     hamiltonian: Operator
     beta: float
-    state: DensityMatrix
+    populations: np.ndarray  # descending, on the Hamiltonian's ascending eigenvalues
     log_partition: float
+    mean_energy: float
 
-    @property
-    def mean_energy(self) -> float:
-        return self.hamiltonian.expectation(self.state.op)
+    @cached_property
+    def state(self) -> DensityMatrix:
+        h = self.hamiltonian
+        return DensityMatrix(Operator.from_eig(
+            SpectralDecomposition(self.populations, h.eig.eigenvectors, h.dims)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,27 +77,20 @@ def _check_beta(beta: float, error: type[Exception] = ValueError):
 
 
 def gibbs(h: Operator, beta: float) -> GibbsEnsemble:
-    """Thermal state e^{-beta H} / Z with its log partition function.
-
-    Keeps (beta, state, ln Z) on `h`: a repeat call at that beta reuses them.
-    """
+    """Populations e^{-beta E} / Z on the eigenvalues E of H, ln Z and <H> = sum p E;
+    the thermal state e^{-beta H} / Z is built when first read."""
     _check_beta(beta)
-    slot = vars(h).get("_gibbs")
-    if slot is None or slot[0] != beta:
-        dec = h.eig
-        weights, log_z = _shifted_weights(dec.eigenvalues, beta)
-        populations = weights / weights.sum()
-        state = Operator.from_eig(SpectralDecomposition(populations, dec.eigenvectors, h.dims))
-        slot = vars(h)["_gibbs"] = (beta, DensityMatrix(state), float(log_z))
-    return GibbsEnsemble(h, beta, slot[1], slot[2])
+    evals = h.eig.eigenvalues
+    weights, log_z = _shifted_weights(evals, beta)
+    populations = weights / weights.sum()
+    populations.setflags(write=False)  # the state's cached eigenvalues are views of it
+    DensityMatrix.check_spectra(populations[None])
+    return GibbsEnsemble(h, beta, populations, float(log_z), float((evals * populations).sum()))
 
 
 def log_partition(h: Operator, beta: float) -> float:
-    """ln Tr e^{-beta H}, read from `gibbs`'s slot on `h` when it holds this beta."""
+    """ln Tr e^{-beta H}."""
     _check_beta(beta)
-    slot = vars(h).get("_gibbs")
-    if slot is not None and slot[0] == beta:
-        return slot[2]
     return float(_shifted_weights(h.eig.eigenvalues, beta)[1])
 
 
@@ -148,11 +146,10 @@ class ThermalContext:
     """
 
     dims: tuple[int, int]
-    reservoir: GibbsEnsemble
+    beta: float
     evals: np.ndarray  # (N, D), ascending
     evecs: np.ndarray  # (N, D, D)
     populations: np.ndarray  # (N, D), Gibbs populations w / z, z = sum w
-    m: np.ndarray  # (N, d_s, d_s)
     m_evals: np.ndarray  # (N, d_s), m, ascending
     m_evecs: np.ndarray  # (N, d_s, d_s), V
     rho_s: np.ndarray  # (N, d_s, d_s), reduced Gibbs states M / Tr M = M / z
@@ -195,18 +192,13 @@ class ThermalContext:
         populations = weights / z[:, None]
         DensityMatrix.check_spectra(populations)
         DensityMatrix.check_spectra(mvals / z[:, None])
-        return cls(tuple(dims), reservoir, evals, evecs, populations,
-                   m, mvals, v, m / z[:, None, None], h_star, e_star,
-                   log_z_star, -log_z_star / beta, u_r)
-
-    @property
-    def beta(self) -> float:
-        return self.reservoir.beta
+        return cls(tuple(dims), beta, evals, evecs, populations, mvals, v,
+                   m / z[:, None, None], h_star, e_star, log_z_star, -log_z_star / beta, u_r)
 
     def _members(self, index: slice) -> "ThermalContext":
         """The members `index` selects, as a context of views of these arrays."""
         return replace(self, **{f.name: getattr(self, f.name)[index] for f in fields(self)
-                                if f.name not in ("dims", "reservoir", "u_r")})
+                                if f.name not in ("dims", "beta", "u_r")})
 
     @cached_property
     def log_spectra(self) -> tuple[np.ndarray, np.ndarray]:

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from quenchtherm import (
+    EQUILIBRATED,
+    UNITARY,
     DensityMatrix,
     DimensionMismatch,
     NotHermitian,
     Operator,
+    QuenchSpec,
     SpectralDecomposition,
     effective_energy_operator,
     gibbs,
@@ -20,11 +23,14 @@ from quenchtherm import (
     mean_force_hamiltonian,
     partial_trace,
     pauli,
+    run_quench,
+    run_sweep,
+    second_law_audit,
     tensor_product,
     thermal_context,
     thermal_entropy,
 )
-from quenchtherm.audits import random_bipartite
+from quenchtherm.audits import random_bipartite, random_hermitian
 from quenchtherm.thermo import embed_reservoir, embed_system
 from quenchtherm.twospin import TwoSpinParams, reservoir_hamiltonian, two_spin_hamiltonian
 
@@ -97,8 +103,8 @@ class TestGibbs:
             assert not arr.flags.writeable
 
 
-class TestGibbsSlot:
-    """`gibbs` keeps its last (beta, state, ln Z) on the Operator."""
+class TestLazyGibbsState:
+    """`gibbs` computes O(D) numbers from `h.eig`; the state is built only when read."""
 
     @pytest.fixture
     def reconstructs(self, monkeypatch):
@@ -116,37 +122,69 @@ class TestGibbsSlot:
     def hamiltonian() -> Operator:
         return random_bipartite(np.random.default_rng(29), 2, 4)[0]
 
-    def test_repeat_call_reuses_the_state(self, reconstructs):
-        h = self.hamiltonian()
-        first, second = gibbs(h, 0.7), gibbs(h, 0.7)
-        assert len(reconstructs) == 1
-        assert second.state is first.state
-        assert second.hamiltonian is h and second.beta == 0.7
-        assert second.log_partition == first.log_partition
+    @staticmethod
+    def quench(mode: str) -> QuenchSpec:
+        rng = np.random.default_rng(31)
+        h_a, _, h_r, _ = random_bipartite(rng, 2, 4)
+        h_b = random_bipartite(rng, 2, 4)[0]
+        return QuenchSpec(h_a, h_b, h_r, 0.7, final_mode=mode, t_f=1.3)
 
-    def test_other_beta_recomputes(self, reconstructs):
-        h = self.hamiltonian()
-        cold, hot = gibbs(h, 2.0), gibbs(h, 0.5)
-        assert len(reconstructs) == 2
-        assert hot.state is not cold.state
-        assert hot.log_partition != cold.log_partition
-        fresh = gibbs(self.hamiltonian(), 0.5)
-        np.testing.assert_array_equal(hot.state.matrix, fresh.state.matrix)
-        # one slot: going back to the first beta builds the state again
-        assert gibbs(h, 2.0).state is not cold.state
-        assert len(reconstructs) == 4
+    @pytest.mark.parametrize("mode", [EQUILIBRATED, UNITARY])
+    def test_quench_and_audit_build_no_state(self, reconstructs, mode):
+        spec = self.quench(mode)
+        second_law_audit(spec, run_quench(spec))
+        assert reconstructs == []
 
-    def test_log_partition_same_bits_with_and_without_slot(self):
+    def test_sweep_and_statics_build_no_state(self, reconstructs):
+        spec = self.quench(EQUILIBRATED)
+        h_a, h_b, h_r = spec.h_sur_a, spec.h_sur_b, spec.h_r
+        run_sweep(h_a, np.stack([h_b.matrix, h_a.matrix + h_b.matrix]), h_r, 0.7)
+        mean_force_bundle(h_a, h_r, 0.7)
+        internal_energy_diff(DensityMatrix(identity(h_a.dims) * (1 / h_a.side)), h_a, h_r, 0.7)
+        assert reconstructs == []
+
+    def test_state_built_once_on_first_read(self, reconstructs):
+        h = self.hamiltonian()
+        ens = gibbs(h, 0.7)
+        assert reconstructs == []
+        first, second = ens.state, ens.state
+        assert len(reconstructs) == 1 and second is first
+        np.testing.assert_array_equal(first.op.eig.eigenvalues, ens.populations[::-1])
+        with pytest.raises(ValueError, match="read-only"):
+            ens.populations[0] = 0.5
+
+    def test_adds_nothing_to_the_operator(self):
+        h = self.hamiltonian()
+        h.eig
+        before = dict(vars(h))
+        gibbs(h, 0.7).state
+        assert log_partition(h, 0.7) == gibbs(h, 0.7).log_partition
+        assert vars(h).keys() == before.keys()
+        assert all(vars(h)[k] is v for k, v in before.items())
+
+    def test_mean_energy_is_the_expectation_across_domain(self):
+        rng = np.random.default_rng(37)
+        for d in (1, 2, 5, 16):
+            for beta_spread in (1e-2, 1.0, 40.0, 1e3):
+                h = random_hermitian(rng, d, scale=float(rng.uniform(0.1, 30.0)))
+                evals = h.eig.eigenvalues
+                spread = evals[-1] - evals[0]
+                ens = gibbs(h, beta_spread / spread if spread > 0 else 1.0)
+                assert np.isfinite(ens.mean_energy)
+                tol = 1e-14 * max(1.0, np.abs(evals).max())
+                assert abs(ens.mean_energy - h.expectation(ens.state.op)) <= tol
+
+    def test_log_partition_same_bits_as_gibbs(self):
         for beta in (1e-2, 0.9, 40.0):
             h = self.hamiltonian()
-            unslotted = log_partition(h, beta)
+            alone = log_partition(h, beta)
             ens = gibbs(h, beta)
-            assert log_partition(h, beta) == ens.log_partition == unslotted
+            assert log_partition(h, beta) == ens.log_partition == alone
             assert log_partition(h, 2 * beta) == log_partition(self.hamiltonian(), 2 * beta)
 
-    def test_slot_makes_no_reference_cycle(self):
+    def test_read_state_makes_no_reference_cycle(self):
         h = self.hamiltonian()
-        gibbs(h, 0.7)
+        gibbs(h, 0.7).state
         ref = weakref.ref(h)
         gc.disable()
         try:
@@ -206,7 +244,7 @@ class TestEffectiveEnergyOperator:
                 h_sur = embed_system(h_s, d_r) + embed_reservoir(h_r, d_s)
             for beta in (0.3, 1.1, 4.0):
                 ctx = thermal_context(h_sur, h_r, beta)
-                tol = 1e-12 * max(1.0, np.linalg.cond(ctx.m) / 1e3)
+                tol = 1e-12 * max(1.0, ctx.m_evals[0, -1] / ctx.m_evals[0, 0] / 1e3)
                 e_star = mean_force_bundle(h_sur, h_r, beta).e_star
                 assert np.max(np.abs(e_star.matrix - h_s.matrix)) <= tol
 
