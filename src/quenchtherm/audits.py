@@ -110,16 +110,14 @@ class SuiteResult:
 class AuditReport:
     seed: int
     results: list[SuiteResult] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return not self.failures and all(r.passed for r in self.results)
+        return all(r.passed for r in self.results)
 
     def lines(self) -> list[str]:
         out = [f"invariant audit, seed={self.seed}"]
         out.extend(r.line() for r in self.results)
-        out.extend(f"ERROR {msg}" for msg in self.failures)
         out.append("RESULT " + ("PASS" if self.passed else "FAIL"))
         return out
 
@@ -130,9 +128,7 @@ def run_invariant_audit(
     tolerances: dict[str, float] | None = None,
 ) -> AuditReport:
     """Run every invariant suite with a fixed seed; deterministic output."""
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
+    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     rng = np.random.default_rng(seed)
     report = AuditReport(seed=seed)
 

@@ -234,8 +234,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ConfigError("sweep start and stop must differ")
     if not cfg.output_path:
         raise ConfigError("sweep mode needs an output path")
-    tol = dict(DEFAULT_TOL)
-    tol.update(cfg.tolerances)
 
     grid = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
     h_a, h_b, h_r, oracle = _two_spin_config(cfg, grid)
@@ -280,7 +278,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         summary.append(f"diss_estar_violation [{FMT % grid[start]}, {FMT % grid[end - 1]}]")
 
     # oracle mismatch gate: each field must track the oracle on the whole grid
-    limits = tol["oracle_match_abs"] + tol["oracle_match_rel"] * scale
+    limits = cfg.tolerances["oracle_match_abs"] + cfg.tolerances["oracle_match_rel"] * scale
     for name, diff, limit in zip(fields, max_diff.tolist(), limits.tolist()):
         if not np.isfinite(diff):
             summary.append(f"ORACLE MISMATCH {name}: non-finite engine or oracle value")
@@ -298,7 +296,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_audit(cfg: RunConfig) -> int:
     report = run_invariant_audit(cfg.seed, n_quenches=cfg.count,
-                                 tolerances=cfg.tolerances or None)
+                                 tolerances=cfg.tolerances)
     text = "\n".join(report.lines()) + "\n"
     print(text, end="")
     if cfg.output_path and not _write(cfg.output_path, text):
@@ -307,8 +305,7 @@ def cmd_audit(cfg: RunConfig) -> int:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    tol = dict(DEFAULT_TOL)
-    tol.update(cfg.tolerances)
+    tol = cfg.tolerances
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     worst_desc = ""
@@ -322,7 +319,9 @@ def cmd_compare(cfg: RunConfig) -> int:
             ora = oracle(value).numeric_fields()
             for name in ThermoLedger.FIELDS:
                 limit = tol["oracle_match_abs"] + tol["oracle_match_rel"] * abs(ora[name])
-                excess = abs(eng[name] - ora[name]) / limit
+                diff = abs(eng[name] - ora[name])
+                # a zero limit admits only an exact match
+                excess = diff / limit if limit else (np.inf if diff else 0.0)
                 if excess > worst:
                     worst = excess
                     worst_desc = f"{kind}:{name}"
@@ -406,8 +405,6 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
         else:
             cfg = RunConfig(mode="audit")
-        if cfg.mode != args.command:
-            cfg.mode = args.command
         if args.seed is not None:
             cfg.seed = args.seed
         if args.out is not None:
@@ -426,6 +423,7 @@ def main(argv=None) -> int:
                 )
             if not 0 <= value < np.inf:  # NaN fails too; it would pass every gate
                 raise ConfigError(f"tolerance {name!r} must be finite and >= 0, got {value}")
+        cfg.tolerances = {**known, **cfg.tolerances}  # a new dict: the tables stay as they are
         handler = {
             "run": cmd_run, "sweep": cmd_sweep,
             "audit": cmd_audit, "compare": cmd_compare,

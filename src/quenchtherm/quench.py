@@ -374,10 +374,10 @@ def second_law_audit(spec: QuenchSpec, ledger: ThermoLedger) -> SecondLawAudit:
     The second-law flags themselves live on the ledger.
     """
     beta, ctx_a, ctx_b = spec.beta, spec.context_a, spec.context_b
-    (log_p, log_p_s), (log_q, log_q_s) = ctx_a.log_spectra, ctx_b.log_spectra
-    d_global = _relative_entropy(ctx_a.populations[0], log_p[0], spec._overlap[0], log_q[0])
-    d_reduced = _relative_entropy(np.exp(log_p_s[0]), log_p_s[0],
-                                  dagger(ctx_b.m_evecs[0]) @ ctx_a.m_evecs[0], log_q_s[0])
+    d_global = _relative_entropy(ctx_a.populations[0], ctx_a.log_populations[0],
+                                 spec._overlap[0], ctx_b.log_populations[0])
+    d_reduced = _relative_entropy(np.exp(ctx_a.log_rho_s[0]), ctx_a.log_rho_s[0],
+                                  dagger(ctx_b.m_evecs[0]) @ ctx_a.m_evecs[0], ctx_b.log_rho_s[0])
     residual_diff = abs(beta * ledger.diss_diff - d_global)
     residual_hstar = abs(beta * ledger.diss_hstar - d_reduced)
     return SecondLawAudit(residual_diff, residual_hstar)

@@ -2,15 +2,15 @@
 
 Everything works at a single inverse temperature beta (k_B = 1).  Partition
 functions are always evaluated through shifted exponentials so large
-beta * ||H|| cannot overflow.
+beta * ||H|| cannot overflow; one helper forms log-weights, weights, z and ln Z.
 
 All equilibrium quantities of a global Hamiltonian, or of a stack of them,
-come from one `ThermalContext`, built from one broadcasting
-eigendecomposition; the public statics below read the context of one that
-`thermal_context` builds from the Hamiltonian's cached `Operator.eig`, so
-statics on one `Operator` share one `eigh`.  A context needs only two numbers
-of the bare reservoir, ln Z_R and <H_R>_beta = sum_k p_k E_k, which `gibbs`
-reads off its spectrum, building the Gibbs state only when `.state` is read.
+come from one `ThermalContext`, built from one broadcasting eigendecomposition,
+which stores each Gibbs spectrum once, with its log.  The public statics read
+the context that `thermal_context` builds from the Hamiltonian's cached
+`Operator.eig`, so statics on one `Operator` share one `eigh`.  A context needs
+only two numbers of the bare reservoir, ln Z_R and <H_R>_beta = sum_k p_k E_k,
+which `gibbs` reads off its spectrum, building the Gibbs state only on `.state`.
 """
 
 from __future__ import annotations
@@ -34,14 +34,15 @@ from .operators import (
 )
 
 
-def _shifted_weights(evals: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Weights e^{-beta (E - E_0)} with E_0 = min E, and ln Tr e^{-beta H}.
-
-    Works over the last axis, so a (N, D) stack of spectra gives N values.
-    """
+def _gibbs_weights(evals: np.ndarray, beta: float) -> tuple[np.ndarray, ...]:
+    """Over the last axis: log-weights -beta (E - E_0) with E_0 = min E, weights w,
+    z = sum w and ln z (axis kept), and ln Tr e^{-beta H} = ln z - beta E_0 (axis dropped)."""
     shift = evals.min(axis=-1, keepdims=True)
-    weights = np.exp(-beta * (evals - shift))
-    return weights, np.log(weights.sum(axis=-1)) - beta * shift[..., 0]
+    log_w = -beta * (evals - shift)
+    weights = np.exp(log_w)
+    z = weights.sum(axis=-1, keepdims=True)
+    log_z = np.log(z)
+    return log_w, weights, z, log_z, (log_z - beta * shift)[..., 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,8 +82,8 @@ def gibbs(h: Operator, beta: float) -> GibbsEnsemble:
     the thermal state e^{-beta H} / Z is built when first read."""
     _check_beta(beta)
     evals = h.eig.eigenvalues
-    weights, log_z = _shifted_weights(evals, beta)
-    populations = weights / weights.sum()
+    _, weights, z, _, log_z = _gibbs_weights(evals, beta)
+    populations = weights / z
     populations.setflags(write=False)  # the state's cached eigenvalues are views of it
     DensityMatrix.check_spectra(populations[None])
     return GibbsEnsemble(h, beta, populations, float(log_z), float((evals * populations).sum()))
@@ -91,7 +92,7 @@ def gibbs(h: Operator, beta: float) -> GibbsEnsemble:
 def log_partition(h: Operator, beta: float) -> float:
     """ln Tr e^{-beta H}."""
     _check_beta(beta)
-    return float(_shifted_weights(h.eig.eigenvalues, beta)[1])
+    return float(_gibbs_weights(h.eig.eigenvalues, beta)[-1])
 
 
 def _trace_out_weighted(evecs: np.ndarray, weights: np.ndarray,
@@ -108,19 +109,19 @@ def _trace_out_weighted(evecs: np.ndarray, weights: np.ndarray,
     return _symmetrized(weighted @ dagger(grouped.reshape(n, d_s, d_r * side)))
 
 
-def _log_divided_differences(m: np.ndarray) -> np.ndarray:
+def _log_divided_differences(m: np.ndarray, log_m: np.ndarray) -> np.ndarray:
     """L_ij = (ln m_i - ln m_j) / (m_i - m_j), and 1 / m_i where m_i = m_j.
 
-    Works over the last axis.  Near ties use ln m_i - ln m_j = 2 atanh(z),
-    z = (m_i - m_j) / (m_i + m_j), which keeps full precision as z -> 0;
-    well-separated pairs (|z| >= 1/2) use the plain quotient, which stays
-    finite when z rounds to +-1.
+    Works over the last axis; `log_m` is ln m.  Near ties use
+    ln m_i - ln m_j = 2 atanh(z), z = (m_i - m_j) / (m_i + m_j), which keeps
+    full precision as z -> 0; well-separated pairs (|z| >= 1/2) use the
+    plain quotient, which stays finite when z rounds to +-1.
     """
     mi, mj = m[..., :, None], m[..., None, :]
     z = (mi - mj) / (mi + mj)
     with np.errstate(divide="ignore", invalid="ignore"):
         atanh_ratio = np.where(z == 0, 1.0, np.arctanh(z) / z)
-        quotient = (np.log(mi) - np.log(mj)) / (mi - mj)
+        quotient = (log_m[..., :, None] - log_m[..., None, :]) / (mi - mj)
     return np.where(np.abs(z) < 0.5, 2.0 * atanh_ratio / (mi + mj), quotient)
 
 
@@ -137,7 +138,8 @@ class ThermalContext:
     - E* = d_beta(beta H*) = D ln[M](X) - <H_R>_beta 1 exactly, where the
       Frechet derivative of the matrix log is V [(V^dag X V) o L] V^dag
       with L the divided differences of ln on m (Daleckii-Krein);
-    - the reduced Gibbs state is M / Tr M.
+    - the reduced Gibbs state is M / Tr M = M / z, z = sum w; the Gibbs spectra
+      w / z and m / z are stored with their logs, exact where they underflow.
 
     Arrays carry the batch axis first.  All members come from the
     eigenpairs of the (N, D, D) stack (one broadcasting `eigh`, or the
@@ -150,7 +152,8 @@ class ThermalContext:
     evals: np.ndarray  # (N, D), ascending
     evecs: np.ndarray  # (N, D, D)
     populations: np.ndarray  # (N, D), Gibbs populations w / z, z = sum w
-    m_evals: np.ndarray  # (N, d_s), m, ascending
+    log_populations: np.ndarray  # (N, D), ln(w / z) = -beta (E - E_0) - ln z
+    log_rho_s: np.ndarray  # (N, d_s), ln(m / z) = ln m - ln z, ascending
     m_evecs: np.ndarray  # (N, d_s, d_s), V
     rho_s: np.ndarray  # (N, d_s, d_s), reduced Gibbs states M / Tr M = M / z
     h_star: np.ndarray  # (N, d_s, d_s)
@@ -173,40 +176,32 @@ class ThermalContext:
             raise BadFactorCount(f"need exactly two factors, got dims {dims}")
         _check_reservoir(dims, reservoir.hamiltonian)
         beta = reservoir.beta
-        weights = _shifted_weights(evals, beta)[0]
-        z = weights.sum(axis=-1)
+        log_w, weights, z, log_z, _ = _gibbs_weights(evals, beta)
         m, x = _trace_out_weighted(evecs, np.stack((weights, weights * evals)), dims)
         mvals, v = np.linalg.eigh(m)
         if np.any(mvals[:, 0] <= 0):
             k = int(np.argmax(mvals[:, 0] <= 0))
             raise NotPositiveDefinite(f"Tr_R e^(-beta H) has eigenvalue "
                                       f"{mvals[k, 0]:.3e}{at_index(k, len(evals))}")
+        log_m = np.log(mvals)
         offset = beta * evals[:, :1] + reservoir.log_partition
-        hstar_evals = -(np.log(mvals) - offset) / beta
+        hstar_evals = -(log_m - offset) / beta
         vh = dagger(v)
         h_star = _symmetrized((v * hstar_evals[:, None, :]) @ vh)
-        dlog = v @ ((vh @ x @ v) * _log_divided_differences(mvals)) @ vh
+        dlog = v @ ((vh @ x @ v) * _log_divided_differences(mvals, log_m)) @ vh
         u_r = reservoir.mean_energy
         e_star = _symmetrized(dlog) - u_r * np.eye(dims[0])
-        log_z_star = _shifted_weights(hstar_evals, beta)[1]
-        populations = weights / z[:, None]
+        log_z_star = _gibbs_weights(hstar_evals, beta)[-1]
+        populations = weights / z
         DensityMatrix.check_spectra(populations)
-        DensityMatrix.check_spectra(mvals / z[:, None])
-        return cls(tuple(dims), beta, evals, evecs, populations, mvals, v,
-                   m / z[:, None, None], h_star, e_star, log_z_star, -log_z_star / beta, u_r)
+        DensityMatrix.check_spectra(mvals / z)
+        return cls(tuple(dims), beta, evals, evecs, populations, log_w - log_z, log_m - log_z,
+                   v, m / z[..., None], h_star, e_star, log_z_star, -log_z_star / beta, u_r)
 
     def _members(self, index: slice) -> "ThermalContext":
         """The members `index` selects, as a context of views of these arrays."""
         return replace(self, **{f.name: getattr(self, f.name)[index] for f in fields(self)
                                 if f.name not in ("dims", "beta", "u_r")})
-
-    @cached_property
-    def log_spectra(self) -> tuple[np.ndarray, np.ndarray]:
-        """ln(w / z) = -beta (E - E_0) - ln z, (N, D), and ln(m / z) = ln m - ln z,
-        (N, d_s): the Gibbs spectra's logs, exact where the spectra underflow."""
-        log_w = -self.beta * (self.evals - self.evals[:, :1])
-        log_z = np.log(np.exp(log_w).sum(axis=-1, keepdims=True))
-        return log_w - log_z, np.log(self.m_evals) - log_z
 
 
 def _check_reservoir(dims: tuple[int, ...], h_r: Operator):

@@ -436,6 +436,25 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--seed", "3"]) == EXIT_OK
         assert "RESULT PASS" in capsys.readouterr().out
 
+    ZERO_TOL = ["--tol", "oracle_match_rel=0", "--tol", "oracle_match_abs=0"]
+
+    def test_zero_limit_fails_on_any_difference(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.ini", "[run]\nmode = compare\ncount = 1\n")
+        assert main(["compare", "--config", cfg, "--seed", "3", *self.ZERO_TOL]) == EXIT_TOLERANCE
+        out = capsys.readouterr().out
+        assert "worst tolerance fraction = inf at " in out
+        assert out.endswith("RESULT FAIL\n")
+
+    def test_zero_limit_passes_an_exact_match(self, tmp_path, capsys, monkeypatch):
+        ledger = twospin.system_quench_ledger(TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0), 0.5)
+        monkeypatch.setattr(cli, "run_sweep", lambda *args: [ledger])
+        monkeypatch.setattr(cli, "system_quench_ledger", lambda *args: ledger)
+        monkeypatch.setattr(cli, "interaction_quench_ledger", lambda *args: ledger)
+        cfg = write(tmp_path, "c.ini", "[run]\nmode = compare\ncount = 2\n")
+        assert main(["compare", "--config", cfg, *self.ZERO_TOL]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "worst tolerance fraction = 0 at \n" in out
+
 
 class TestErrors:
     def test_missing_config_file(self, tmp_path, capsys):

@@ -244,7 +244,7 @@ class TestEffectiveEnergyOperator:
                 h_sur = embed_system(h_s, d_r) + embed_reservoir(h_r, d_s)
             for beta in (0.3, 1.1, 4.0):
                 ctx = thermal_context(h_sur, h_r, beta)
-                tol = 1e-12 * max(1.0, ctx.m_evals[0, -1] / ctx.m_evals[0, 0] / 1e3)
+                tol = 1e-12 * max(1.0, np.exp(ctx.log_rho_s[0, -1] - ctx.log_rho_s[0, 0]) / 1e3)
                 e_star = mean_force_bundle(h_sur, h_r, beta).e_star
                 assert np.max(np.abs(e_star.matrix - h_s.matrix)) <= tol
 
@@ -293,6 +293,46 @@ class TestEffectiveEnergyOperator:
                 lo = (beta - step) * mean_force_hamiltonian(h_sur, h_r, beta - step).matrix
                 exact = effective_energy_operator(h_sur, h_r, beta).matrix
                 assert np.max(np.abs(exact - (hi - lo) / (2 * step))) <= 1e-7
+
+
+class TestStoredLogSpectra:
+    """A context stores ln(w / z) and ln(m / z), finite where w / z underflows."""
+
+    CASES = pytest.mark.parametrize("beta_spread, d_s, d_r", [
+        (bs, d_s, d_r) for bs in (1e-2, 1.0, 1e3) for d_s, d_r in ((2, 3), (4, 8))])
+
+    @staticmethod
+    def context(beta_spread, d_s, d_r):
+        _, h_s, h_r, v = random_bipartite(np.random.default_rng(d_s * d_r), d_s, d_r)
+        # the spread comes from R, so M's spectrum stays resolvable at large beta
+        h_sur = embed_system(0.01 * h_s, d_r) + embed_reservoir(h_r, d_s) + 0.01 * v
+        evals = h_sur.eig.eigenvalues
+        return thermal_context(h_sur, h_r, beta_spread / (evals[-1] - evals[0]))
+
+    @CASES
+    def test_log_populations_bit_for_bit_and_finite(self, beta_spread, d_s, d_r):
+        ctx = self.context(beta_spread, d_s, d_r)
+        log_w = -ctx.beta * (ctx.evals - ctx.evals[:, :1])
+        expected = log_w - np.log(np.exp(log_w).sum(axis=-1, keepdims=True))
+        assert np.array_equal(ctx.log_populations, expected)
+        assert np.all(np.isfinite(ctx.log_populations))
+        # e^{-x} underflows to 0 past x ~ 745, so only the 1e3 cases lose populations
+        assert np.any(ctx.populations == 0) == (beta_spread > 745)
+
+    @CASES
+    def test_exp_gives_the_populations(self, beta_spread, d_s, d_r):
+        ctx = self.context(beta_spread, d_s, d_r)
+        assert np.max(np.abs(np.exp(ctx.log_populations) - ctx.populations)) <= 1e-15
+
+    @CASES
+    def test_log_rho_s_ascending_and_normalized(self, beta_spread, d_s, d_r):
+        ctx = self.context(beta_spread, d_s, d_r)
+        log_rho = ctx.log_rho_s[0]
+        assert np.all(np.diff(log_rho) >= 0)
+        top = log_rho.max()
+        assert abs(top + np.log(np.exp(log_rho - top).sum())) <= 1e-14
+        spectrum = np.linalg.eigvalsh(ctx.rho_s[0])
+        assert np.max(np.abs(np.exp(log_rho) - spectrum)) <= 1e-14
 
 
 class TestInternalEnergies:
