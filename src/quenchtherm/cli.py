@@ -322,6 +322,8 @@ def cmd_compare(cfg: RunConfig) -> int:
                 diff = abs(eng[name] - ora[name])
                 # a zero limit admits only an exact match
                 excess = diff / limit if limit else (np.inf if diff else 0.0)
+                if np.isnan(excess):  # a non-finite cell fails, as in the sweep gate
+                    excess = np.inf
                 if excess > worst:
                     worst = excess
                     worst_desc = f"{kind}:{name}"

@@ -3,7 +3,8 @@
 Operators carry an ordered list of subsystem dimensions alongside their
 matrix, so tensor-product structure is never implicit.  The convention
 throughout is row-major ordering with the system factor leading, i.e.
-``kron(A_S, B_R)`` indexes the joint space as (s, r).
+``kron(A_S, B_R)`` indexes the joint space as (s, r).  Every spectrum an
+`Operator` holds is finite, and a `DensityMatrix` checks its one spectrum when made.
 """
 
 from __future__ import annotations
@@ -52,9 +53,9 @@ class Operator:
     def eig(self) -> SpectralDecomposition:
         """Read-only eigenpairs, eigenvalues ascending: the one owner of them.
 
-        Seeded by `from_eig`, or else computed by one `eigh` on first access.
-        Raises NotHermitian on every access to a non-Hermitian operator: a
-        failure is not cached.
+        Seeded by `from_eig`, or else computed by one `eigh` on first access;
+        either way every eigenvalue is finite.  Raises on every access to a
+        non-Hermitian operator or a non-finite spectrum: a failure is not cached.
         """
         evals, evecs = eigh_stack(self.matrix[None])
         evals.setflags(write=False)
@@ -65,17 +66,17 @@ class Operator:
     def from_eig(cls, dec: SpectralDecomposition) -> "Operator":
         """The operator (U * lambda) @ U^dag, with `dec` as its cached eigenpairs.
 
-        `dec`'s values must be monotone, ascending or descending; the cache
-        holds the eigenpairs read-only and ascending, as `eig` does, so the
-        operator never needs an `eigh`.  The cache may hold views of `dec`'s
-        arrays, which must not be written to afterwards.
+        `dec`'s values must be finite and monotone, ascending or descending;
+        the cache holds the eigenpairs read-only and ascending, as `eig` does,
+        so the operator never needs an `eigh`.  The cache may hold views of
+        `dec`'s arrays, which must not be written to afterwards.
         """
-        op = cls(dec.reconstruct(), dec.dims)
         # views, reversed for non-increasing values such as Gibbs populations
         step = -1 if dec.eigenvalues[0] > dec.eigenvalues[-1] else 1
         evals, evecs = dec.eigenvalues[::step], dec.eigenvectors[:, ::step]
-        if (evals[1:] < evals[:-1]).any():
-            raise ValueError(f"eigenvalues must be monotone, got {dec.eigenvalues}")
+        if not (np.isfinite(evals).all() and (evals[1:] >= evals[:-1]).all()):
+            raise ValueError(f"eigenvalues must be monotone and finite, got {dec.eigenvalues}")
+        op = cls(dec.reconstruct(), dec.dims)
         evals.setflags(write=False)
         evecs.setflags(write=False)
         vars(op)["eig"] = SpectralDecomposition(evals, evecs, op.dims)
@@ -117,10 +118,10 @@ class Operator:
 class DensityMatrix:
     """A unit-trace, positive-semidefinite Hermitian operator.
 
-    The trace and positivity checks run on the operator's eigenvalues,
-    `op.eig`: an operator from outside input gets one checked `eigh` (which
-    also checks hermiticity), and a state the engine builds with
-    `Operator.from_eig` already carries its eigenpairs and needs none.
+    The trace and positivity checks run once, on the operator's ascending
+    eigenvalues `op.eig`: an operator from outside input gets one checked
+    `eigh`, and a state the engine builds with `Operator.from_eig` already
+    carries its eigenpairs and needs none.
     """
 
     op: Operator
@@ -129,29 +130,12 @@ class DensityMatrix:
     EIGENVALUE_FLOOR = -1e-12
 
     def __post_init__(self):
-        self.check_spectra(self.op.eig.eigenvalues[None])
-
-    @classmethod
-    def check_spectra(cls, spectra: np.ndarray):
-        """Unit trace and no eigenvalue below EIGENVALUE_FLOOR, for each row.
-
-        `spectra` is a (N, d) stack of state spectra.  Raises ValueError
-        naming the first bad member; NaN fails both checks.
-        """
-        traces = spectra.sum(axis=-1)
-        lowest = spectra.min(axis=-1)
-        good_trace = np.abs(traces - 1.0) <= cls.TRACE_TOL
-        good_min = lowest >= cls.EIGENVALUE_FLOOR
-        if (good_trace & good_min).all():
-            return
-        if not good_trace.all():
-            n = int(np.argmin(good_trace))
-            raise ValueError(f"trace {traces[n]} differs from 1 beyond tolerance"
-                             f"{at_index(n, len(traces))}")
-        if not good_min.all():
-            n = int(np.argmin(good_min))
-            raise ValueError(f"negative eigenvalue {lowest[n]:.3e}"
-                             f"{at_index(n, len(traces))}")
+        spectrum = self.op.eig.eigenvalues
+        trace = spectrum.sum()
+        if abs(trace - 1.0) > self.TRACE_TOL:
+            raise ValueError(f"trace {trace} differs from 1 beyond tolerance")
+        if spectrum[0] < self.EIGENVALUE_FLOOR:
+            raise ValueError(f"negative eigenvalue {spectrum[0]:.3e}")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -221,9 +205,13 @@ def require_hermitian_stack(mats: np.ndarray) -> np.ndarray:
 def eigh_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of each member of a (N, d, d) Hermitian stack, in one `eigh`.
 
-    Checks every member first; errors name the first bad one.
+    Checks hermiticity first and finite eigenvalues after; errors name the first bad member.
     """
-    return np.linalg.eigh(0.5 * (mats + require_hermitian_stack(mats)))
+    evals, evecs = np.linalg.eigh(0.5 * (mats + require_hermitian_stack(mats)))
+    if not np.isfinite(evals).all():
+        n = int(np.argmin(np.isfinite(evals).all(axis=-1)))
+        raise ValueError(f"eigenvalues {evals[n]} are not finite{at_index(n, len(evals))}")
+    return evals, evecs
 
 
 _PAULI = {

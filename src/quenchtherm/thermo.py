@@ -11,6 +11,8 @@ the context that `thermal_context` builds from the Hamiltonian's cached
 `Operator.eig`, so statics on one `Operator` share one `eigh`.  A context needs
 only two numbers of the bare reservoir, ln Z_R and <H_R>_beta = sum_k p_k E_k,
 which `gibbs` reads off its spectrum, building the Gibbs state only on `.state`.
+Gibbs populations of an `Operator`'s finite spectrum are a distribution by
+construction, so nothing here re-checks them; `DensityMatrix` checks a state.
 """
 
 from __future__ import annotations
@@ -85,7 +87,6 @@ def gibbs(h: Operator, beta: float) -> GibbsEnsemble:
     _, weights, z, _, log_z = _gibbs_weights(evals, beta)
     populations = weights / z
     populations.setflags(write=False)  # the state's cached eigenvalues are views of it
-    DensityMatrix.check_spectra(populations[None])
     return GibbsEnsemble(h, beta, populations, float(log_z), float((evals * populations).sum()))
 
 
@@ -179,8 +180,8 @@ class ThermalContext:
         log_w, weights, z, log_z, _ = _gibbs_weights(evals, beta)
         m, x = _trace_out_weighted(evecs, np.stack((weights, weights * evals)), dims)
         mvals, v = np.linalg.eigh(m)
-        if np.any(mvals[:, 0] <= 0):
-            k = int(np.argmax(mvals[:, 0] <= 0))
+        if not np.all(mvals[:, 0] > 0):  # NaN fails too
+            k = int(np.argmin(mvals[:, 0] > 0))
             raise NotPositiveDefinite(f"Tr_R e^(-beta H) has eigenvalue "
                                       f"{mvals[k, 0]:.3e}{at_index(k, len(evals))}")
         log_m = np.log(mvals)
@@ -192,10 +193,7 @@ class ThermalContext:
         u_r = reservoir.mean_energy
         e_star = _symmetrized(dlog) - u_r * np.eye(dims[0])
         log_z_star = _gibbs_weights(hstar_evals, beta)[-1]
-        populations = weights / z
-        DensityMatrix.check_spectra(populations)
-        DensityMatrix.check_spectra(mvals / z)
-        return cls(tuple(dims), beta, evals, evecs, populations, log_w - log_z, log_m - log_z,
+        return cls(tuple(dims), beta, evals, evecs, weights / z, log_w - log_z, log_m - log_z,
                    v, m / z[..., None], h_star, e_star, log_z_star, -log_z_star / beta, u_r)
 
     def _members(self, index: slice) -> "ThermalContext":

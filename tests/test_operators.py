@@ -101,6 +101,11 @@ class TestHermitianEig:
         with pytest.raises(NotHermitian):
             Operator(np.array([[0.0, 1.0], [0.0, 0.0]]), (2,)).eig
 
+    def test_rejects_non_finite_spectrum(self):
+        # finite entries whose eigenvalue -2e308 overflows inside `eigh`
+        with pytest.raises(ValueError, match=r"^eigenvalues \[.*\] are not finite$"):
+            Operator(np.full((4, 4), -5e307), (4,)).eig
+
     def test_reconstruction_many_sizes(self):
         # reconstruction invariant over seeded random Hermitians, sides 2-16
         rng = np.random.default_rng(42)
@@ -194,6 +199,13 @@ class TestFuncOfHermitian:
         with pytest.raises(ValueError, match="eigenvalues must be monotone"):
             func_of_hermitian(Operator(np.diag([-2.0, 1.0, 3.0]), (3,)), lambda x: x**2)
 
+    @pytest.mark.parametrize("values", [[np.nan, 1.0], [np.nan], [-np.inf, 0.0], [0.0, np.inf]],
+                             ids=["nan_first", "nan_alone", "minus_inf", "plus_inf"])
+    def test_non_finite_values_rejected(self, values):
+        dec = SpectralDecomposition(np.array(values), np.eye(len(values)), (len(values),))
+        with pytest.raises(ValueError, match="^eigenvalues must be monotone and finite, got "):
+            Operator.from_eig(dec)
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
     def test_exp_positive_definite(self, seed):
@@ -247,22 +259,9 @@ class TestDensityMatrix:
         np.testing.assert_array_equal(rho.op.eig.eigenvalues, [0.25, 0.75])
 
     def test_trace_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^trace 1.25 differs from 1 beyond tolerance$"):
             DensityMatrix(Operator(np.diag([0.5, 0.75]), (2,)))
 
     def test_positivity_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^negative eigenvalue -5.000e-01$"):
             DensityMatrix(Operator(np.diag([1.5, -0.5]), (2,)))
-
-    def test_check_spectra_passes_valid_stack(self):
-        DensityMatrix.check_spectra(np.array([[0.25, 0.75], [1.0, 0.0]]))
-
-    @pytest.mark.parametrize("spectra, message", [
-        ([[0.5, 0.5], [0.5, 0.75]], "trace 1.25 differs from 1 beyond tolerance at stack index 1"),
-        ([[0.5, 0.5], [1.5, -0.5]], "negative eigenvalue -5.000e-01 at stack index 1"),
-        ([[np.nan, np.nan]], "trace nan differs from 1 beyond tolerance"),
-        ([[0.5, 0.5], [np.nan, 1.0]], "trace nan differs from 1 beyond tolerance at stack index 1"),
-    ], ids=["trace", "negative", "nan", "nan_member"])
-    def test_check_spectra_names_first_bad_member(self, spectra, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            DensityMatrix.check_spectra(np.array(spectra))

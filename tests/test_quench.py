@@ -595,6 +595,13 @@ class TestRunSweep:
         with pytest.raises(NotHermitian, match="stack index 7"):
             run_sweep(h_a, stack, h_r, beta)
 
+    def test_non_finite_member_named(self):
+        h_a, stack, h_r, beta = self.system_sweep()
+        stack = stack.copy()
+        stack[6] = -5e307  # finite entries; the eigenvalue -2e308 overflows in `eigh`
+        with pytest.raises(ValueError, match="are not finite at stack index 6$"):
+            run_sweep(h_a, stack, h_r, beta)
+
     def test_non_hermitian_h_a_named_without_index(self):
         h_a, stack, h_r, beta = self.system_sweep()
         bad = h_a.matrix.copy()

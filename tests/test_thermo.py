@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quenchtherm import (
     EQUILIBRATED,
@@ -10,6 +12,7 @@ from quenchtherm import (
     DensityMatrix,
     DimensionMismatch,
     NotHermitian,
+    NotPositiveDefinite,
     Operator,
     QuenchSpec,
     SpectralDecomposition,
@@ -31,7 +34,7 @@ from quenchtherm import (
     thermal_entropy,
 )
 from quenchtherm.audits import random_bipartite, random_hermitian
-from quenchtherm.thermo import embed_reservoir, embed_system
+from quenchtherm.thermo import ThermalContext, _gibbs_weights, embed_reservoir, embed_system
 from quenchtherm.twospin import TwoSpinParams, reservoir_hamiltonian, two_spin_hamiltonian
 
 # Tr e^{-H} for the 4x4 benchmark at beta=1, eps=0, alpha=0.8, gamma=1.2,
@@ -102,6 +105,22 @@ class TestGibbs:
         for arr in (dec.eigenvalues, dec.eigenvectors):
             assert not arr.flags.writeable
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), side=st.integers(1, 512),
+           log_beta_spread=st.floats(-2.0, 3.0), ties=st.floats(0.0, 1.0))
+    def test_populations_of_a_finite_spectrum_are_a_distribution(
+            self, seed, side, log_beta_spread, ties):
+        # why neither `gibbs` nor `ThermalContext.build` checks the w / z they form
+        rng = np.random.default_rng(seed)
+        evals = rng.uniform(-1.0, 1.0, side) * 10.0 ** rng.uniform(-3.0, 3.0)
+        evals[rng.random(side) < ties] = evals[0]
+        evals.sort()
+        spread = evals[-1] - evals[0]
+        beta = 10.0**log_beta_spread / spread if spread > 0 else 1.0
+        _, weights, z, _, _ = _gibbs_weights(evals, beta)
+        populations = weights / z
+        assert populations.min() >= 0 and abs(populations.sum() - 1.0) <= 1e-13
+
 
 class TestLazyGibbsState:
     """`gibbs` computes O(D) numbers from `h.eig`; the state is built only when read."""
@@ -117,6 +136,19 @@ class TestLazyGibbsState:
 
         monkeypatch.setattr(SpectralDecomposition, "reconstruct", counted)
         return calls
+
+    @pytest.fixture
+    def spectrum_checks(self, monkeypatch):
+        """Counts reads of DensityMatrix.TRACE_TOL, which every spectrum check makes."""
+        reads, tol = [], DensityMatrix.TRACE_TOL
+
+        class Counted:
+            def __get__(self, obj, owner):
+                reads.append(owner)
+                return tol
+
+        monkeypatch.setattr(DensityMatrix, "TRACE_TOL", Counted())
+        return reads
 
     @staticmethod
     def hamiltonian() -> Operator:
@@ -134,6 +166,16 @@ class TestLazyGibbsState:
         spec = self.quench(mode)
         second_law_audit(spec, run_quench(spec))
         assert reconstructs == []
+
+    @pytest.mark.parametrize("mode", [EQUILIBRATED, UNITARY])
+    def test_only_a_state_read_checks_a_spectrum(self, spectrum_checks, mode):
+        spec = self.quench(mode)
+        second_law_audit(spec, run_quench(spec))
+        mean_force_bundle(spec.h_sur_a, spec.h_r, 0.7)
+        ens = gibbs(spec.h_r, 0.7)
+        assert spectrum_checks == []
+        ens.state, ens.state
+        assert len(spectrum_checks) == 1
 
     def test_sweep_and_statics_build_no_state(self, reconstructs):
         spec = self.quench(EQUILIBRATED)
@@ -195,6 +237,15 @@ class TestLazyGibbsState:
 
 
 class TestMeanForce:
+    def test_nan_member_is_not_positive_definite(self):
+        h_sur, _, h_r, _ = random_bipartite(np.random.default_rng(41), 2, 3)
+        dec = h_sur.eig
+        evals = np.stack([dec.eigenvalues, dec.eigenvalues])
+        evals[1, 2] = np.nan
+        with pytest.raises(NotPositiveDefinite, match="stack index 1$"):
+            ThermalContext.build(evals, np.stack([dec.eigenvectors] * 2), h_sur.dims,
+                                 gibbs(h_r, 0.7))
+
     def test_reduces_to_bare_hamiltonian_without_coupling(self):
         rng = np.random.default_rng(11)
         for d_r in (2, 3, 4):
