@@ -6,8 +6,10 @@ Subcommands:
   audit    seeded random-Hamiltonian invariant suites, pass/fail report
   compare  engine-vs-oracle ledger diff on seeded random parameter grids
 
-Configs are INI files (key = value with [section] headers).  Exit codes:
-0 success, 1 invariant or tolerance failure, 2 config error.
+Configs are INI files (key = value with [section] headers); the subcommand is
+the mode, and the quench kind names the swept parameter.  Each command prints
+its report and writes it to --out or [output] path when one is set.  Exit
+codes: 0 success, 1 invariant or tolerance failure or failed write, 2 config error.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .quench import (
     run_quench,
     run_sweep,
 )
-from .thermo import embed_reservoir, embed_system
+from .thermo import _check_beta, embed_reservoir, embed_system
 from .twospin import (
     TwoSpinParams,
     interaction_quench_ledger,
@@ -64,6 +66,9 @@ TOLERANCE_TABLES = {
 
 FMT = "%.17g"
 
+#: The H_B parameter a two_spin quench of each kind sets, and a sweep varies
+_SWEPT = {SYSTEM_QUENCH: "epsilon_b", INTERACTION_QUENCH: "gamma_b"}
+
 
 class ConfigError(Exception):
     pass
@@ -71,14 +76,12 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
-    mode: str
     model: str = "two_spin"
     quench: str = SYSTEM_QUENCH
     beta: float = 1.0
     seed: int = 1
     count: int = 100
     parameters: dict[str, float] = field(default_factory=dict)
-    sweep_variable: str = ""
     sweep_start: float = 0.0
     sweep_stop: float = 0.0
     sweep_count: int = 0
@@ -104,42 +107,31 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(f"cannot read config file {path}")
         run = parser["run"]
         cfg = RunConfig(
-            mode=run.get("mode", "run"),
             model=run.get("model", "two_spin"),
             quench=run.get("quench", SYSTEM_QUENCH),
             beta=run.getfloat("beta", 1.0),
             seed=run.getint("seed", 1),
             count=run.getint("count", 100),
         )
-        if cfg.mode not in ("run", "sweep", "audit", "compare"):
-            raise ConfigError(f"unknown mode {cfg.mode!r}")
         if cfg.model not in ("two_spin", "custom_matrix"):
             raise ConfigError(f"unknown model {cfg.model!r}")
         if cfg.quench not in (SYSTEM_QUENCH, INTERACTION_QUENCH, GENERAL_QUENCH):
             raise ConfigError(f"unknown quench kind {cfg.quench!r}")
-        if not 0 < cfg.beta < np.inf:  # NaN fails too
-            raise ConfigError(f"beta must be positive and finite, got {cfg.beta}")
+        _check_beta(cfg.beta, ConfigError)
         if cfg.count < 1:
             raise ConfigError(f"count must be >= 1, got {cfg.count}")
 
         if parser.has_section("parameters"):
-            cfg.parameters = {
-                k: parser.getfloat("parameters", k)
-                for k in parser.options("parameters")
-            }
+            cfg.parameters = {k: float(v) for k, v in parser["parameters"].items()}
         if parser.has_section("sweep"):
             sweep = parser["sweep"]
-            cfg.sweep_variable = sweep.get("variable", "")
             cfg.sweep_start = sweep.getfloat("start", 0.0)
             cfg.sweep_stop = sweep.getfloat("stop", 0.0)
             cfg.sweep_count = sweep.getint("count", 0)
         if parser.has_section("output"):
             cfg.output_path = parser["output"].get("path", "")
         if parser.has_section("tolerances"):
-            cfg.tolerances = {
-                k: parser.getfloat("tolerances", k)
-                for k in parser.options("tolerances")
-            }
+            cfg.tolerances = {k: float(v) for k, v in parser["tolerances"].items()}
         if parser.has_section("space"):
             cfg.space = (
                 parser.getint("space", "d_s"),
@@ -163,12 +155,10 @@ def load_config(path: str) -> RunConfig:
 
 
 def _require(cfg: RunConfig, *names: str) -> list[float]:
-    out = []
     for name in names:
         if name not in cfg.parameters:
             raise ConfigError(f"missing parameter {name!r}")
-        out.append(cfg.parameters[name])
-    return out
+    return [cfg.parameters[name] for name in names]
 
 
 def _two_spin_sweep(kind: str, params, beta: float, values: np.ndarray):
@@ -196,17 +186,19 @@ def _two_spin_sweep(kind: str, params, beta: float, values: np.ndarray):
     return two_spin_hamiltonian(p_a), h_b, reservoir_hamiltonian(p_a), oracle
 
 
-def _two_spin_config(cfg: RunConfig, values: np.ndarray):
-    """`_two_spin_sweep` with the model parameters of a two_spin config."""
+def _two_spin_config(cfg: RunConfig, values: np.ndarray | None = None):
+    """`_two_spin_sweep` with a two_spin config's parameters, by default at its H_B value."""
+    if cfg.quench not in _SWEPT:
+        raise ConfigError("two_spin quenches are system or interaction quenches")
+    if values is None:
+        values = np.array(_require(cfg, _SWEPT[cfg.quench]))
     if not np.all(np.isfinite(values)):
         raise ConfigError("sweep values must be finite")
     if cfg.quench == SYSTEM_QUENCH:
         params = _require(cfg, "epsilon_a", "alpha", "gamma", "chi")
-    elif cfg.quench == INTERACTION_QUENCH:
+    else:
         eps, alpha, chi_b = _require(cfg, "epsilon", "alpha", "chi_b")
         params = (eps, alpha, 0.0, chi_b)
-    else:
-        raise ConfigError("two_spin quenches are system or interaction quenches")
     return _two_spin_sweep(cfg.quench, params, cfg.beta, values)
 
 
@@ -221,8 +213,25 @@ def _write(path: str, text: str) -> bool:
     return True
 
 
-def _bits(flags) -> list[str]:
-    return ["1" if f else "0" for f in flags]
+def _emit(text: str, path: str, code: int) -> int:
+    """Print `text`, write it to `path` when one is set, and return `code`;
+    a failed write returns EXIT_TOLERANCE."""
+    print(text, end="")
+    return EXIT_TOLERANCE if path and not _write(path, text) else code
+
+
+def _oracle_fractions(eng: np.ndarray, ora: np.ndarray, tol: dict[str, float]) -> np.ndarray:
+    """|eng - ora| / (abs + rel * |ora|) per cell of (N, F) engine and oracle arrays.
+
+    An exact match is 0; a cell that differs at a zero limit, or is not
+    finite, is inf.
+    """
+    with np.errstate(all="ignore"):
+        diff = np.abs(eng - ora)
+        frac = diff / (tol["oracle_match_abs"] + tol["oracle_match_rel"] * np.abs(ora))
+    frac[diff == 0] = 0.0
+    frac[np.isnan(frac)] = np.inf
+    return frac
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -255,7 +264,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     # NaN propagates through these reductions, so a non-finite engine or
     # oracle value shows in the summary and fails the gate below
     max_diff = np.abs(eng - ora).max(axis=0)
-    scale = np.abs(ora).max(axis=0)
+    worst = _oracle_fractions(eng, ora, cfg.tolerances).max(axis=0)
     diss_cols = [fields.index(name) for name in ("diss_diff", "diss_hstar", "diss_estar")]
     min_diss = eng[:, diss_cols].min(axis=0)
     # runs of violating points: a run starts and ends where the mask, padded
@@ -266,10 +275,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if not _write(cfg.output_path, ",".join(header) + "\n" + rows):
         return EXIT_TOLERANCE
 
-    summary = [f"sweep variable={cfg.sweep_variable or cfg.quench} "
+    summary = [f"sweep variable={_SWEPT[cfg.quench]} "
                f"points={cfg.sweep_count} range=[{FMT % cfg.sweep_start},"
                f"{FMT % cfg.sweep_stop}]"]
-    failed = False
     for name, v in zip(fields, max_diff.tolist()):
         summary.append(f"max_abs_diff {name} = {FMT % v}")
     for name, v in zip(("diss_diff", "diss_hstar", "diss_estar"), min_diss.tolist()):
@@ -277,61 +285,46 @@ def cmd_sweep(cfg: RunConfig) -> int:
     for start, end in edges.reshape(-1, 2).tolist():
         summary.append(f"diss_estar_violation [{FMT % grid[start]}, {FMT % grid[end - 1]}]")
 
-    # oracle mismatch gate: each field must track the oracle on the whole grid
-    limits = cfg.tolerances["oracle_match_abs"] + cfg.tolerances["oracle_match_rel"] * scale
-    for name, diff, limit in zip(fields, max_diff.tolist(), limits.tolist()):
-        if not np.isfinite(diff):
-            summary.append(f"ORACLE MISMATCH {name}: non-finite engine or oracle value")
-            failed = True
-        elif diff > limit:
-            summary.append(f"ORACLE MISMATCH {name}: {diff:.3e} > {limit:.3e}")
-            failed = True
-
-    summary_text = "\n".join(summary) + "\n"
-    print(summary_text, end="")
-    if not _write(cfg.output_path + ".summary.txt", summary_text):
-        return EXIT_TOLERANCE
-    return EXIT_TOLERANCE if failed else EXIT_OK
+    # oracle mismatch gate: every cell of each field must track the oracle;
+    # a non-finite cell has fraction inf
+    for name, diff, frac in zip(fields, max_diff.tolist(), worst.tolist()):
+        if frac > 1.0:
+            summary.append(f"ORACLE MISMATCH {name}: " + (
+                f"worst tolerance fraction {frac:.3e}" if np.isfinite(diff)
+                else "non-finite engine or oracle value"))
+    code = EXIT_OK if (worst <= 1.0).all() else EXIT_TOLERANCE
+    return _emit("\n".join(summary) + "\n", cfg.output_path + ".summary.txt", code)
 
 
 def cmd_audit(cfg: RunConfig) -> int:
     report = run_invariant_audit(cfg.seed, n_quenches=cfg.count,
                                  tolerances=cfg.tolerances)
-    text = "\n".join(report.lines()) + "\n"
-    print(text, end="")
-    if cfg.output_path and not _write(cfg.output_path, text):
-        return EXIT_TOLERANCE
-    return EXIT_OK if report.passed else EXIT_TOLERANCE
+    return _emit("\n".join(report.lines()) + "\n", cfg.output_path,
+                 EXIT_OK if report.passed else EXIT_TOLERANCE)
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    tol = cfg.tolerances
     rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
-    worst_desc = ""
-    for kind in (SYSTEM_QUENCH, INTERACTION_QUENCH):
+    kinds, fields = (SYSTEM_QUENCH, INTERACTION_QUENCH), ThermoLedger.FIELDS
+    cells = []  # the (engine, oracle) field values of each (kind, draw)
+    for kind in kinds:
         for _ in range(cfg.count):
             p = random_two_spin_params(rng)
             value = float(rng.uniform(-2, 2)) if kind == SYSTEM_QUENCH else p.gamma
             h_a, h_b, h_r, oracle = _two_spin_sweep(
                 kind, (p.epsilon, p.alpha, p.gamma, p.chi), p.beta, np.array([value]))
-            eng = run_sweep(h_a, h_b, h_r, p.beta, kind)[0].numeric_fields()
-            ora = oracle(value).numeric_fields()
-            for name in ThermoLedger.FIELDS:
-                limit = tol["oracle_match_abs"] + tol["oracle_match_rel"] * abs(ora[name])
-                diff = abs(eng[name] - ora[name])
-                # a zero limit admits only an exact match
-                excess = diff / limit if limit else (np.inf if diff else 0.0)
-                if np.isnan(excess):  # a non-finite cell fails, as in the sweep gate
-                    excess = np.inf
-                if excess > worst:
-                    worst = excess
-                    worst_desc = f"{kind}:{name}"
-    print(f"compare seed={cfg.seed} points={cfg.count} per kind")
-    print(f"worst tolerance fraction = {FMT % worst} at {worst_desc}")
+            ledgers = (run_sweep(h_a, h_b, h_r, p.beta, kind)[0], oracle(value))
+            cells.append(list(map(attrgetter(*fields), ledgers)))
+    frac = _oracle_fractions(*np.array(cells).swapaxes(0, 1), cfg.tolerances)
+    # the first maximum over (kind, draw, field), named only when it is not 0
+    row, col = divmod(int(frac.argmax()), len(fields))
+    worst = float(frac[row, col])
+    where = f"{kinds[row // cfg.count]}:{fields[col]}" if worst else ""
     status = worst <= 1.0
-    print("RESULT " + ("PASS" if status else "FAIL"))
-    return EXIT_OK if status else EXIT_TOLERANCE
+    text = (f"compare seed={cfg.seed} points={cfg.count} per kind\n"
+            f"worst tolerance fraction = {FMT % worst} at {where}\n"
+            f"RESULT {'PASS' if status else 'FAIL'}\n")
+    return _emit(text, cfg.output_path, EXIT_OK if status else EXIT_TOLERANCE)
 
 
 def _custom_spec(cfg: RunConfig) -> QuenchSpec:
@@ -363,8 +356,7 @@ def _custom_spec(cfg: RunConfig) -> QuenchSpec:
 
 def cmd_run(cfg: RunConfig) -> int:
     if cfg.model == "two_spin":
-        name = "epsilon_b" if cfg.quench == SYSTEM_QUENCH else "gamma_b"
-        h_a, h_b, h_r, _ = _two_spin_config(cfg, np.array(_require(cfg, name)))
+        h_a, h_b, h_r, _ = _two_spin_config(cfg)
         spec = QuenchSpec(h_a, Operator(h_b[0], h_a.dims), h_r, cfg.beta, kind=cfg.quench)
     else:
         spec = _custom_spec(cfg)
@@ -374,12 +366,8 @@ def cmd_run(cfg: RunConfig) -> int:
     for name, flags in (("second_law_w", ledger.second_law_w),
                         ("second_law_q", ledger.second_law_q)):
         if flags is not None:
-            lines.append(f"{name} = " + " ".join(_bits(flags)))
-    text = "\n".join(lines) + "\n"
-    print(text, end="")
-    if cfg.output_path and not _write(cfg.output_path, text):
-        return EXIT_TOLERANCE
-    return EXIT_OK
+            lines.append(f"{name} = " + " ".join("1" if f else "0" for f in flags))
+    return _emit("\n".join(lines) + "\n", cfg.output_path, EXIT_OK)
 
 
 @functools.cache
@@ -406,7 +394,7 @@ def main(argv=None) -> int:
         if args.config:
             cfg = load_config(args.config)
         else:
-            cfg = RunConfig(mode="audit")
+            cfg = RunConfig()
         if args.seed is not None:
             cfg.seed = args.seed
         if args.out is not None:

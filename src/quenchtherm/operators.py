@@ -164,9 +164,10 @@ def dagger(mat: np.ndarray) -> np.ndarray:
     return mat.conj().swapaxes(-1, -2)
 
 
-def _symmetrized(mat: np.ndarray) -> np.ndarray:
-    # absorbs round-off from tensor assembly before eigendecomposition
-    return 0.5 * (mat + dagger(mat))
+def _symmetrized(mat: np.ndarray, mat_h: np.ndarray | None = None) -> np.ndarray:
+    # (A + A^dag) / 2 absorbs round-off from tensor assembly before
+    # eigendecomposition; halving each term first keeps a finite sum finite
+    return 0.5 * mat + 0.5 * (dagger(mat) if mat_h is None else mat_h)
 
 
 def expectation(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -207,7 +208,7 @@ def eigh_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Checks hermiticity first and finite eigenvalues after; errors name the first bad member.
     """
-    evals, evecs = np.linalg.eigh(0.5 * (mats + require_hermitian_stack(mats)))
+    evals, evecs = np.linalg.eigh(_symmetrized(mats, require_hermitian_stack(mats)))
     if not np.isfinite(evals).all():
         n = int(np.argmin(np.isfinite(evals).all(axis=-1)))
         raise ValueError(f"eigenvalues {evals[n]} are not finite{at_index(n, len(evals))}")

@@ -162,6 +162,31 @@ class TestSweep:
         assert "ORACLE MISMATCH w_diff: non-finite engine or oracle value" in summary
         assert not np.isfinite(self.oracle_cells(out)).any()
 
+    def test_one_cell_outside_its_tolerance_fails(self, tmp_path, capsys, monkeypatch):
+        # w_diff is exactly 0 at epsilon_b = epsilon_a = 0; 1e-9 there is ten
+        # times its cell's tolerance, though far below the column's largest |w_diff|
+        original = cli.system_quench_ledger
+
+        def shifted(p_a, eps_b):
+            ledger = original(p_a, eps_b)
+            return replace(ledger, w_diff=ledger.w_diff + 1e-9) if eps_b == 0 else ledger
+
+        monkeypatch.setattr(cli, "system_quench_ledger", shifted)
+        cfg = write(tmp_path, "s.ini", SWEEP_SYSTEM.format(out=tmp_path / "s.csv"))
+        assert main(["sweep", "--config", cfg]) == EXIT_TOLERANCE
+        mismatches = [line for line in capsys.readouterr().out.splitlines()
+                      if "MISMATCH" in line]
+        assert len(mismatches) == 1
+        assert mismatches[0].startswith("ORACLE MISMATCH w_diff: worst tolerance fraction ")
+
+    @pytest.mark.parametrize("variable", ["variable = alpha\n", ""])
+    def test_label_names_the_swept_parameter(self, tmp_path, capsys, variable):
+        # the [sweep] variable key is not read: a system quench sweeps epsilon_b
+        text = SWEEP_SYSTEM.replace("variable = epsilon_b\n", variable)
+        cfg = write(tmp_path, "s.ini", text.format(out=tmp_path / "s.csv"))
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("sweep variable=epsilon_b points=41 ")
+
     def test_beta800_oracle_is_finite_within_the_gate(self, tmp_path, capsys):
         # beta * spread ~ 1e3, where the oracle's hyperbolic products overflowed
         out = tmp_path / "b.csv"
@@ -366,6 +391,12 @@ class TestRun:
         assert main(["run", "--config", cfg]) == EXIT_OK
         assert "w_diff = " in capsys.readouterr().out
 
+    def test_general_two_spin_quench_rejected(self, tmp_path, capsys):
+        cfg = write(tmp_path, "g.ini", RUN_TWO_SPIN.replace("quench = system", "quench = general"))
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: two_spin quenches are system or interaction quenches\n")
+
     def test_missing_parameter_rejected(self, tmp_path, capsys):
         cfg = write(
             tmp_path, "m.ini",
@@ -429,6 +460,20 @@ class TestCompare:
         assert main(["compare", "--config", cfg, *self.ZERO_TOL]) == EXIT_OK
         out = capsys.readouterr().out
         assert "worst tolerance fraction = 0 at \n" in out
+
+    def test_output_file_matches_stdout(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.ini", "[run]\ncount = 2\n")
+        dest = tmp_path / "compare.txt"
+        assert main(["compare", "--config", cfg, "--out", str(dest)]) == EXIT_OK
+        assert dest.read_bytes() == capsys.readouterr().out.encode()
+
+    def test_unwritable_output_path(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.ini", "[run]\ncount = 2\n")
+        dest = tmp_path / "missing" / "compare.txt"
+        assert main(["compare", "--config", cfg, "--out", str(dest)]) == EXIT_TOLERANCE
+        captured = capsys.readouterr()
+        assert captured.out.endswith("RESULT PASS\n")
+        assert captured.err.startswith("write failure: ")
 
     def test_nan_cell_fails(self, tmp_path, capsys, monkeypatch):
         original = cli.system_quench_ledger

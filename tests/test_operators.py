@@ -106,6 +106,11 @@ class TestHermitianEig:
         with pytest.raises(ValueError, match=r"^eigenvalues \[.*\] are not finite$"):
             Operator(np.full((4, 4), -5e307), (4,)).eig
 
+    def test_finite_spectrum_near_the_float_limit(self):
+        # A + A^dag overflows here; (A + A^dag) / 2 is taken as A/2 + A^dag/2
+        dec = Operator(np.diag([1e308, 1.5e308]).astype(complex), (2,)).eig
+        np.testing.assert_array_equal(dec.eigenvalues, [1e308, 1.5e308])
+
     def test_reconstruction_many_sizes(self):
         # reconstruction invariant over seeded random Hermitians, sides 2-16
         rng = np.random.default_rng(42)
