@@ -91,13 +91,16 @@ class RunConfig:
     space: tuple[int, int] = (2, 2)
 
 
-def _parse_matrix(text: str, side: int) -> np.ndarray:
+def _parse_matrix(key: str, text: str, side: int) -> np.ndarray:
     entries = [complex(tok.strip().replace(" ", "")) for tok in text.split(",")]
     if len(entries) != side * side:
         raise ConfigError(
-            f"matrix needs {side * side} row-major entries, got {len(entries)}"
+            f"matrix {key!r} needs {side * side} row-major entries, got {len(entries)}"
         )
-    return np.array(entries, dtype=complex).reshape(side, side)
+    matrix = np.array(entries, dtype=complex).reshape(side, side)
+    if not np.isfinite(matrix).all():
+        raise ConfigError(f"matrix {key!r} has a non-finite entry")
+    return matrix
 
 
 def load_config(path: str) -> RunConfig:
@@ -147,7 +150,7 @@ def load_config(path: str) -> RunConfig:
                 if key not in sides:
                     raise ConfigError(f"unknown matrix key {key!r}")
                 cfg.matrices[key] = _parse_matrix(
-                    parser.get("matrices", key), sides[key]
+                    key, parser.get("matrices", key), sides[key]
                 )
     except (ValueError, KeyError, configparser.Error) as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc

@@ -108,22 +108,15 @@ class QuenchSpec:
         _check_quench(self.kind, self.final_mode, self.h_sur_a,
                       self.h_sur_b.matrix[None], self.h_sur_b.dims, self.h_r, self.beta)
         # NotHermitian here; the contexts read these cached eigenpairs anyway
-        self.h_sur_a.eig, self.h_sur_b.eig
+        self.h_sur_a.eig, self.h_sur_b.eig, self.h_r.eig
 
     @cached_property
-    def context_a(self) -> ThermalContext:
-        """Equilibrium quantities of the pre-quench Hamiltonian, computed once."""
-        return thermal_context(self.h_sur_a, self.h_r, self.beta)
-
-    @cached_property
-    def context_b(self) -> ThermalContext:
-        """Equilibrium quantities of the post-quench Hamiltonian, computed once."""
-        return thermal_context(self.h_sur_b, self.h_r, self.beta)
-
-    @cached_property
-    def _overlap(self) -> np.ndarray:
-        """C = U_B^dag U_A, (1, D, D), which `run_quench` and `second_law_audit` share."""
-        return _eigen_overlap(self.context_a, self.context_b)
+    def _contexts(self) -> tuple[ThermalContext, ThermalContext, np.ndarray]:
+        """The contexts of H_A and H_B and their overlap C = U_B^dag U_A, (1, D, D),
+        computed once for `run_quench` and `second_law_audit`."""
+        ctx_a = thermal_context(self.h_sur_a, self.h_r, self.beta)
+        ctx_b = thermal_context(self.h_sur_b, self.h_r, self.beta)
+        return ctx_a, ctx_b, _eigen_overlap(ctx_a, ctx_b)
 
 
 @dataclass(frozen=True)
@@ -166,7 +159,7 @@ class ThermoLedger:
         Derives the dissipated works W - dF_S and the second-law flags
         W >= dF_S and Q <= dS / beta, each against VIOLATION_THRESHOLD; the
         heat flags are None unless the final state is equilibrated.  Given
-        (3, N) arrays and an (N,) dF_S, the same expressions derive a ledger
+        (3, N) arrays and (N,) dF_S and beta, the same expressions derive a ledger
         of N quenches whose fields hold (N,) columns, which `_records` splits.
         """
         diss = [w - delta_f_s for w in works]
@@ -185,8 +178,9 @@ def _records(columns: ThermoLedger) -> list[ThermoLedger]:
     flags_w = zip(*(f.tolist() for f in columns.second_law_w))
     flags_q = ([None] * len(columns.w_diff) if columns.second_law_q is None
                else zip(*(f.tolist() for f in columns.second_law_q)))
-    return [ThermoLedger(*nums, second_law_w=w, second_law_q=q, beta=columns.beta)
-            for nums, w, q in zip(numbers, flags_w, flags_q)]
+    betas = np.full(len(columns.w_diff), columns.beta, float).tolist()  # a column or a shared beta
+    return [ThermoLedger(*nums, second_law_w=w, second_law_q=q, beta=beta)
+            for nums, w, q, beta in zip(numbers, flags_w, flags_q, betas)]
 
 
 def _propagate(evals: np.ndarray, evecs: np.ndarray, overlap: np.ndarray, t: float):
@@ -216,7 +210,7 @@ def _expectations(ctx: ThermalContext, h_mean: np.ndarray, rho_s: np.ndarray) ->
 
 def _energies(ctx: ThermalContext, expectations: np.ndarray) -> np.ndarray:
     """(U_diff, U_H*, U_E*) from `_expectations`: U_diff = <H> - <H_R>_beta."""
-    return expectations - np.array([[ctx.u_r], [0.0], [0.0]])
+    return np.concatenate((expectations[:1] - ctx.u_r, expectations[1:]))
 
 
 def _eigen_overlap(ctx_a: ThermalContext, ctx_b: ThermalContext) -> np.ndarray:
@@ -232,7 +226,7 @@ def _ledgers(ctx_a: ThermalContext, ctx_b: ThermalContext, overlap: np.ndarray,
     Global energies come in eigen-coordinates from `overlap`, C = U_B^dag U_A:
     pi_A's population p_A,i flows to B's level j as F_ji = |C_ji|^2 p_A,i.
     """
-    beta, pi_s_a = ctx_a.beta, ctx_a.rho_s
+    pi_s_a = ctx_a.rho_s
     e_a, e_b = ctx_a.evals, ctx_b.evals
     flow = np.abs(overlap) ** 2 * ctx_a.populations[:, None, :]
     h_b_0 = (flow.sum(axis=-1) * e_b).sum(axis=-1)  # <H_B> in pi_A
@@ -265,16 +259,15 @@ def _ledgers(ctx_a: ThermalContext, ctx_b: ThermalContext, overlap: np.ndarray,
     _check_first_law(works, heats, u_a, u_f)
 
     # Entropy changes between the equilibrium endpoints (independent of t_f).
-    delta_s = (thermal_entropy(u_b, ctx_b.f_s, beta)
-               - thermal_entropy(u_a, ctx_a.f_s, beta))
-    return ThermoLedger.assemble(works, heats, delta_f_s, delta_s, beta,
+    delta_s = (thermal_entropy(u_b, ctx_b.f_s, ctx_b.beta)
+               - thermal_entropy(u_a, ctx_a.f_s, ctx_a.beta))
+    return ThermoLedger.assemble(works, heats, delta_f_s, delta_s, ctx_b.beta,
                                  final_mode == EQUILIBRATED)
 
 
 def run_quench(spec: QuenchSpec) -> ThermoLedger:
     """Execute a sudden quench and assemble its three-way thermodynamic ledger."""
-    return _records(_ledgers(spec.context_a, spec.context_b, spec._overlap,
-                             spec.final_mode, spec.t_f))[0]
+    return _records(_ledgers(*spec._contexts, spec.final_mode, spec.t_f))[0]
 
 
 def _sweep_ledger(h_sur_a: Operator, h_sur_b_stack: np.ndarray, h_r: Operator,
@@ -286,14 +279,15 @@ def _sweep_ledger(h_sur_a: Operator, h_sur_b_stack: np.ndarray, h_r: Operator,
                           f"{h_sur_a.side}) with N >= 1, got {stack.shape}")
     _check_quench(kind, EQUILIBRATED, h_sur_a, stack, h_sur_a.dims, h_r, beta)
     reservoir = gibbs(h_r, beta)
+    numbers = beta, reservoir.log_partition, reservoir.mean_energy
     hams = np.concatenate((h_sur_a.matrix[None], stack))
     try:
-        ctx = ThermalContext.build(*eigh_stack(hams), h_sur_a.dims, reservoir)
+        ctx = ThermalContext.build(*eigh_stack(hams), h_sur_a.dims, *numbers)
     except (QuenchThermError, ValueError):
         # redo H_A and the stack apart, so that the error names H_A without
         # an index, or the member by its index in the caller's stack
         thermal_context(h_sur_a, h_r, beta)
-        ThermalContext.build(*eigh_stack(stack), h_sur_a.dims, reservoir)
+        ThermalContext.build(*eigh_stack(stack), h_sur_a.dims, *numbers)
         raise
     ctx_a, ctx_b = ctx._members(slice(1)), ctx._members(slice(1, None))
     return _ledgers(ctx_a, ctx_b, _eigen_overlap(ctx_a, ctx_b), EQUILIBRATED, 0.0)
@@ -373,9 +367,9 @@ def second_law_audit(spec: QuenchSpec, ledger: ThermoLedger) -> SecondLawAudit:
     population underflows, and the global one from the quench's overlap C.
     The second-law flags themselves live on the ledger.
     """
-    beta, ctx_a, ctx_b = spec.beta, spec.context_a, spec.context_b
+    beta, (ctx_a, ctx_b, overlap) = spec.beta, spec._contexts
     d_global = _relative_entropy(ctx_a.populations[0], ctx_a.log_populations[0],
-                                 spec._overlap[0], ctx_b.log_populations[0])
+                                 overlap[0], ctx_b.log_populations[0])
     d_reduced = _relative_entropy(np.exp(ctx_a.log_rho_s[0]), ctx_a.log_rho_s[0],
                                   dagger(ctx_b.m_evecs[0]) @ ctx_a.m_evecs[0], ctx_b.log_rho_s[0])
     residual_diff = abs(beta * ledger.diss_diff - d_global)

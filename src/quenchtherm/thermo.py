@@ -8,8 +8,8 @@ All equilibrium quantities of a global Hamiltonian, or of a stack of them,
 come from one `ThermalContext`, built from one broadcasting eigendecomposition,
 which stores each Gibbs spectrum once, with its log.  The public statics read
 the context that `thermal_context` builds from the Hamiltonian's cached
-`Operator.eig`, so statics on one `Operator` share one `eigh`.  A context needs
-only two numbers of the bare reservoir, ln Z_R and <H_R>_beta = sum_k p_k E_k,
+`Operator.eig`, so statics on one `Operator` share one `eigh`.  A context is built
+from beta and two numbers of the bare reservoir, ln Z_R and <H_R>_beta = sum_k p_k E_k,
 which `gibbs` reads off its spectrum, building the Gibbs state only on `.state`.
 Gibbs populations of an `Operator`'s finite spectrum are a distribution by
 construction, so nothing here re-checks them; `DensityMatrix` checks a state.
@@ -128,7 +128,7 @@ def _log_divided_differences(m: np.ndarray, log_m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ThermalContext:
-    """Every equilibrium quantity of a stack of N global Hamiltonians at one beta.
+    """Every equilibrium quantity of a stack of N global Hamiltonians, each at its beta.
 
     For each member, with H = U diag(E) U^dag and w = e^{-beta (E - E_0)}:
 
@@ -149,7 +149,7 @@ class ThermalContext:
     """
 
     dims: tuple[int, int]
-    beta: float
+    beta: np.ndarray  # (N,)
     evals: np.ndarray  # (N, D), ascending
     evecs: np.ndarray  # (N, D, D)
     populations: np.ndarray  # (N, D), Gibbs populations w / z, z = sum w
@@ -161,23 +161,24 @@ class ThermalContext:
     e_star: np.ndarray  # (N, d_s, d_s)
     log_z_star: np.ndarray  # (N,)
     f_s: np.ndarray  # (N,)
-    u_r: float
+    u_r: np.ndarray  # (N,), <H_R>_beta
 
     @classmethod
     def build(
         cls, evals: np.ndarray, evecs: np.ndarray, dims: tuple[int, ...],
-        reservoir: GibbsEnsemble,
+        beta, log_z_r, u_r,
     ) -> "ThermalContext":
-        """Contexts of a (N, D, D) stack on `dims` against one reservoir ensemble.
+        """Contexts of a (N, D, D) stack on `dims` against a bare reservoir.
 
         `evals` (N, D) and `evecs` (N, D, D) are the stack's eigenpairs, from
-        `eigh_stack` or a stack of one `Operator.eig`.
+        `eigh_stack` or a stack of one `Operator.eig`.  beta, ln Z_R and
+        <H_R>_beta are each a scalar that every member shares or an (N,) column.
         """
         if len(dims) != 2:
             raise BadFactorCount(f"need exactly two factors, got dims {dims}")
-        _check_reservoir(dims, reservoir.hamiltonian)
-        beta = reservoir.beta
-        log_w, weights, z, log_z, _ = _gibbs_weights(evals, beta)
+        beta, u_r = np.full(len(evals), beta, float), np.full(len(evals), u_r, float)
+        b = beta[:, None]
+        log_w, weights, z, log_z, _ = _gibbs_weights(evals, b)
         m, x = _trace_out_weighted(evecs, np.stack((weights, weights * evals)), dims)
         mvals, v = np.linalg.eigh(m)
         if not np.all(mvals[:, 0] > 0):  # NaN fails too
@@ -185,21 +186,20 @@ class ThermalContext:
             raise NotPositiveDefinite(f"Tr_R e^(-beta H) has eigenvalue "
                                       f"{mvals[k, 0]:.3e}{at_index(k, len(evals))}")
         log_m = np.log(mvals)
-        offset = beta * evals[:, :1] + reservoir.log_partition
-        hstar_evals = -(log_m - offset) / beta
+        offset = (beta * evals[:, 0] + log_z_r)[:, None]
+        hstar_evals = -(log_m - offset) / b
         vh = dagger(v)
         h_star = _symmetrized((v * hstar_evals[:, None, :]) @ vh)
         dlog = v @ ((vh @ x @ v) * _log_divided_differences(mvals, log_m)) @ vh
-        u_r = reservoir.mean_energy
-        e_star = _symmetrized(dlog) - u_r * np.eye(dims[0])
-        log_z_star = _gibbs_weights(hstar_evals, beta)[-1]
+        e_star = _symmetrized(dlog) - u_r[:, None, None] * np.eye(dims[0])
+        log_z_star = _gibbs_weights(hstar_evals, b)[-1]
         return cls(tuple(dims), beta, evals, evecs, weights / z, log_w - log_z, log_m - log_z,
                    v, m / z[..., None], h_star, e_star, log_z_star, -log_z_star / beta, u_r)
 
     def _members(self, index: slice) -> "ThermalContext":
         """The members `index` selects, as a context of views of these arrays."""
         return replace(self, **{f.name: getattr(self, f.name)[index] for f in fields(self)
-                                if f.name not in ("dims", "beta", "u_r")})
+                                if f.name != "dims"})
 
 
 def _check_reservoir(dims: tuple[int, ...], h_r: Operator):
@@ -209,9 +209,10 @@ def _check_reservoir(dims: tuple[int, ...], h_r: Operator):
 
 def thermal_context(h_sur: Operator, h_r: Operator, beta: float) -> ThermalContext:
     """Context of one bipartite Hamiltonian, from its cached eigenpairs, over `h_r` at beta."""
-    dec = h_sur.eig
-    return ThermalContext.build(dec.eigenvalues[None], dec.eigenvectors[None],
-                                h_sur.dims, gibbs(h_r, beta))
+    dec, reservoir = h_sur.eig, gibbs(h_r, beta)
+    _check_reservoir(h_sur.dims, h_r)
+    return ThermalContext.build(dec.eigenvalues[None], dec.eigenvectors[None], h_sur.dims,
+                                beta, reservoir.log_partition, reservoir.mean_energy)
 
 
 def mean_force_bundle(h_sur: Operator, h_r: Operator, beta: float) -> MeanForceBundle:

@@ -582,8 +582,9 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err.startswith("config error: ")
 
-    def test_non_hermitian_custom_matrix_is_a_config_error(self, tmp_path, capsys):
-        bad = RUN_CUSTOM.replace("h_sur_b = 0.8, 0,", "h_sur_b = 0.8, 0.5,")
+    @pytest.mark.parametrize("start", ["h_sur_b = 0.8, ", "h_r = 0.4, "], ids=["h_sur_b", "h_r"])
+    def test_non_hermitian_custom_matrix_is_a_config_error(self, tmp_path, capsys, start):
+        bad = RUN_CUSTOM.replace(start + "0,", start + "0.5,")
         assert bad != RUN_CUSTOM
         cfg = write(tmp_path, "c.ini", bad)
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
@@ -592,8 +593,19 @@ class TestErrors:
         assert captured.err == ("config error: custom_matrix quench: "
                                 "hermiticity defect 5.000e-01 exceeds tolerance\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_matrix_entry_is_a_config_error(self, tmp_path, capsys, value):
+        bad = RUN_CUSTOM.replace("h_r = 0.4,", f"h_r = {value},")
+        assert bad != RUN_CUSTOM
+        cfg = write(tmp_path, "c.ini", bad)
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: matrix 'h_r' has a non-finite entry\n"
+
     def test_bad_matrix_length(self, tmp_path, capsys):
         bad = RUN_CUSTOM.replace("h_r = 0.4, 0, 0, -0.4", "h_r = 0.4, 0, 0")
         cfg = write(tmp_path, "c.ini", bad)
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
-        capsys.readouterr()
+        assert capsys.readouterr().err == (
+            "config error: matrix 'h_r' needs 4 row-major entries, got 3\n")

@@ -115,14 +115,15 @@ class TestQuenchSpecValidation:
         with pytest.raises(InvalidSpec, match="defect nan"):
             QuenchSpec(h_a, h_b, h_r, 1.0, kind=kind)
 
-    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("side", ["a", "b", "r"])
     def test_non_hermitian_rejected_at_construction(self, side):
         h_a, _, h_r, _ = random_bipartite(np.random.default_rng(1), 2, 2)
-        bad = h_a.matrix.copy()
+        ops = {"a": h_a, "b": h_a, "r": h_r}
+        bad = ops[side].matrix.copy()
         bad[0, 1] += 0.5
-        h_a, h_b = (Operator(bad, (2, 2)), h_a) if side == "a" else (h_a, Operator(bad, (2, 2)))
+        ops[side] = Operator(bad, ops[side].dims)
         with pytest.raises(NotHermitian, match="hermiticity defect 5.000e-01"):
-            QuenchSpec(h_a, h_b, h_r, 1.0)
+            QuenchSpec(ops["a"], ops["b"], ops["r"], 1.0)
 
     def test_negative_t_f_accepted(self):
         p_a = TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0)
@@ -499,7 +500,7 @@ class TestEigenCoordinates:
         spec = QuenchSpec(h_a, h_b, h_r, 0.8, final_mode=mode, t_f=1.3)
         second_law_audit(spec, run_quench(spec))
         assert calls == [1]
-        assert not hasattr(spec.context_a, "rho")
+        assert not hasattr(spec._contexts[0], "rho")
 
     def test_one_overlap_per_sweep(self, monkeypatch):
         calls = self.count_overlaps(monkeypatch)
@@ -587,6 +588,12 @@ class TestRunSweep:
                 assert abs(getattr(ledger, name) - value) <= 1e-13, name
             assert (ledger.second_law_w, ledger.second_law_q) == (
                 single.second_law_w, single.second_law_q)
+
+    @pytest.mark.parametrize("beta", [0.7, np.float64(0.7), 2], ids=["float", "float64", "int"])
+    def test_each_record_carries_beta_as_a_float(self, beta):
+        h_a, stack, h_r, _ = self.system_sweep()
+        for ledger in run_sweep(h_a, stack[:3], h_r, beta, SYSTEM_QUENCH):
+            assert type(ledger.beta) is float and ledger.beta == beta
 
     def test_non_hermitian_member_named(self):
         h_a, stack, h_r, beta = self.system_sweep()

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from quenchtherm import (
     thermal_entropy,
 )
 from quenchtherm.audits import random_bipartite, random_hermitian
+from quenchtherm.operators import eigh_stack
 from quenchtherm.thermo import ThermalContext, _gibbs_weights, embed_reservoir, embed_system
 from quenchtherm.twospin import TwoSpinParams, reservoir_hamiltonian, two_spin_hamiltonian
 
@@ -242,9 +244,23 @@ class TestMeanForce:
         dec = h_sur.eig
         evals = np.stack([dec.eigenvalues, dec.eigenvalues])
         evals[1, 2] = np.nan
+        res = gibbs(h_r, 0.7)
         with pytest.raises(NotPositiveDefinite, match="stack index 1$"):
             ThermalContext.build(evals, np.stack([dec.eigenvectors] * 2), h_sur.dims,
-                                 gibbs(h_r, 0.7))
+                                 0.7, res.log_partition, res.mean_energy)
+
+    def test_per_member_numbers_equal_one_member_builds(self):
+        rng = np.random.default_rng(43)
+        hams = np.stack([random_bipartite(rng, 2, 3)[0].matrix for _ in range(3)])
+        evals, evecs = eigh_stack(hams)
+        beta, log_z_r, u_r = np.array([[0.3, 0.7, 2.1], [1.2, -0.4, 0.0], [-0.5, 0.25, 0.9]])
+        ctx = ThermalContext.build(evals, evecs, (2, 3), beta, log_z_r, u_r)
+        for k in range(3):
+            one = ThermalContext.build(evals[k:k + 1], evecs[k:k + 1], (2, 3),
+                                       float(beta[k]), float(log_z_r[k]), float(u_r[k]))
+            for f in fields(ThermalContext):
+                if f.name != "dims":
+                    assert np.array_equal(getattr(ctx, f.name)[k], getattr(one, f.name)[0]), f.name
 
     def test_reduces_to_bare_hamiltonian_without_coupling(self):
         rng = np.random.default_rng(11)
