@@ -19,7 +19,6 @@ import configparser
 import functools
 import sys
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .quench import (
     ThermoLedger,
     _sweep_ledger,
     run_quench,
-    run_sweep,
 )
 from .thermo import _check_beta, embed_reservoir, embed_system
 from .twospin import (
@@ -164,28 +162,23 @@ def _require(cfg: RunConfig, *names: str) -> list[float]:
     return [cfg.parameters[name] for name in names]
 
 
-def _two_spin_sweep(kind: str, params, beta: float, values: np.ndarray):
-    """(H_A, stack of post-quench H_B, H_R, oracle) of two-spin quenches.
+def _two_spin_sweep(kind: str, params, beta: float, values: float | np.ndarray):
+    """(H_A, post-quench H_B, H_R, oracle) of two-spin quenches at `values`.
 
-    `params` is (epsilon, alpha, gamma, chi).  A system quench starts from
-    them and sets epsilon to each of `values`; an interaction quench starts
-    from gamma = chi = 0 and switches on gamma = value and chi.  `oracle(v)`
-    is the closed-form ledger at value v, evaluated only when called: it
-    stays per point and scalar, independent of the engine.
+    `params` is (epsilon, alpha, gamma, chi).  A system quench starts from them and
+    sets epsilon to each value; an interaction quench starts from gamma = chi = 0 and
+    switches on gamma = value and chi.  A float gives one H_B, an (N,) array a stack;
+    `oracle()`, run only when called, is then the closed-form record or (N,) columns.
     """
     eps, alpha, gamma, chi = params
     if kind == SYSTEM_QUENCH:
         p_a = TwoSpinParams(eps, alpha, gamma, chi, beta)
         h_b = two_spin_matrices(values, alpha, gamma, chi)
-
-        def oracle(v: float) -> ThermoLedger:
-            return system_quench_ledger(p_a, v)
+        oracle = functools.partial(system_quench_ledger, p_a, values)
     else:
         p_a = TwoSpinParams(eps, alpha, 0.0, 0.0, beta)
         h_b = two_spin_matrices(eps, alpha, values, chi)
-
-        def oracle(v: float) -> ThermoLedger:
-            return interaction_quench_ledger(eps, alpha, v, chi, beta)
+        oracle = functools.partial(interaction_quench_ledger, eps, alpha, values, chi, beta)
     return two_spin_hamiltonian(p_a), h_b, reservoir_hamiltonian(p_a), oracle
 
 
@@ -223,6 +216,11 @@ def _emit(text: str, path: str, code: int) -> int:
     return EXIT_TOLERANCE if path and not _write(path, text) else code
 
 
+def _table(ledger: ThermoLedger) -> np.ndarray:
+    """The (N, F) numeric fields of a ledger of (N,) columns, or (1, F) of a record."""
+    return np.atleast_2d(np.array([getattr(ledger, name) for name in ThermoLedger.FIELDS]).T)
+
+
 def _oracle_fractions(eng: np.ndarray, ora: np.ndarray, tol: dict[str, float]) -> np.ndarray:
     """|eng - ora| / (abs + rel * |ora|) per cell of (N, F) engine and oracle arrays.
 
@@ -250,11 +248,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     grid = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
     h_a, h_b, h_r, oracle = _two_spin_config(cfg, grid)
     columns = _sweep_ledger(h_a, h_b, h_r, cfg.beta, cfg.quench)
-    oracles = [oracle(v) for v in grid.tolist()]
-
-    fields = ThermoLedger.FIELDS
-    eng = np.column_stack([getattr(columns, name) for name in fields])
-    ora = np.array(list(map(attrgetter(*fields), oracles)))
+    fields, eng, ora = ThermoLedger.FIELDS, _table(columns), _table(oracle())
     header = ["value", *(f"{side}_{name}" for name in fields for side in ("eng", "ora")),
               *(f"flag_{kind}_{name}" for kind in "wq" for name in ("diff", "hstar", "estar"))]
     # value, engine and oracle interleaved, then the flags: one template
@@ -309,16 +303,16 @@ def cmd_audit(cfg: RunConfig) -> int:
 def cmd_compare(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     kinds, fields = (SYSTEM_QUENCH, INTERACTION_QUENCH), ThermoLedger.FIELDS
-    cells = []  # the (engine, oracle) field values of each (kind, draw)
+    cells = []  # the (1, F) engine and oracle tables of each (kind, draw)
     for kind in kinds:
         for _ in range(cfg.count):
             p = random_two_spin_params(rng)
             value = float(rng.uniform(-2, 2)) if kind == SYSTEM_QUENCH else p.gamma
             h_a, h_b, h_r, oracle = _two_spin_sweep(
-                kind, (p.epsilon, p.alpha, p.gamma, p.chi), p.beta, np.array([value]))
-            ledgers = (run_sweep(h_a, h_b, h_r, p.beta, kind)[0], oracle(value))
-            cells.append(list(map(attrgetter(*fields), ledgers)))
-    frac = _oracle_fractions(*np.array(cells).swapaxes(0, 1), cfg.tolerances)
+                kind, (p.epsilon, p.alpha, p.gamma, p.chi), p.beta, value)
+            engine = _sweep_ledger(h_a, h_b[None], h_r, p.beta, kind)
+            cells.append((_table(engine), _table(oracle())))
+    frac = _oracle_fractions(*(np.vstack(side) for side in zip(*cells)), cfg.tolerances)
     # the first maximum over (kind, draw, field), named only when it is not 0
     row, col = divmod(int(frac.argmax()), len(fields))
     worst = float(frac[row, col])

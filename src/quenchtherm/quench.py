@@ -113,9 +113,11 @@ class QuenchSpec:
     @cached_property
     def _contexts(self) -> tuple[ThermalContext, ThermalContext, np.ndarray]:
         """The contexts of H_A and H_B and their overlap C = U_B^dag U_A, (1, D, D),
-        computed once for `run_quench` and `second_law_audit`."""
-        ctx_a = thermal_context(self.h_sur_a, self.h_r, self.beta)
-        ctx_b = thermal_context(self.h_sur_b, self.h_r, self.beta)
+        computed once for `run_quench` and `second_law_audit`, from one `gibbs` of H_R."""
+        reservoir = gibbs(self.h_r, self.beta)
+        ctx_a, ctx_b = (ThermalContext.build(
+            h.eig.eigenvalues[None], h.eig.eigenvectors[None], h.dims, self.beta,
+            reservoir.log_partition, reservoir.mean_energy) for h in (self.h_sur_a, self.h_sur_b))
         return ctx_a, ctx_b, _eigen_overlap(ctx_a, ctx_b)
 
 

@@ -2,8 +2,8 @@
 
 The model is H = (eps/2) sz_S + (alpha/2) sz_R + gamma sz_S sz_R
 + chi sx_S sx_R on two qubits.  This module evaluates the thermodynamics of
-its sudden quenches as scalar expressions and shares with the generic engine
-only the `ThermoLedger` record, so that the two can check each other.
+its sudden quenches as scalar expressions, a sweep per call, and shares with the
+generic engine only the `ThermoLedger` record, so that the two can check each other.
 
 H splits into the blocks {|++>, |-->} (g = +1) and {|+->, |-+>} (g = -1),
 each g gamma + a sz + chi sx with a = (eps + g alpha)/2 and levels
@@ -15,8 +15,7 @@ to the ground energy, finite at any beta.  Pairs are in diag order (sz_S = +1, -
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -39,11 +38,6 @@ class TwoSpinParams:
                 raise ValueError(f"{name} must be finite")
         if self.beta <= 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
-
-    @cached_property
-    def statics(self) -> ClosedFormStatics:
-        """`closed_form_statics(self)`, evaluated on first access only."""
-        return closed_form_statics(self)
 
 
 class ClosedFormStatics(NamedTuple):
@@ -134,19 +128,28 @@ def closed_form_statics(p: TwoSpinParams) -> ClosedFormStatics:
     )
 
 
-def _quench_ledger(p_a: TwoSpinParams, p_b: TwoSpinParams) -> ThermoLedger:
-    """Ledger of the equilibrated quench A -> B, which share beta and alpha.
+def _quench_ledger(p_a: TwoSpinParams, values: float | np.ndarray, point) -> ThermoLedger:
+    """Ledgers of the equilibrated quenches A -> B = point(v), sharing beta and alpha:
+    at a float v a record of Python floats, at an (N,) array of them, N >= 1, a ledger
+    of (N,) columns.  Each Hamiltonian's statics are evaluated once, in scalar `math`.
 
     With theta = (eps/2, alpha/2, gamma, chi) and O_k the matching operators,
     W_diff = sum dtheta_k <O_k>_A and Q_diff = sum theta_B,k d<O_k>; each
     H*/E* row is a two-term sum over sz_S.
     """
-    sa, sb = p_a.statics, p_b.statics
+    points = [point(v) for v in np.ravel(values).tolist()]
+    if not points:
+        raise ValueError("the oracle needs at least one swept value")
+    sa = closed_form_statics(p_a)
+    # a sequence over the points as the one point's entry, or with the points on a last axis
+    column = (lambda seq: seq[0]) if np.ndim(values) == 0 else (lambda seq: np.array(seq).T)
+    sb = ClosedFormStatics(*map(column, zip(*map(closed_form_statics, points))))
+    eps, alpha, gamma, chi = column([(p.epsilon, p.alpha, p.gamma, p.chi) for p in points])
     ma, mb = sa.means, sb.means
-    w_diff = ((p_b.epsilon - p_a.epsilon) / 2 * ma[0] + (p_b.alpha - p_a.alpha) / 2 * ma[1]
-              + (p_b.gamma - p_a.gamma) * ma[2] + (p_b.chi - p_a.chi) * ma[3])
-    q_diff = (p_b.epsilon / 2 * (mb[0] - ma[0]) + p_b.alpha / 2 * (mb[1] - ma[1])
-              + p_b.gamma * (mb[2] - ma[2]) + p_b.chi * (mb[3] - ma[3]))
+    w_diff = ((eps - p_a.epsilon) / 2 * ma[0] + (alpha - p_a.alpha) / 2 * ma[1]
+              + (gamma - p_a.gamma) * ma[2] + (chi - p_a.chi) * ma[3])
+    q_diff = (eps / 2 * (mb[0] - ma[0]) + alpha / 2 * (mb[1] - ma[1])
+              + gamma * (mb[2] - ma[2]) + chi * (mb[3] - ma[3]))
     pa_p, pa_m = sa.populations
     dp = sb.populations[0] - pa_p  # the sz_S = -1 population moves by -dp
     (ha_p, ha_m), (hb_p, hb_m) = sa.h_star_diag, sb.h_star_diag
@@ -161,24 +164,19 @@ def _quench_ledger(p_a: TwoSpinParams, p_b: TwoSpinParams) -> ThermoLedger:
     )
 
 
-def system_quench_ledger(p_a: TwoSpinParams, epsilon_b: float) -> ThermoLedger:
-    """Closed-form ledger for an abrupt change of the system field epsilon."""
-    return _quench_ledger(p_a, TwoSpinParams(epsilon_b, p_a.alpha, p_a.gamma, p_a.chi,
-                                             p_a.beta))
-
-
-@lru_cache(maxsize=1)
-def _uncoupled(epsilon: float, alpha: float, beta: float) -> TwoSpinParams:
-    # one slot: a sweep's points share H_A, whose statics this instance caches
-    return TwoSpinParams(epsilon, alpha, 0.0, 0.0, beta)
+def system_quench_ledger(p_a: TwoSpinParams, epsilon_b: float | np.ndarray) -> ThermoLedger:
+    """Closed-form ledger for an abrupt change of the system field epsilon to
+    epsilon_b, a float (a record) or an (N,) array (a ledger of (N,) columns)."""
+    return _quench_ledger(p_a, epsilon_b, lambda v: replace(p_a, epsilon=v))
 
 
 def interaction_quench_ledger(
-    epsilon: float, alpha: float, gamma_b: float, chi_b: float, beta: float
+    epsilon: float, alpha: float, gamma_b: float | np.ndarray, chi_b: float, beta: float
 ) -> ThermoLedger:
-    """Closed-form ledger for abruptly switching the couplings on from zero."""
-    return _quench_ledger(_uncoupled(epsilon, alpha, beta),
-                          TwoSpinParams(epsilon, alpha, gamma_b, chi_b, beta))
+    """Closed-form ledger for abruptly switching the couplings on from zero to
+    gamma_b, a float (a record) or an (N,) array (a ledger of (N,) columns), and chi_b."""
+    return _quench_ledger(TwoSpinParams(epsilon, alpha, 0.0, 0.0, beta), gamma_b,
+                          lambda v: TwoSpinParams(epsilon, alpha, v, chi_b, beta))
 
 
 def _kron_terms() -> tuple[np.ndarray, ...]:

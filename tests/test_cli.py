@@ -6,7 +6,7 @@ import pytest
 
 from quenchtherm import cli, twospin
 from quenchtherm.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, main
-from quenchtherm.quench import ThermoLedger, run_sweep
+from quenchtherm.quench import ThermoLedger, _records, run_sweep
 from quenchtherm.twospin import TwoSpinParams
 
 DATA = Path(__file__).parent / "data"
@@ -151,9 +151,12 @@ class TestSweep:
         return np.array([[float(line.split(",")[j]) for j in ora] for line in lines[1:]])
 
     def test_non_finite_oracle_fails_the_gate(self, tmp_path, capsys, monkeypatch):
-        nan = float("nan")
-        monkeypatch.setattr(cli, "system_quench_ledger", lambda p_a, eps_b: ThermoLedger.assemble(
-            (nan,) * 3, (nan,) * 3, nan, (nan,) * 3, p_a.beta, equilibrated=True))
+        def nan_ledger(p_a, eps_b):
+            nan = np.full(len(eps_b), np.nan)
+            return ThermoLedger.assemble((nan,) * 3, (nan,) * 3, nan, (nan,) * 3, p_a.beta,
+                                         equilibrated=True)
+
+        monkeypatch.setattr(cli, "system_quench_ledger", nan_ledger)
         out = tmp_path / "nan.csv"
         cfg = write(tmp_path, "n.ini", SWEEP_BETA800.format(out=out))
         assert main(["sweep", "--config", cfg]) == EXIT_TOLERANCE
@@ -169,7 +172,7 @@ class TestSweep:
 
         def shifted(p_a, eps_b):
             ledger = original(p_a, eps_b)
-            return replace(ledger, w_diff=ledger.w_diff + 1e-9) if eps_b == 0 else ledger
+            return replace(ledger, w_diff=np.where(eps_b == 0, ledger.w_diff + 1e-9, ledger.w_diff))
 
         monkeypatch.setattr(cli, "system_quench_ledger", shifted)
         cfg = write(tmp_path, "s.ini", SWEEP_SYSTEM.format(out=tmp_path / "s.csv"))
@@ -236,7 +239,7 @@ class TestSweepColumns:
 
 
 class TestSweepOracleStatics:
-    """A sweep evaluates the pre-quench statics once, not per point."""
+    """A sweep calls the oracle once and evaluates the pre-quench statics once, not per point."""
 
     @pytest.mark.parametrize("template, points, first", [
         (SWEEP_SYSTEM, 41, TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0)),
@@ -248,7 +251,6 @@ class TestSweepOracleStatics:
         original = twospin.closed_form_statics
         monkeypatch.setattr(twospin, "closed_form_statics",
                             lambda p: calls.append(p) or original(p))
-        twospin._uncoupled.cache_clear()  # an earlier sweep may hold this H_A
         cfg = write(tmp_path, "a.ini", template.format(out=tmp_path / "a.csv"))
         assert main(["sweep", "--config", cfg]) == EXIT_OK
         capsys.readouterr()
@@ -267,10 +269,23 @@ class TestSweepOracleStatics:
         cfg = write(tmp_path, "a.ini", SWEEP_SYSTEM.format(out=tmp_path / "a.csv"))
         assert main(["sweep", "--config", cfg]) == EXIT_OK
         capsys.readouterr()
-        assert [v for v, _ in seen] == np.linspace(-5.0, 5.0, 41).tolist()
-        for v, ledger in seen:
+        [(values, columns)] = seen
+        assert values.tolist() == np.linspace(-5.0, 5.0, 41).tolist()
+        for v, ledger in zip(values.tolist(), _records(columns)):
             assert ledger == twospin.system_quench_ledger(
                 TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0), v)
+
+    @pytest.mark.parametrize("template, name", [
+        (SWEEP_SYSTEM, "system_quench_ledger"), (SWEEP_INTERACTION, "interaction_quench_ledger")],
+        ids=["system", "interaction"])
+    def test_one_oracle_call_per_sweep(self, tmp_path, capsys, monkeypatch, template, name):
+        calls = []
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args: calls.append(args) or original(*args))
+        cfg = write(tmp_path, "a.ini", template.format(out=tmp_path / "a.csv"))
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
+        capsys.readouterr()
+        assert len(calls) == 1
 
 
 class TestRepeatedMainCalls:
@@ -301,7 +316,7 @@ class TestRepeatedMainCalls:
 class TestGoldenSweep:
     """Sweep CSVs and summaries against the committed files; every byte must match."""
 
-    @pytest.mark.parametrize("tag", ["sweep_system", "sweep_interaction"])
+    @pytest.mark.parametrize("tag", ["sweep_system", "sweep_interaction", "sweep_beta800"])
     def test_matches_committed_output(self, tmp_path, capsys, tag):
         out = tmp_path / f"{tag}.csv"
         template = (DATA / f"{tag}.ini").read_text()
@@ -452,8 +467,9 @@ class TestCompare:
         assert out.endswith("RESULT FAIL\n")
 
     def test_zero_limit_passes_an_exact_match(self, tmp_path, capsys, monkeypatch):
-        ledger = twospin.system_quench_ledger(TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0), 0.5)
-        monkeypatch.setattr(cli, "run_sweep", lambda *args: [ledger])
+        ledger = twospin.system_quench_ledger(TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0),
+                                              np.array([0.5]))
+        monkeypatch.setattr(cli, "_sweep_ledger", lambda *args: ledger)
         monkeypatch.setattr(cli, "system_quench_ledger", lambda *args: ledger)
         monkeypatch.setattr(cli, "interaction_quench_ledger", lambda *args: ledger)
         cfg = write(tmp_path, "c.ini", "[run]\nmode = compare\ncount = 2\n")

@@ -26,7 +26,7 @@ from quenchtherm import (
     tensor_product,
     thermal_entropy,
 )
-from quenchtherm import quench
+from quenchtherm import quench, thermo
 from quenchtherm.audits import DEFAULT_TOLERANCES, random_bipartite
 from quenchtherm.quench import (
     EQUILIBRATED,
@@ -501,6 +501,21 @@ class TestEigenCoordinates:
         second_law_audit(spec, run_quench(spec))
         assert calls == [1]
         assert not hasattr(spec._contexts[0], "rho")
+
+    @pytest.mark.parametrize("mode", [EQUILIBRATED, UNITARY])
+    def test_one_reservoir_gibbs_per_quench_and_audit(self, monkeypatch, mode):
+        # both contexts read ln Z_R and <H_R>_beta off one Gibbs ensemble of H_R
+        calls = []
+        original = thermo.gibbs
+        for module in (thermo, quench):  # thermal_context reads thermo's name
+            monkeypatch.setattr(module, "gibbs",
+                                lambda h, beta: calls.append(h) or original(h, beta))
+        rng = np.random.default_rng(127)
+        h_a, _, h_r, _ = random_bipartite(rng, 2, 4, scale=0.5)
+        h_b, _, _, _ = random_bipartite(rng, 2, 4, scale=0.5)
+        spec = QuenchSpec(h_a, h_b, h_r, 0.8, final_mode=mode, t_f=1.3)
+        second_law_audit(spec, run_quench(spec))
+        assert len(calls) == 1 and calls[0] is h_r
 
     def test_one_overlap_per_sweep(self, monkeypatch):
         calls = self.count_overlaps(monkeypatch)

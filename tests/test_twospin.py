@@ -87,29 +87,9 @@ class TestClosedFormStatics:
                       - (p.beta - h) * dn.h_star_diag[s]) / (2 * h)
                 assert st.e_star_diag[s] == pytest.approx(fd, rel=1e-7, abs=1e-9)
 
-
-class TestCachedStatics:
-    def test_lazy_cached_and_equal_to_closed_form(self, monkeypatch):
-        calls = []
-        original = twospin.closed_form_statics
-        monkeypatch.setattr(twospin, "closed_form_statics",
-                            lambda p: calls.append(p) or original(p))
-        p = TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0)
-        assert calls == []
-        assert p.statics is p.statics
-        assert calls == [p]
-        assert p.statics == closed_form_statics(BENCH)
-
-    def test_not_shared_with_replaced_params(self):
-        p = TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0)
-        q = replace(p, epsilon=1.5)
-        assert q.statics is not p.statics
-        assert q.statics == closed_form_statics(TwoSpinParams(1.5, 0.8, 1.2, 1.8, 1.0))
-        assert q == TwoSpinParams(1.5, 0.8, 1.2, 1.8, 1.0)
-
     def test_large_beta_statics_are_finite(self):
         # these parameters overflowed the hyperbolic products of the old form
-        st = TwoSpinParams(1.0, 0.5, 0.7, 0.4, 1e4).statics
+        st = closed_form_statics(TwoSpinParams(1.0, 0.5, 0.7, 0.4, 1e4))
         assert np.isfinite(np.hstack(st)).all()  # every field
 
 
@@ -122,6 +102,93 @@ class TestOracleRecord:
             assert led.beta == 1.0
             # equilibrated final state: the heat flags are always present
             assert led.second_law_q is not None
+
+    def test_float_gives_python_scalars(self):
+        led = system_quench_ledger(BENCH, 1.5)
+        assert all(type(v) is float for v in (*led.numeric_fields().values(), led.beta))
+        assert all(type(f) is bool for f in led.second_law_w + led.second_law_q)
+
+    def test_one_point_array_gives_columns(self):
+        for led in (system_quench_ledger(BENCH, np.array([1.5])),
+                    interaction_quench_ledger(1.0, 5.0, np.array([0.7]), 1.2, 1.0)):
+            for column in (*led.numeric_fields().values(), *led.second_law_w,
+                           *led.second_law_q):
+                assert column.shape == (1,)
+
+    def test_empty_array_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one swept value"):
+            system_quench_ledger(BENCH, np.array([]))
+        with pytest.raises(ValueError, match="at least one swept value"):
+            interaction_quench_ledger(1.0, 5.0, np.array([]), 1.2, 1.0)
+
+
+class TestOracleColumns:
+    """An (N,) array of swept values gives, in every cell, the ledger each float call gives."""
+
+    @staticmethod
+    def assert_columns_equal_points(columns, values, ledger_at):
+        for k, v in enumerate(values.tolist()):
+            point = ledger_at(v)
+            for name, value in point.numeric_fields().items():
+                assert getattr(columns, name)[k] == value, (v, name)
+            assert tuple(f[k] for f in columns.second_law_w) == point.second_law_w, v
+            assert tuple(f[k] for f in columns.second_law_q) == point.second_law_q, v
+            assert columns.beta == point.beta
+
+    SYSTEM = [
+        # chi = 0: every block's smaller level weight is 0, and eta = 0 where
+        # epsilon_b = -alpha or +alpha
+        pytest.param(TwoSpinParams(0.3, 0.8, 1.2, 0.0, 1.0),
+                     np.array([-1.5, -0.8, -0.3, 0.0, 0.8, 2.0]), id="chi0_eta0"),
+        pytest.param(TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0), np.linspace(-5.0, 5.0, 41),
+                     id="golden"),
+        # beta * spread >= 1e3
+        pytest.param(TwoSpinParams(1.0, 0.5, 0.7, 0.4, 800.0), np.linspace(-1.0, 1.0, 41),
+                     id="beta800"),
+        pytest.param(TwoSpinParams(1.0, 0.5, 0.7, 0.4, 1e4), np.array([-2.0, 0.5, 3.0]),
+                     id="beta1e4"),
+    ]
+    INTERACTION = [
+        # alpha = epsilon: the uncoupled A has a block with eta = 0; chi_b = 0
+        # gives B blocks whose smaller level weight is 0
+        pytest.param((0.8, 0.8, 0.0, 1.0), np.array([-1.0, 0.0, 0.4, 1.0]), id="chi0_eta0"),
+        pytest.param((1.0, 5.0, 1.2, 1.0), np.linspace(-3.0, 3.0, 31), id="golden"),
+        pytest.param((1.0, 0.5, 0.4, 800.0), np.linspace(-1.0, 1.0, 21), id="beta800"),
+    ]
+
+    @pytest.mark.parametrize("p_a, values", SYSTEM)
+    def test_system(self, p_a, values):
+        self.assert_columns_equal_points(system_quench_ledger(p_a, values), values,
+                                         lambda v: system_quench_ledger(p_a, v))
+
+    @pytest.mark.parametrize("params, values", INTERACTION)
+    def test_interaction(self, params, values):
+        eps, alpha, chi_b, beta = params
+        self.assert_columns_equal_points(
+            interaction_quench_ledger(eps, alpha, values, chi_b, beta), values,
+            lambda v: interaction_quench_ledger(eps, alpha, v, chi_b, beta))
+
+    def test_grids_reach_every_block_branch(self, monkeypatch):
+        # each kind's grids above pass through every branch of `_block`
+        seen = set()
+        original = twospin._block
+
+        def recorded(a, chi, b):
+            eta = np.hypot(a, chi)
+            seen.add("eta0" if eta == 0 else "small0" if chi == 0 else "general")
+            if eta and b * 2 * eta >= 1e3:
+                seen.add("beta_spread_1e3")
+            return original(a, chi, b)
+
+        monkeypatch.setattr(twospin, "_block", recorded)
+        every = {"eta0", "small0", "general", "beta_spread_1e3"}
+        for p_a, values in (case.values for case in self.SYSTEM):
+            system_quench_ledger(p_a, values)
+        assert seen == every
+        seen.clear()
+        for (eps, alpha, chi_b, beta), values in (case.values for case in self.INTERACTION):
+            interaction_quench_ledger(eps, alpha, values, chi_b, beta)
+        assert seen == every
 
 
 class TestSystemQuenchLedger:
