@@ -32,8 +32,8 @@ from .quench import (
     VIOLATION_THRESHOLD,
     QuenchSpec,
     ThermoLedger,
-    _sweep_ledger,
     run_quench,
+    run_sweep,
 )
 from .thermo import _check_beta, embed_reservoir, embed_system
 from .twospin import (
@@ -102,7 +102,7 @@ def _parse_matrix(key: str, text: str, side: int) -> np.ndarray:
 
 
 def load_config(path: str) -> RunConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # a % in a value is literal
     try:
         if not parser.read(path):
             raise ConfigError(f"cannot read config file {path}")
@@ -247,7 +247,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
     grid = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
     h_a, h_b, h_r, oracle = _two_spin_config(cfg, grid)
-    columns = _sweep_ledger(h_a, h_b, h_r, cfg.beta, cfg.quench)
+    columns = run_sweep(h_a, h_b, h_r, cfg.beta, cfg.quench)
     fields, eng, ora = ThermoLedger.FIELDS, _table(columns), _table(oracle())
     header = ["value", *(f"{side}_{name}" for name in fields for side in ("eng", "ora")),
               *(f"flag_{kind}_{name}" for kind in "wq" for name in ("diff", "hstar", "estar"))]
@@ -310,7 +310,7 @@ def cmd_compare(cfg: RunConfig) -> int:
             value = float(rng.uniform(-2, 2)) if kind == SYSTEM_QUENCH else p.gamma
             h_a, h_b, h_r, oracle = _two_spin_sweep(
                 kind, (p.epsilon, p.alpha, p.gamma, p.chi), p.beta, value)
-            engine = _sweep_ledger(h_a, h_b[None], h_r, p.beta, kind)
+            engine = run_sweep(h_a, h_b[None], h_r, p.beta, kind)
             cells.append((_table(engine), _table(oracle())))
     frac = _oracle_fractions(*(np.vstack(side) for side in zip(*cells)), cfg.tolerances)
     # the first maximum over (kind, draw, field), named only when it is not 0

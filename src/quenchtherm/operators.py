@@ -88,8 +88,7 @@ class Operator:
 
     def expectation(self, rho: "Operator") -> float:
         """Real part of Tr(self @ rho); imaginary part must be round-off."""
-        if self.dims != rho.dims:
-            raise DimensionMismatch(f"dims {self.dims} vs {rho.dims}")
+        self._check_same_space(rho)
         return float(expectation(self.matrix, rho.matrix))
 
     def __add__(self, other: "Operator") -> "Operator":

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSpec, QuenchThermError, SupportMismatch
+from .errors import InvalidSpec, QuenchThermError, SupportMismatch
 from .operators import (
     DensityMatrix,
     Operator,
@@ -29,6 +29,7 @@ from .operators import (
 from .thermo import (
     ThermalContext,
     _check_beta,
+    _check_reservoir,
     _trace_out_weighted,
     gibbs,
     thermal_context,
@@ -69,11 +70,7 @@ def _check_quench(kind: str, final_mode: str, h_sur_a: Operator,
             f"global Hamiltonians must share a bipartite space, got "
             f"{h_sur_a.dims} and {dims_b}"
         )
-    if h_r.dims != (h_sur_a.dims[1],):
-        raise InvalidSpec(
-            f"reservoir dims {h_r.dims} inconsistent with "
-            f"global dims {h_sur_a.dims}"
-        )
+    _check_reservoir(h_sur_a.dims, h_r)
     if kind == SYSTEM_QUENCH:
         _check_acts_on_s_only(h_sur_b - h_sur_a.matrix, h_sur_a.dims)
     elif kind == INTERACTION_QUENCH:
@@ -272,9 +269,19 @@ def run_quench(spec: QuenchSpec) -> ThermoLedger:
     return _records(_ledgers(*spec._contexts, spec.final_mode, spec.t_f))[0]
 
 
-def _sweep_ledger(h_sur_a: Operator, h_sur_b_stack: np.ndarray, h_r: Operator,
-                  beta: float, kind: str) -> ThermoLedger:
-    """`run_sweep`'s ledgers as one ledger of (N,) columns."""
+def run_sweep(
+    h_sur_a: Operator, h_sur_b_stack: np.ndarray, h_r: Operator, beta: float,
+    kind: str = GENERAL_QUENCH,
+) -> ThermoLedger:
+    """Equilibrated quenches from H_A to each member of a (N, D, D) stack.
+
+    One ledger whose fields are (N,) columns: member k, entry k of every
+    column, equals `run_quench` on the matching `QuenchSpec`.  It comes from
+    one context of the (N + 1, D, D) stack [H_A; stack]: one broadcasting
+    global `eigh`.  The stack shares H_A's dims; every member gets the checks
+    a `QuenchSpec` makes, and errors name H_A or the first bad member of the
+    caller's stack.
+    """
     stack = np.asarray(h_sur_b_stack, dtype=complex)
     if stack.ndim != 3 or len(stack) == 0 or stack.shape[1:] != h_sur_a.matrix.shape:
         raise InvalidSpec(f"post-quench stack must have shape (N, {h_sur_a.side}, "
@@ -293,21 +300,6 @@ def _sweep_ledger(h_sur_a: Operator, h_sur_b_stack: np.ndarray, h_r: Operator,
         raise
     ctx_a, ctx_b = ctx._members(slice(1)), ctx._members(slice(1, None))
     return _ledgers(ctx_a, ctx_b, _eigen_overlap(ctx_a, ctx_b), EQUILIBRATED, 0.0)
-
-
-def run_sweep(
-    h_sur_a: Operator, h_sur_b_stack: np.ndarray, h_r: Operator, beta: float,
-    kind: str = GENERAL_QUENCH,
-) -> list[ThermoLedger]:
-    """Equilibrated quenches from H_A to each member of a (N, D, D) stack.
-
-    One ledger per member, equal to `run_quench` on the matching
-    `QuenchSpec`, from one context of the (N + 1, D, D) stack [H_A; stack]:
-    one broadcasting global `eigh`.  The stack shares H_A's dims; every
-    member gets the checks a `QuenchSpec` makes, and errors name H_A or the
-    first bad member of the caller's stack.
-    """
-    return _records(_sweep_ledger(h_sur_a, h_sur_b_stack, h_r, beta, kind))
 
 
 def _check_first_law(works, heats, u_initial, u_final):
@@ -339,8 +331,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     sigma is effectively rank-deficient where rho carries weight, signalling
     a divergent value.
     """
-    if rho.dims != sigma.dims:
-        raise DimensionMismatch(f"dims {rho.dims} vs {sigma.dims}")
+    rho.op._check_same_space(sigma.op)
     dec_r, dec_s = rho.op.eig, sigma.op.eig
     p, q = np.clip(dec_r.eigenvalues, 0.0, None), dec_s.eigenvalues
     overlap = dagger(dec_s.eigenvectors) @ dec_r.eigenvectors

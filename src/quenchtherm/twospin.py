@@ -137,6 +137,8 @@ def _quench_ledger(p_a: TwoSpinParams, values: float | np.ndarray, point) -> The
     W_diff = sum dtheta_k <O_k>_A and Q_diff = sum theta_B,k d<O_k>; each
     H*/E* row is a two-term sum over sz_S.
     """
+    if np.ndim(values) > 1:
+        raise ValueError(f"swept values need at most one axis, got shape {np.shape(values)}")
     points = [point(v) for v in np.ravel(values).tolist()]
     if not points:
         raise ValueError("the oracle needs at least one swept value")

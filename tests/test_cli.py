@@ -225,17 +225,17 @@ class TestSweepColumns:
         capsys.readouterr()
         grid = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
         h_a, h_b, h_r, _ = cli._two_spin_config(cfg, grid)
-        ledgers = run_sweep(h_a, h_b, h_r, cfg.beta, kind)
+        columns = run_sweep(h_a, h_b, h_r, cfg.beta, kind)
         lines = out.read_text().splitlines()
         header = lines[0].split(",")
-        assert len(lines) == len(ledgers) + 1
-        for line, ledger in zip(lines[1:], ledgers):
+        assert len(lines) == len(grid) + 1
+        flags = [*columns.second_law_w, *columns.second_law_q]
+        for k, line in enumerate(lines[1:]):
             row = dict(zip(header, line.split(",")))
-            for name, value in ledger.numeric_fields().items():
-                assert float(row[f"eng_{name}"]) == value, name
-            flags = ledger.second_law_w + ledger.second_law_q
-            assert [row[f"flag_{k}_{d}"] for k in "wq" for d in ("diff", "hstar", "estar")] \
-                == ["1" if f else "0" for f in flags]
+            for name in ThermoLedger.FIELDS:
+                assert float(row[f"eng_{name}"]) == getattr(columns, name)[k], name
+            assert [row[f"flag_{w}_{d}"] for w in "wq" for d in ("diff", "hstar", "estar")] \
+                == ["1" if f[k] else "0" for f in flags]
 
 
 class TestSweepOracleStatics:
@@ -469,7 +469,7 @@ class TestCompare:
     def test_zero_limit_passes_an_exact_match(self, tmp_path, capsys, monkeypatch):
         ledger = twospin.system_quench_ledger(TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0),
                                               np.array([0.5]))
-        monkeypatch.setattr(cli, "_sweep_ledger", lambda *args: ledger)
+        monkeypatch.setattr(cli, "run_sweep", lambda *args: ledger)
         monkeypatch.setattr(cli, "system_quench_ledger", lambda *args: ledger)
         monkeypatch.setattr(cli, "interaction_quench_ledger", lambda *args: ledger)
         cfg = write(tmp_path, "c.ini", "[run]\nmode = compare\ncount = 2\n")
@@ -576,7 +576,8 @@ class TestErrors:
     @pytest.mark.parametrize("text, fault", [
         (RUN_TWO_SPIN + "alpha = 0.9\n", "DuplicateOptionError"),
         ("beta = 1.0\n" + RUN_TWO_SPIN, "MissingSectionHeaderError"),
-        (RUN_TWO_SPIN.replace("beta = 1.0", "beta = 1%"), "InterpolationSyntaxError"),
+        # a % is literal, so "1%" reaches float() as it stands
+        (RUN_TWO_SPIN.replace("beta = 1.0", "beta = 1%"), "ValueError"),
         (RUN_CUSTOM.replace("d_r = 2\n", ""), "NoOptionError"),
     ], ids=["duplicate_option", "no_section_header", "bare_percent", "missing_d_r"])
     def test_malformed_ini_is_a_config_error(self, tmp_path, capsys, text, fault):
@@ -586,6 +587,14 @@ class TestErrors:
         assert type(info.value.__cause__).__name__ == fault
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: bad config {cfg}: ")
+
+    def test_percent_in_a_value_is_literal(self, tmp_path, capsys):
+        out = tmp_path / "a%b.csv"
+        cfg = write(tmp_path, "p.ini", SWEEP_SYSTEM.format(out=out))
+        assert cli.load_config(cfg).output_path == str(out)
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
+        assert capsys.readouterr().out == (tmp_path / "a%b.csv.summary.txt").read_text()
+        assert out.read_text().startswith("value,")
 
     @pytest.mark.parametrize("command", ["compare", "audit"])
     @pytest.mark.parametrize("count", [0, -3])

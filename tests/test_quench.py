@@ -87,6 +87,16 @@ class TestQuenchSpecValidation:
         with pytest.raises(InvalidSpec):
             QuenchSpec(h4, h6, Operator(np.zeros((2, 2)), (2,)), 1.0)
 
+    @pytest.mark.parametrize("kind", [SYSTEM_QUENCH, INTERACTION_QUENCH, GENERAL_QUENCH])
+    def test_reservoir_must_be_the_trailing_factor(self, kind):
+        h_a = two_spin_hamiltonian(TwoSpinParams(0.0, 0.8, 0.0, 0.0, 1.0))
+        h_r = Operator(np.diag([0.1, 0.2, 0.3]), (3,))
+        message = r"^reservoir dims \(3,\) vs global dims \(2, 2\)$"
+        with pytest.raises(DimensionMismatch, match=message):
+            QuenchSpec(h_a, h_a, h_r, 1.0, kind=kind)
+        with pytest.raises(DimensionMismatch, match=message):
+            run_sweep(h_a, h_a.matrix[None], h_r, 1.0, kind)
+
     @pytest.mark.parametrize("t_f", [np.nan, np.inf, -np.inf])
     def test_non_finite_t_f_rejected(self, t_f):
         p_a = TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0)
@@ -561,7 +571,8 @@ def independent_ledger(h_a, h_b, h_r, beta, mode=EQUILIBRATED, t_f=0.0):
 
 
 class TestRunSweep:
-    """run_sweep: one broadcasting eigh per stack, ledgers equal to per-point ones."""
+    """run_sweep: one broadcasting eigh per stack, a ledger of (N,) columns equal to
+    per-point ones."""
 
     P_A = TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0)
     GRID = np.linspace(-5.0, 5.0, 41)
@@ -573,15 +584,31 @@ class TestRunSweep:
 
     def test_two_global_eigh_for_41_points(self, eig_calls):
         h_a, stack, h_r, beta = self.system_sweep()
-        ledgers = run_sweep(h_a, stack, h_r, beta, SYSTEM_QUENCH)
-        assert len(ledgers) == 41
+        ledger = run_sweep(h_a, stack, h_r, beta, SYSTEM_QUENCH)
+        assert all(getattr(ledger, name).shape == (41,) for name in ThermoLedger.FIELDS)
         assert eig_calls["eigh"].count(4) == 1
         assert eig_calls["eigvalsh"].count(4) == 0
 
+    @pytest.mark.parametrize("kind", [SYSTEM_QUENCH, INTERACTION_QUENCH])
+    def test_members_equal_run_quench(self, kind):
+        # N = 41 members of one context against 41 contexts of one member each
+        p = self.P_A if kind == SYSTEM_QUENCH else TwoSpinParams(1.0, 5.0, 0.0, 0.0, 1.0)
+        stack = (two_spin_matrices(self.GRID, p.alpha, p.gamma, p.chi) if kind == SYSTEM_QUENCH
+                 else two_spin_matrices(p.epsilon, p.alpha, self.GRID, 1.2))
+        h_a, h_r = two_spin_hamiltonian(p), reservoir_hamiltonian(p)
+        columns = run_sweep(h_a, stack, h_r, p.beta, kind)
+        for k, mat in enumerate(stack):
+            single = run_quench(QuenchSpec(h_a, Operator(mat, (2, 2)), h_r, p.beta, kind=kind))
+            for name, value in single.numeric_fields().items():
+                assert getattr(columns, name)[k] == value, (k, name)
+            assert tuple(f[k] for f in columns.second_law_w) == single.second_law_w
+            assert tuple(f[k] for f in columns.second_law_q) == single.second_law_q
+            assert columns.beta[k] == single.beta
+
     def test_system_ledgers_match_independent_assembly(self):
         h_a, stack, h_r, beta = self.system_sweep()
-        ledgers = run_sweep(h_a, stack, h_r, beta, SYSTEM_QUENCH)
-        for mat, ledger in zip(stack, ledgers):
+        ledgers = _records(run_sweep(h_a, stack, h_r, beta, SYSTEM_QUENCH))
+        for mat, ledger in zip(stack, ledgers, strict=True):
             expected, _ = independent_ledger(h_a, Operator(mat, (2, 2)), h_r, beta)
             for name, value in ledger.numeric_fields().items():
                 assert abs(value - expected[name]) <= 1e-12, name
@@ -593,8 +620,8 @@ class TestRunSweep:
         h_a, _, h_r, _ = random_bipartite(rng, 3, 4, scale=0.5)
         stack = np.stack([random_bipartite(rng, 3, 4, scale=0.5)[0].matrix
                           for _ in range(5)])
-        ledgers = run_sweep(h_a, stack, h_r, 0.7)
-        for mat, ledger in zip(stack, ledgers):
+        ledgers = _records(run_sweep(h_a, stack, h_r, 0.7))
+        for mat, ledger in zip(stack, ledgers, strict=True):
             expected, _ = independent_ledger(h_a, Operator(mat, (3, 4)), h_r, 0.7)
             for name, value in ledger.numeric_fields().items():
                 assert abs(value - expected[name]) <= 1e-12, name
@@ -607,7 +634,9 @@ class TestRunSweep:
     @pytest.mark.parametrize("beta", [0.7, np.float64(0.7), 2], ids=["float", "float64", "int"])
     def test_each_record_carries_beta_as_a_float(self, beta):
         h_a, stack, h_r, _ = self.system_sweep()
-        for ledger in run_sweep(h_a, stack[:3], h_r, beta, SYSTEM_QUENCH):
+        columns = run_sweep(h_a, stack[:3], h_r, beta, SYSTEM_QUENCH)
+        assert columns.beta.dtype == float and columns.beta.tolist() == [beta] * 3
+        for ledger in _records(columns):
             assert type(ledger.beta) is float and ledger.beta == beta
 
     def test_non_hermitian_member_named(self):

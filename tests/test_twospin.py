@@ -115,6 +115,12 @@ class TestOracleRecord:
                            *led.second_law_q):
                 assert column.shape == (1,)
 
+    def test_array_of_more_than_one_axis_is_rejected(self):
+        with pytest.raises(ValueError, match=r"at most one axis, got shape \(1, 2\)$"):
+            system_quench_ledger(BENCH, np.array([[0.1, 0.2]]))
+        with pytest.raises(ValueError, match=r"at most one axis, got shape \(2, 1\)$"):
+            interaction_quench_ledger(1.0, 5.0, np.array([[0.1], [0.2]]), 1.2, 1.0)
+
     def test_empty_array_is_rejected(self):
         with pytest.raises(ValueError, match="at least one swept value"):
             system_quench_ledger(BENCH, np.array([]))
