@@ -294,10 +294,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_audit(cfg: RunConfig) -> int:
-    report = run_invariant_audit(cfg.seed, n_quenches=cfg.count,
-                                 tolerances=cfg.tolerances)
-    return _emit("\n".join(report.lines()) + "\n", cfg.output_path,
-                 EXIT_OK if report.passed else EXIT_TOLERANCE)
+    lines, passed = run_invariant_audit(cfg.seed, cfg.count, cfg.tolerances)
+    return _emit("\n".join(lines) + "\n", cfg.output_path,
+                 EXIT_OK if passed else EXIT_TOLERANCE)
 
 
 def cmd_compare(cfg: RunConfig) -> int:

@@ -52,7 +52,6 @@ class GibbsEnsemble:
     """A Hamiltonian at beta: its Gibbs populations, ln Z and <H>; the state on read."""
 
     hamiltonian: Operator
-    beta: float
     populations: np.ndarray  # descending, on the Hamiltonian's ascending eigenvalues
     log_partition: float
     mean_energy: float
@@ -66,11 +65,10 @@ class GibbsEnsemble:
 
 @dataclass(frozen=True, eq=False)
 class MeanForceBundle:
-    """Mean-force Hamiltonian, its beta-derivative companion, ln Z*_S and F_S."""
+    """Mean-force Hamiltonian, its beta-derivative companion, and F_S."""
 
     h_star: Operator
     e_star: Operator
-    log_z_star: float
     f_s: float
 
 
@@ -87,7 +85,7 @@ def gibbs(h: Operator, beta: float) -> GibbsEnsemble:
     _, weights, z, _, log_z = _gibbs_weights(evals, beta)
     populations = weights / z
     populations.setflags(write=False)  # the state's cached eigenvalues are views of it
-    return GibbsEnsemble(h, beta, populations, float(log_z), float((evals * populations).sum()))
+    return GibbsEnsemble(h, populations, float(log_z), float((evals * populations).sum()))
 
 
 def log_partition(h: Operator, beta: float) -> float:
@@ -159,7 +157,6 @@ class ThermalContext:
     rho_s: np.ndarray  # (N, d_s, d_s), reduced Gibbs states M / Tr M = M / z
     h_star: np.ndarray  # (N, d_s, d_s)
     e_star: np.ndarray  # (N, d_s, d_s)
-    log_z_star: np.ndarray  # (N,)
     f_s: np.ndarray  # (N,)
     u_r: np.ndarray  # (N,), <H_R>_beta
 
@@ -194,7 +191,7 @@ class ThermalContext:
         e_star = _symmetrized(dlog) - u_r[:, None, None] * np.eye(dims[0])
         log_z_star = _gibbs_weights(hstar_evals, b)[-1]
         return cls(tuple(dims), beta, evals, evecs, weights / z, log_w - log_z, log_m - log_z,
-                   v, m / z[..., None], h_star, e_star, log_z_star, -log_z_star / beta, u_r)
+                   v, m / z[..., None], h_star, e_star, -log_z_star / beta, u_r)
 
     def _members(self, index: slice) -> "ThermalContext":
         """The members `index` selects, as a context of views of these arrays."""
@@ -216,10 +213,10 @@ def thermal_context(h_sur: Operator, h_r: Operator, beta: float) -> ThermalConte
 
 
 def mean_force_bundle(h_sur: Operator, h_r: Operator, beta: float) -> MeanForceBundle:
-    """H*, E*, ln Z*_S and F_S of one bipartite Hamiltonian over `h_r` at beta."""
+    """H*, E* and F_S = -ln Z*_S / beta of one bipartite Hamiltonian over `h_r` at beta."""
     ctx, d_s = thermal_context(h_sur, h_r, beta), h_sur.dims[:1]
     return MeanForceBundle(Operator(ctx.h_star[0], d_s), Operator(ctx.e_star[0], d_s),
-                           float(ctx.log_z_star[0]), float(ctx.f_s[0]))
+                           float(ctx.f_s[0]))
 
 
 def mean_force_hamiltonian(h_sur: Operator, h_r: Operator, beta: float) -> Operator:

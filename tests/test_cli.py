@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quenchtherm import cli, twospin
+from quenchtherm import audits, cli, twospin
 from quenchtherm.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, main
 from quenchtherm.quench import ThermoLedger, _records, run_sweep
 from quenchtherm.twospin import TwoSpinParams
@@ -449,6 +449,37 @@ class TestAudit:
         ])
         assert code == EXIT_TOLERANCE
         assert "RESULT FAIL" in capsys.readouterr().out
+
+    def test_nan_residual_fails_its_suite(self, tmp_path, capsys, monkeypatch):
+        real = audits.second_law_audit
+        monkeypatch.setattr(audits, "second_law_audit",
+                            lambda spec, ledger: replace(real(spec, ledger), residual_diff=np.nan))
+        cfg = write(tmp_path, "a.ini", AUDIT_CFG)
+        assert main(["audit", "--config", cfg]) == EXIT_TOLERANCE
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL  relative_entropy_diff    worst=nan tol=1.0e-08 cases=30" in lines
+        assert lines[-1] == "RESULT FAIL"
+        assert sum(line.startswith("FAIL") for line in lines) == 1
+
+    @pytest.mark.parametrize("n_quenches", [0, -3])
+    def test_case_count_below_one_rejected(self, n_quenches):
+        with pytest.raises(ValueError, match="n_quenches must be at least 1"):
+            audits.run_invariant_audit(7, n_quenches)
+
+    def test_case_count_has_no_default(self):
+        with pytest.raises(TypeError):
+            audits.run_invariant_audit(7)
+
+    def test_one_line_per_tolerance_in_order(self, tmp_path, capsys):
+        lines, passed = audits.run_invariant_audit(7, 3)
+        assert passed and lines[0] == "invariant audit, seed=7" and lines[-1] == "RESULT PASS"
+        suites = [line.split() for line in lines[1:-1]]
+        assert [fields[1] for fields in suites] == list(audits.DEFAULT_TOLERANCES)
+        assert [fields[-1] for fields in suites] == [
+            f"cases={n}" for n in (100, 50, 50, 3, 50, 50, 3, 3, 3, 3, 3, 50)]
+        cfg = write(tmp_path, "a.ini", "[run]\nseed = 7\ncount = 3\n")
+        assert main(["audit", "--config", cfg]) == EXIT_OK
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
 
 class TestCompare:
