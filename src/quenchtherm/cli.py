@@ -18,7 +18,7 @@ import argparse
 import configparser
 import functools
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,6 +67,11 @@ FMT = "%.17g"
 #: The H_B parameter a two_spin quench of each kind sets, and a sweep varies
 _SWEPT = {SYSTEM_QUENCH: "epsilon_b", INTERACTION_QUENCH: "gamma_b"}
 
+#: Keys each config section may hold (None: checked where read); mode and variable are retired
+_CONFIG_KEYS = {"run": "mode model quench beta seed count", "sweep": "variable start stop count",
+                "output": "path", "space": "d_s d_r", "parameters": None, "tolerances": None,
+                "matrices": "h_s_a h_s_b h_s h_r v h_sur_a h_sur_b"}
+
 
 class ConfigError(Exception):
     pass
@@ -106,14 +111,18 @@ def load_config(path: str) -> RunConfig:
     try:
         if not parser.read(path):
             raise ConfigError(f"cannot read config file {path}")
-        run = parser["run"]
-        cfg = RunConfig(
-            model=run.get("model", "two_spin"),
-            quench=run.get("quench", SYSTEM_QUENCH),
-            beta=run.getfloat("beta", 1.0),
-            seed=run.getint("seed", 1),
-            count=run.getint("count", 100),
-        )
+        for section in parser.sections():
+            if section not in _CONFIG_KEYS:
+                raise ConfigError(f"unknown config section [{section}]")
+            for key in parser.options(section) if _CONFIG_KEYS[section] else ():
+                if key not in _CONFIG_KEYS[section].split():
+                    raise ConfigError(f"unknown key {key!r} in [{section}]")
+        run, cfg = parser["run"], RunConfig()
+        cfg.model = run.get("model", cfg.model)
+        cfg.quench = run.get("quench", cfg.quench)
+        cfg.beta = run.getfloat("beta", cfg.beta)
+        cfg.seed = run.getint("seed", cfg.seed)
+        cfg.count = run.getint("count", cfg.count)
         if cfg.model not in ("two_spin", "custom_matrix"):
             raise ConfigError(f"unknown model {cfg.model!r}")
         if cfg.quench not in (SYSTEM_QUENCH, INTERACTION_QUENCH, GENERAL_QUENCH):
@@ -126,11 +135,11 @@ def load_config(path: str) -> RunConfig:
             cfg.parameters = {k: float(v) for k, v in parser["parameters"].items()}
         if parser.has_section("sweep"):
             sweep = parser["sweep"]
-            cfg.sweep_start = sweep.getfloat("start", 0.0)
-            cfg.sweep_stop = sweep.getfloat("stop", 0.0)
-            cfg.sweep_count = sweep.getint("count", 0)
+            cfg.sweep_start = sweep.getfloat("start", cfg.sweep_start)
+            cfg.sweep_stop = sweep.getfloat("stop", cfg.sweep_stop)
+            cfg.sweep_count = sweep.getint("count", cfg.sweep_count)
         if parser.has_section("output"):
-            cfg.output_path = parser["output"].get("path", "")
+            cfg.output_path = parser["output"].get("path", cfg.output_path)
         if parser.has_section("tolerances"):
             cfg.tolerances = {k: float(v) for k, v in parser["tolerances"].items()}
         if parser.has_section("space"):
@@ -145,8 +154,6 @@ def load_config(path: str) -> RunConfig:
                 "v": d_s * d_r, "h_sur_a": d_s * d_r, "h_sur_b": d_s * d_r,
             }
             for key in parser.options("matrices"):
-                if key not in sides:
-                    raise ConfigError(f"unknown matrix key {key!r}")
                 cfg.matrices[key] = _parse_matrix(
                     key, parser.get("matrices", key), sides[key]
                 )
@@ -162,23 +169,19 @@ def _require(cfg: RunConfig, *names: str) -> list[float]:
     return [cfg.parameters[name] for name in names]
 
 
-def _two_spin_sweep(kind: str, params, beta: float, values: float | np.ndarray):
-    """(H_A, post-quench H_B, H_R, oracle) of two-spin quenches at `values`.
-
-    `params` is (epsilon, alpha, gamma, chi).  A system quench starts from them and
-    sets epsilon to each value; an interaction quench starts from gamma = chi = 0 and
-    switches on gamma = value and chi.  A float gives one H_B, an (N,) array a stack;
-    `oracle()`, run only when called, is then the closed-form record or (N,) columns.
-    """
-    eps, alpha, gamma, chi = params
+def _two_spin_sweep(kind: str, p: TwoSpinParams, values: np.ndarray):
+    """(H_A, (N, 4, 4) H_B stack, H_R, oracle) of two-spin quenches at (N,) `values`:
+    a system quench sets p's epsilon to each value, an interaction quench switches gamma =
+    value and p.chi on from zero.  `oracle()`, run when called, returns (N,) columns."""
     if kind == SYSTEM_QUENCH:
-        p_a = TwoSpinParams(eps, alpha, gamma, chi, beta)
-        h_b = two_spin_matrices(values, alpha, gamma, chi)
-        oracle = functools.partial(system_quench_ledger, p_a, values)
+        p_a = p
+        h_b = two_spin_matrices(values, p.alpha, p.gamma, p.chi)
+        oracle = functools.partial(system_quench_ledger, p, values)
     else:
-        p_a = TwoSpinParams(eps, alpha, 0.0, 0.0, beta)
-        h_b = two_spin_matrices(eps, alpha, values, chi)
-        oracle = functools.partial(interaction_quench_ledger, eps, alpha, values, chi, beta)
+        p_a = replace(p, gamma=0.0, chi=0.0)
+        h_b = two_spin_matrices(p.epsilon, p.alpha, values, p.chi)
+        oracle = functools.partial(interaction_quench_ledger, p.epsilon, p.alpha, values,
+                                   p.chi, p.beta)
     return two_spin_hamiltonian(p_a), h_b, reservoir_hamiltonian(p_a), oracle
 
 
@@ -191,11 +194,11 @@ def _two_spin_config(cfg: RunConfig, values: np.ndarray | None = None):
     if not np.all(np.isfinite(values)):
         raise ConfigError("sweep values must be finite")
     if cfg.quench == SYSTEM_QUENCH:
-        params = _require(cfg, "epsilon_a", "alpha", "gamma", "chi")
+        p = TwoSpinParams(*_require(cfg, "epsilon_a", "alpha", "gamma", "chi"), cfg.beta)
     else:
         eps, alpha, chi_b = _require(cfg, "epsilon", "alpha", "chi_b")
-        params = (eps, alpha, 0.0, chi_b)
-    return _two_spin_sweep(cfg.quench, params, cfg.beta, values)
+        p = TwoSpinParams(eps, alpha, 0.0, chi_b, cfg.beta)
+    return _two_spin_sweep(cfg.quench, p, values)
 
 
 def _write(path: str, text: str) -> bool:
@@ -217,8 +220,8 @@ def _emit(text: str, path: str, code: int) -> int:
 
 
 def _table(ledger: ThermoLedger) -> np.ndarray:
-    """The (N, F) numeric fields of a ledger of (N,) columns, or (1, F) of a record."""
-    return np.atleast_2d(np.array([getattr(ledger, name) for name in ThermoLedger.FIELDS]).T)
+    """The (N, F) numeric fields of a ledger of (N,) columns."""
+    return np.array([getattr(ledger, name) for name in ThermoLedger.FIELDS]).T
 
 
 def _oracle_fractions(eng: np.ndarray, ora: np.ndarray, tol: dict[str, float]) -> np.ndarray:
@@ -240,8 +243,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ConfigError("sweep mode requires the two_spin model")
     if cfg.sweep_count < 2:
         raise ConfigError(f"sweep count must be >= 2, got {cfg.sweep_count}")
-    if cfg.sweep_start == cfg.sweep_stop:
-        raise ConfigError("sweep start and stop must differ")
+    if not 0 < abs(cfg.sweep_stop - cfg.sweep_start) < np.inf:  # NaN fails too
+        raise ConfigError("sweep start and stop must differ and span a finite range")
     if not cfg.output_path:
         raise ConfigError("sweep mode needs an output path")
 
@@ -306,10 +309,9 @@ def cmd_compare(cfg: RunConfig) -> int:
     for kind in kinds:
         for _ in range(cfg.count):
             p = random_two_spin_params(rng)
-            value = float(rng.uniform(-2, 2)) if kind == SYSTEM_QUENCH else p.gamma
-            h_a, h_b, h_r, oracle = _two_spin_sweep(
-                kind, (p.epsilon, p.alpha, p.gamma, p.chi), p.beta, value)
-            engine = run_sweep(h_a, h_b[None], h_r, p.beta, kind)
+            value = rng.uniform(-2, 2) if kind == SYSTEM_QUENCH else p.gamma
+            h_a, h_b, h_r, oracle = _two_spin_sweep(kind, p, np.array([value]))
+            engine = run_sweep(h_a, h_b, h_r, p.beta, kind)
             cells.append((_table(engine), _table(oracle())))
     frac = _oracle_fractions(*(np.vstack(side) for side in zip(*cells)), cfg.tolerances)
     # the first maximum over (kind, draw, field), named only when it is not 0

@@ -56,20 +56,15 @@ _FIRST_LAW_TOL = 1e-9
 _SUPPORT_FLOOR = 1e-14
 
 
-def _check_quench(kind: str, final_mode: str, h_sur_a: Operator,
-                  h_sur_b: np.ndarray, dims_b: tuple[int, ...], h_r: Operator,
+def _check_quench(kind: str, h_sur_a: Operator, h_sur_b: np.ndarray, h_r: Operator,
                   beta: float):
-    """Protocol names, beta, shared spaces and kind structure for a stack of B's."""
+    """Kind name, beta, H_A's bipartite space, the reservoir and the kind's
+    structure, for a (N, D, D) stack of B's on H_A's space."""
     if kind not in (SYSTEM_QUENCH, INTERACTION_QUENCH, GENERAL_QUENCH):
         raise InvalidSpec(f"unknown quench kind {kind!r}")
-    if final_mode not in (EQUILIBRATED, UNITARY):
-        raise InvalidSpec(f"unknown final mode {final_mode!r}")
     _check_beta(beta, InvalidSpec)
-    if len(h_sur_a.dims) != 2 or h_sur_a.dims != dims_b:
-        raise InvalidSpec(
-            f"global Hamiltonians must share a bipartite space, got "
-            f"{h_sur_a.dims} and {dims_b}"
-        )
+    if len(h_sur_a.dims) != 2:
+        raise InvalidSpec(f"global Hamiltonians must share a bipartite space, got {h_sur_a.dims}")
     _check_reservoir(h_sur_a.dims, h_r)
     if kind == SYSTEM_QUENCH:
         _check_acts_on_s_only(h_sur_b - h_sur_a.matrix, h_sur_a.dims)
@@ -102,8 +97,10 @@ class QuenchSpec:
     def __post_init__(self):
         if not math.isfinite(self.t_f):
             raise InvalidSpec(f"t_f must be finite, got {self.t_f}")
-        _check_quench(self.kind, self.final_mode, self.h_sur_a,
-                      self.h_sur_b.matrix[None], self.h_sur_b.dims, self.h_r, self.beta)
+        if self.final_mode not in (EQUILIBRATED, UNITARY):
+            raise InvalidSpec(f"unknown final mode {self.final_mode!r}")
+        self.h_sur_a._check_same_space(self.h_sur_b)
+        _check_quench(self.kind, self.h_sur_a, self.h_sur_b.matrix[None], self.h_r, self.beta)
         # NotHermitian here; the contexts read these cached eigenpairs anyway
         self.h_sur_a.eig, self.h_sur_b.eig, self.h_r.eig
 
@@ -286,7 +283,7 @@ def run_sweep(
     if stack.ndim != 3 or len(stack) == 0 or stack.shape[1:] != h_sur_a.matrix.shape:
         raise InvalidSpec(f"post-quench stack must have shape (N, {h_sur_a.side}, "
                           f"{h_sur_a.side}) with N >= 1, got {stack.shape}")
-    _check_quench(kind, EQUILIBRATED, h_sur_a, stack, h_sur_a.dims, h_r, beta)
+    _check_quench(kind, h_sur_a, stack, h_r, beta)
     reservoir = gibbs(h_r, beta)
     numbers = beta, reservoir.log_partition, reservoir.mean_energy
     hams = np.concatenate((h_sur_a.matrix[None], stack))

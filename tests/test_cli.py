@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -75,6 +76,13 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def setting(text, key, value):
+    """`text` with the value of its one `key = ...` line replaced by `value`."""
+    new, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    assert n == 1, key
+    return new
 
 
 class TestSweep:
@@ -200,11 +208,18 @@ class TestSweep:
         cells = self.oracle_cells(out)
         assert cells.shape == (41, len(ThermoLedger.FIELDS)) and np.isfinite(cells).all()
 
-    def test_degenerate_range_rejected(self, tmp_path, capsys):
-        bad = SWEEP_SYSTEM.replace("stop = 5.0", "stop = -5.0")
-        cfg = write(tmp_path, "d.ini", bad.format(out=tmp_path / "x.csv"))
+    @pytest.mark.parametrize("start, stop", [
+        ("5.0", "5.0"), ("inf", "1"), ("1", "-inf"), ("nan", "1"), ("1e308", "-1e308")])
+    def test_degenerate_range_rejected(self, tmp_path, capsys, start, stop):
+        # (1e308, -1e308) spans more than a float: linspace would overflow
+        text = setting(setting(SWEEP_SYSTEM, "start", start), "stop", stop)
+        cfg = write(tmp_path, "d.ini", text.format(out=tmp_path / "x.csv"))
         assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: sweep start and stop must differ and span a finite range\n")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_single_point_rejected(self, tmp_path, capsys):
         bad = SWEEP_SYSTEM.replace("count = 41", "count = 1")
@@ -421,6 +436,33 @@ class TestRun:
         capsys.readouterr()
 
 
+# the two-spin numbers of each kind's config
+TWO_SPIN_NUMBERS = {"system": ("epsilon_a", "alpha", "gamma", "chi"),
+                    "interaction": ("epsilon", "alpha", "chi_b")}
+
+
+class TestTwoSpinNumbers:
+    """Every two-spin number reaches `TwoSpinParams`, which checks it.  chi_b used to
+    reach only the H_B matrices, where NaN raised a NotHermitian traceback."""
+
+    TEMPLATES = {("run", "system"): RUN_TWO_SPIN, ("run", "interaction"): RUN_INTERACTION,
+                 ("sweep", "system"): SWEEP_SYSTEM, ("sweep", "interaction"): SWEEP_INTERACTION}
+    FIELD = {"epsilon_a": "epsilon", "chi_b": "chi"}  # the TwoSpinParams field it sets
+
+    @pytest.mark.parametrize("command, kind, name, value", [
+        (command, kind, name, value) for command in ("run", "sweep")
+        for kind, names in TWO_SPIN_NUMBERS.items() for name in names
+        for value in (("nan", "1e400") if name == "chi_b" else ("nan",))])
+    def test_non_finite_number_is_a_config_error(
+            self, tmp_path, capsys, command, kind, name, value):
+        text = setting(self.TEMPLATES[command, kind], name, value)
+        cfg = write(tmp_path, "n.ini", text.format(out=tmp_path / "x.csv"))
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {self.FIELD.get(name, name)} must be finite\n"
+
+
 class TestAudit:
     def test_passes_and_is_deterministic(self, tmp_path, capsys):
         cfg = write(tmp_path, "a.ini", AUDIT_CFG)
@@ -525,7 +567,7 @@ class TestCompare:
     def test_nan_cell_fails(self, tmp_path, capsys, monkeypatch):
         original = cli.system_quench_ledger
         monkeypatch.setattr(cli, "system_quench_ledger",
-                            lambda *args: replace(original(*args), w_diff=float("nan")))
+                            lambda *args: replace(original(*args), w_diff=np.array([np.nan])))
         cfg = write(tmp_path, "c.ini", "[run]\nmode = compare\ncount = 3\n")
         assert main(["compare", "--config", cfg]) == EXIT_TOLERANCE
         out = capsys.readouterr().out
@@ -665,3 +707,24 @@ class TestErrors:
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
             "config error: matrix 'h_r' needs 4 row-major entries, got 3\n")
+
+    @pytest.mark.parametrize("command, text, message", [
+        # betta used to fall back to beta = 1 and print the beta = 1 golden
+        ("run", RUN_TWO_SPIN.replace("beta = 1.0", "betta = 2.0"), "unknown key 'betta' in [run]"),
+        # [tolerance] used to be skipped: the audit passed at its default tolerances
+        ("audit", AUDIT_CFG + "\n[tolerance]\nfactorization = 0\n",
+         "unknown config section [tolerance]"),
+        ("run", RUN_CUSTOM + "h_x = 1, 0, 0, 1\n", "unknown key 'h_x' in [matrices]"),
+    ], ids=["run_key", "section", "matrix_key"])
+    def test_unknown_config_name_is_a_config_error(
+            self, tmp_path, capsys, command, text, message):
+        assert main([command, "--config", write(tmp_path, "u.ini", text)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
+
+def test_run_config_owns_the_defaults(tmp_path):
+    text = "[run]\nmodel = custom_matrix\nquench = general\nbeta = 2.5\n"
+    cfg = cli.load_config(write(tmp_path, "d.ini", text))
+    assert cfg == cli.RunConfig(model="custom_matrix", quench="general", beta=2.5)

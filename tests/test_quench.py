@@ -84,7 +84,7 @@ class TestQuenchSpecValidation:
     def test_dims_must_match(self):
         h4 = Operator(np.zeros((4, 4)), (2, 2))
         h6 = Operator(np.zeros((6, 6)), (2, 3))
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(DimensionMismatch, match=r"^dims \(2, 2\) vs \(2, 3\)$"):
             QuenchSpec(h4, h6, Operator(np.zeros((2, 2)), (2,)), 1.0)
 
     @pytest.mark.parametrize("kind", [SYSTEM_QUENCH, INTERACTION_QUENCH, GENERAL_QUENCH])
