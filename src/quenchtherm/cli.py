@@ -7,7 +7,8 @@ Subcommands:
   compare  engine-vs-oracle ledger diff on seeded random parameter grids
 
 Configs are INI files (key = value with [section] headers); the subcommand is
-the mode, and the quench kind names the swept parameter.  Each command prints
+the mode, and the quench kind names the swept parameter.  A subcommand accepts
+only the names, tolerances and --seed it reads (`_READS`).  Each command prints
 its report and writes it to --out or [output] path when one is set.  Exit
 codes: 0 success, 1 invariant or tolerance failure or failed write, 2 config error.
 """
@@ -54,23 +55,29 @@ DEFAULT_TOL = {
     "oracle_match_abs": 1e-10,
 }
 
-#: Tolerance names each subcommand accepts from --tol and [tolerances]
-TOLERANCE_TABLES = {
-    "run": {},
-    "sweep": DEFAULT_TOL,
-    "compare": DEFAULT_TOL,
-    "audit": DEFAULT_TOLERANCES,
-}
-
 FMT = "%.17g"
 
 #: The H_B parameter a two_spin quench of each kind sets, and a sweep varies
 _SWEPT = {SYSTEM_QUENCH: "epsilon_b", INTERACTION_QUENCH: "gamma_b"}
 
-#: Keys each config section may hold (None: checked where read); mode and variable are retired
-_CONFIG_KEYS = {"run": "mode model quench beta seed count", "sweep": "variable start stop count",
-                "output": "path", "space": "d_s d_r", "parameters": None, "tolerances": None,
-                "matrices": "h_s_a h_s_b h_s h_r v h_sur_a h_sur_b"}
+#: What each subcommand reads: config names by section, under "tolerances" the names
+#: and defaults of its tolerances, and under "inputs" the names each (model, quench
+#: kind) it takes adds.  mode and [sweep] variable are retired: they load, unread
+_READS = {
+    "run": {"run": "mode model quench beta", "output": "path", "inputs": {
+        ("two_spin", SYSTEM_QUENCH): {"parameters": "epsilon_a alpha gamma chi epsilon_b"},
+        ("two_spin", INTERACTION_QUENCH): {"parameters": "epsilon alpha chi_b gamma_b"},
+        ("custom_matrix", SYSTEM_QUENCH): {"space": "d_s d_r", "matrices": "h_s_a h_s_b h_r v"},
+        ("custom_matrix", INTERACTION_QUENCH): {"space": "d_s d_r", "matrices": "h_s h_r v"},
+        ("custom_matrix", GENERAL_QUENCH): {"space": "d_s d_r",
+                                            "matrices": "h_sur_a h_sur_b h_r"}}},
+    "sweep": {"run": "mode model quench beta", "sweep": "variable start stop count",
+              "output": "path", "tolerances": DEFAULT_TOL, "inputs": {
+                  ("two_spin", SYSTEM_QUENCH): {"parameters": "epsilon_a alpha gamma chi"},
+                  ("two_spin", INTERACTION_QUENCH): {"parameters": "epsilon alpha chi_b"}}},
+    "audit": {"run": "mode seed count", "output": "path", "tolerances": DEFAULT_TOLERANCES},
+    "compare": {"run": "mode seed count", "output": "path", "tolerances": DEFAULT_TOL},
+}
 
 
 class ConfigError(Exception):
@@ -106,40 +113,47 @@ def _parse_matrix(key: str, text: str, side: int) -> np.ndarray:
     return matrix
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, command: str) -> RunConfig:
+    """The config at `path` as `command` reads it; a name it does not read is an error."""
     parser = configparser.ConfigParser(interpolation=None)  # a % in a value is literal
     try:
         if not parser.read(path):
             raise ConfigError(f"cannot read config file {path}")
+        run, cfg, reads = parser["run"], RunConfig(), dict(_READS[command])
+        if "inputs" in reads:  # the model and quench kind name the other inputs
+            cfg.model = run.get("model", cfg.model)
+            cfg.quench = run.get("quench", cfg.quench)
+            cfg.beta = run.getfloat("beta", cfg.beta)
+            if cfg.model not in ("two_spin", "custom_matrix"):
+                raise ConfigError(f"unknown model {cfg.model!r}")
+            if cfg.quench not in (SYSTEM_QUENCH, INTERACTION_QUENCH, GENERAL_QUENCH):
+                raise ConfigError(f"unknown quench kind {cfg.quench!r}")
+            _check_beta(cfg.beta, ConfigError)
+            inputs = reads.pop("inputs").get((cfg.model, cfg.quench))
+            if inputs is None:
+                raise ConfigError("sweep mode requires the two_spin model"
+                                  if cfg.model != "two_spin" else
+                                  "two_spin quenches are system or interaction quenches")
+            reads.update(inputs)
+        else:
+            cfg.seed = run.getint("seed", cfg.seed)
+            cfg.count = run.getint("count", cfg.count)
+            if cfg.count < 1:
+                raise ConfigError(f"count must be >= 1, got {cfg.count}")
         for section in parser.sections():
-            if section not in _CONFIG_KEYS:
+            if section not in reads:
                 raise ConfigError(f"unknown config section [{section}]")
-            for key in parser.options(section) if _CONFIG_KEYS[section] else ():
-                if key not in _CONFIG_KEYS[section].split():
+            # tolerance names are checked in main, with those from --tol
+            for key in parser.options(section) if section != "tolerances" else ():
+                if key not in reads[section].split():
                     raise ConfigError(f"unknown key {key!r} in [{section}]")
-        run, cfg = parser["run"], RunConfig()
-        cfg.model = run.get("model", cfg.model)
-        cfg.quench = run.get("quench", cfg.quench)
-        cfg.beta = run.getfloat("beta", cfg.beta)
-        cfg.seed = run.getint("seed", cfg.seed)
-        cfg.count = run.getint("count", cfg.count)
-        if cfg.model not in ("two_spin", "custom_matrix"):
-            raise ConfigError(f"unknown model {cfg.model!r}")
-        if cfg.quench not in (SYSTEM_QUENCH, INTERACTION_QUENCH, GENERAL_QUENCH):
-            raise ConfigError(f"unknown quench kind {cfg.quench!r}")
-        _check_beta(cfg.beta, ConfigError)
-        if cfg.count < 1:
-            raise ConfigError(f"count must be >= 1, got {cfg.count}")
 
         if parser.has_section("parameters"):
             cfg.parameters = {k: float(v) for k, v in parser["parameters"].items()}
-        if parser.has_section("sweep"):
-            sweep = parser["sweep"]
-            cfg.sweep_start = sweep.getfloat("start", cfg.sweep_start)
-            cfg.sweep_stop = sweep.getfloat("stop", cfg.sweep_stop)
-            cfg.sweep_count = sweep.getint("count", cfg.sweep_count)
-        if parser.has_section("output"):
-            cfg.output_path = parser["output"].get("path", cfg.output_path)
+        cfg.sweep_start = parser.getfloat("sweep", "start", fallback=cfg.sweep_start)
+        cfg.sweep_stop = parser.getfloat("sweep", "stop", fallback=cfg.sweep_stop)
+        cfg.sweep_count = parser.getint("sweep", "count", fallback=cfg.sweep_count)
+        cfg.output_path = parser.get("output", "path", fallback=cfg.output_path)
         if parser.has_section("tolerances"):
             cfg.tolerances = {k: float(v) for k, v in parser["tolerances"].items()}
         if parser.has_section("space"):
@@ -149,13 +163,10 @@ def load_config(path: str) -> RunConfig:
             )
         if parser.has_section("matrices"):
             d_s, d_r = cfg.space
-            sides = {
-                "h_s_a": d_s, "h_s_b": d_s, "h_s": d_s, "h_r": d_r,
-                "v": d_s * d_r, "h_sur_a": d_s * d_r, "h_sur_b": d_s * d_r,
-            }
+            sides = {"h_s_a": d_s, "h_s_b": d_s, "h_s": d_s, "h_r": d_r}  # the rest are D x D
             for key in parser.options("matrices"):
                 cfg.matrices[key] = _parse_matrix(
-                    key, parser.get("matrices", key), sides[key]
+                    key, parser.get("matrices", key), sides.get(key, d_s * d_r)
                 )
     except (ValueError, KeyError, configparser.Error) as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
@@ -185,14 +196,8 @@ def _two_spin_sweep(kind: str, p: TwoSpinParams, values: np.ndarray):
     return two_spin_hamiltonian(p_a), h_b, reservoir_hamiltonian(p_a), oracle
 
 
-def _two_spin_config(cfg: RunConfig, values: np.ndarray | None = None):
-    """`_two_spin_sweep` with a two_spin config's parameters, by default at its H_B value."""
-    if cfg.quench not in _SWEPT:
-        raise ConfigError("two_spin quenches are system or interaction quenches")
-    if values is None:
-        values = np.array(_require(cfg, _SWEPT[cfg.quench]))
-    if not np.all(np.isfinite(values)):
-        raise ConfigError("sweep values must be finite")
+def _two_spin_config(cfg: RunConfig, values: np.ndarray):
+    """`_two_spin_sweep` with a two_spin config's parameters, at (N,) H_B `values`."""
     if cfg.quench == SYSTEM_QUENCH:
         p = TwoSpinParams(*_require(cfg, "epsilon_a", "alpha", "gamma", "chi"), cfg.beta)
     else:
@@ -239,8 +244,6 @@ def _oracle_fractions(eng: np.ndarray, ora: np.ndarray, tol: dict[str, float]) -
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.model != "two_spin":
-        raise ConfigError("sweep mode requires the two_spin model")
     if cfg.sweep_count < 2:
         raise ConfigError(f"sweep count must be >= 2, got {cfg.sweep_count}")
     if not 0 < abs(cfg.sweep_stop - cfg.sweep_start) < np.inf:  # NaN fails too
@@ -353,8 +356,11 @@ def _custom_spec(cfg: RunConfig) -> QuenchSpec:
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    if cfg.model == "two_spin":
-        h_a, h_b, h_r, _ = _two_spin_config(cfg)
+    if cfg.model == "two_spin":  # the H_B value; a sweep's grid is checked by cmd_sweep
+        value = np.array(_require(cfg, _SWEPT[cfg.quench]))
+        if not np.isfinite(value[0]):
+            raise ConfigError(f"{_SWEPT[cfg.quench]} must be finite")
+        h_a, h_b, h_r, _ = _two_spin_config(cfg, value)
         spec = QuenchSpec(h_a, Operator(h_b[0], h_a.dims), h_r, cfg.beta, kind=cfg.quench)
     else:
         spec = _custom_spec(cfg)
@@ -376,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="strong-coupling quench thermodynamics toolbox",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "sweep", "audit", "compare"):
+    for name in _READS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=(name != "audit"))
         p.add_argument("--seed", type=int, default=None)
@@ -389,11 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        reads = _READS[args.command]
         if args.config:
-            cfg = load_config(args.config)
+            cfg = load_config(args.config, args.command)
         else:
             cfg = RunConfig()
         if args.seed is not None:
+            if "seed" not in reads["run"].split():
+                raise ConfigError(f"{args.command} does not read --seed")
             cfg.seed = args.seed
         if args.out is not None:
             cfg.output_path = args.out
@@ -402,7 +411,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"bad --tol override {item!r}")
             name, _, value = item.partition("=")
             cfg.tolerances[name] = float(value)
-        known = TOLERANCE_TABLES[args.command]
+        known = reads.get("tolerances", {})
         for name, value in cfg.tolerances.items():
             if name not in known:
                 raise ConfigError(
@@ -411,7 +420,7 @@ def main(argv=None) -> int:
                 )
             if not 0 <= value < np.inf:  # NaN fails too; it would pass every gate
                 raise ConfigError(f"tolerance {name!r} must be finite and >= 0, got {value}")
-        cfg.tolerances = {**known, **cfg.tolerances}  # a new dict: the tables stay as they are
+        cfg.tolerances = {**known, **cfg.tolerances}  # a new dict: the defaults stay as they are
         handler = {
             "run": cmd_run, "sweep": cmd_sweep,
             "audit": cmd_audit, "compare": cmd_compare,

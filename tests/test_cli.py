@@ -235,7 +235,7 @@ class TestSweepColumns:
         (SWEEP_SYSTEM, "system"), (SWEEP_INTERACTION, "interaction")])
     def test_cells_equal_run_sweep_records(self, tmp_path, capsys, template, kind):
         out = tmp_path / "s.csv"
-        cfg = cli.load_config(write(tmp_path, "s.ini", template.format(out=out)))
+        cfg = cli.load_config(write(tmp_path, "s.ini", template.format(out=out)), "sweep")
         assert main(["sweep", "--config", str(tmp_path / "s.ini")]) == EXIT_OK
         capsys.readouterr()
         grid = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
@@ -642,7 +642,7 @@ class TestErrors:
     def test_non_finite_beta_is_a_config_error(self, tmp_path, capsys, beta):
         cfg = write(tmp_path, "c.ini", RUN_CUSTOM.replace("beta = 0.9", f"beta = {beta}"))
         with pytest.raises(cli.ConfigError, match="beta must be positive and finite"):
-            cli.load_config(cfg)
+            cli.load_config(cfg, "run")
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
 
@@ -656,7 +656,7 @@ class TestErrors:
     def test_malformed_ini_is_a_config_error(self, tmp_path, capsys, text, fault):
         cfg = write(tmp_path, "bad.ini", text)
         with pytest.raises(cli.ConfigError) as info:
-            cli.load_config(cfg)
+            cli.load_config(cfg, "run")
         assert type(info.value.__cause__).__name__ == fault
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: bad config {cfg}: ")
@@ -664,7 +664,7 @@ class TestErrors:
     def test_percent_in_a_value_is_literal(self, tmp_path, capsys):
         out = tmp_path / "a%b.csv"
         cfg = write(tmp_path, "p.ini", SWEEP_SYSTEM.format(out=out))
-        assert cli.load_config(cfg).output_path == str(out)
+        assert cli.load_config(cfg, "sweep").output_path == str(out)
         assert main(["sweep", "--config", cfg]) == EXIT_OK
         assert capsys.readouterr().out == (tmp_path / "a%b.csv.summary.txt").read_text()
         assert out.read_text().startswith("value,")
@@ -674,7 +674,7 @@ class TestErrors:
     def test_non_positive_count_is_a_config_error(self, tmp_path, capsys, command, count):
         cfg = write(tmp_path, "c.ini", f"[run]\nmode = {command}\ncount = {count}\n")
         with pytest.raises(cli.ConfigError, match=f"count must be >= 1, got {count}"):
-            cli.load_config(cfg)
+            cli.load_config(cfg, command)
         assert main([command, "--config", cfg]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -726,5 +726,124 @@ class TestErrors:
 
 def test_run_config_owns_the_defaults(tmp_path):
     text = "[run]\nmodel = custom_matrix\nquench = general\nbeta = 2.5\n"
-    cfg = cli.load_config(write(tmp_path, "d.ini", text))
+    cfg = cli.load_config(write(tmp_path, "d.ini", text), "run")
     assert cfg == cli.RunConfig(model="custom_matrix", quench="general", beta=2.5)
+
+
+def ini(sections: dict[str, dict[str, object]]) -> str:
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+                   for name, keys in sections.items())
+
+
+class TestSubcommandReads:
+    """Each subcommand accepts exactly the config names, tolerances and options that it
+    reads, as `cli._READS` lists them; each case below used to exit 0, its name unread."""
+
+    SWEEP_SYSTEM_INI = (DATA / "sweep_system.ini").read_text()
+    COMPARE = "[run]\nmode = compare\ncount = 2\n"
+    V = "v = " + ", ".join(["0.1"] * 16) + "\n"
+
+    @pytest.mark.parametrize("command, text, args, message", [
+        # a sweep takes [sweep] count
+        ("sweep", SWEEP_SYSTEM_INI.replace("beta = 1.0\n", "beta = 1.0\ncount = 5\n"), [],
+         "unknown key 'count' in [run]"),
+        # an interaction quench starts uncoupled: H_A has no gamma or chi
+        ("run", RUN_INTERACTION + "gamma = 0.3\n", [], "unknown key 'gamma' in [parameters]"),
+        ("run", RUN_INTERACTION + "chi = 0.4\n", [], "unknown key 'chi' in [parameters]"),
+        # a sweep's H_B values are its grid
+        ("sweep", SWEEP_SYSTEM_INI.replace("chi = 1.8\n", "chi = 1.8\nepsilon_b = 99\n"), [],
+         "unknown key 'epsilon_b' in [parameters]"),
+        # a general quench takes whole H_A and H_B
+        ("run", RUN_CUSTOM + V, [], "unknown key 'v' in [matrices]"),
+        ("compare", COMPARE + "beta = 7\n", [], "unknown key 'beta' in [run]"),
+        ("compare", COMPARE + "model = custom_matrix\n", [], "unknown key 'model' in [run]"),
+        ("run", RUN_TWO_SPIN + "\n[space]\nd_s = 2\nd_r = 2\n", [],
+         "unknown config section [space]"),
+        ("run", RUN_TWO_SPIN, ["--seed", "3"], "run does not read --seed"),
+        ("sweep", SWEEP_SYSTEM_INI, ["--seed", "3"], "sweep does not read --seed"),
+    ], ids=["sweep_run_count", "run_interaction_gamma", "run_interaction_chi",
+            "sweep_epsilon_b", "run_general_v", "compare_beta", "compare_model", "run_space",
+            "run_seed", "sweep_seed"])
+    def test_unread_name_is_a_config_error(self, tmp_path, capsys, command, text, args,
+                                           message):
+        out = tmp_path / "x.csv"
+        cfg = write(tmp_path, "u.ini", text.replace("{out}", str(out)))
+        assert main([command, "--config", cfg, *args]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("template, name, value", [
+        (RUN_INTERACTION, "gamma_b", "nan"), (RUN_TWO_SPIN, "epsilon_b", "nan"),
+        (RUN_TWO_SPIN, "epsilon_b", "-inf")],
+        ids=["gamma_b_nan", "epsilon_b_nan", "epsilon_b_-inf"])
+    def test_non_finite_h_b_value_names_its_parameter(self, tmp_path, capsys, template, name,
+                                                      value):
+        # a run has no sweep: this used to print "sweep values must be finite"
+        cfg = write(tmp_path, "r.ini", setting(template, name, value))
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {name} must be finite\n"
+
+    # a valid value for every name the table lists
+    VALUES = {
+        "sweep": {"variable": "epsilon_b", "start": -1.0, "stop": 1.0, "count": 3},
+        "parameters": {"epsilon_a": 0.0, "alpha": 0.8, "gamma": 1.2, "chi": 1.8,
+                       "epsilon_b": 1.5, "epsilon": 1.0, "chi_b": 1.2, "gamma_b": 0.7},
+        "space": {"d_s": 2, "d_r": 2},
+        "matrices": {"h_s_a": "0.5, 0.1, 0.1, -0.5", "h_s_b": "0.8, 0.1, 0.1, -0.8",
+                     "h_s": "0.5, 0.1, 0.1, -0.5", "h_r": "0.4, 0, 0, -0.4",
+                     "v": "0.1, 0, 0, 0.2, 0, -0.1, 0.3, 0, 0, 0.3, 0.1, 0, 0.2, 0, 0, -0.1",
+                     "h_sur_a": "0.5, 0, 0, 0.2, 0, -0.1, 0.3, 0, 0, 0.3, 0.1, 0, 0.2, 0, 0, "
+                                "-0.5",
+                     "h_sur_b": "0.8, 0, 0, 0.2, 0, -0.4, 0.3, 0, 0, 0.3, 0.4, 0, 0.2, 0, 0, "
+                                "-0.8"},
+    }
+
+    CASES = [(command, key) for command, reads in cli._READS.items()
+             for key in reads.get("inputs", [None])]
+
+    @classmethod
+    def sections(cls, tmp_path, command, key) -> dict[str, dict[str, object]]:
+        """Every name `command` reads for `key` = (model, quench kind), with a valid value."""
+        reads = {**cli._READS[command], **cli._READS[command].get("inputs", {}).get(key, {})}
+        reads.pop("inputs", None)
+        model, kind = key or (None, None)
+        run = {"mode": command, "model": model, "quench": kind, "beta": 1.0, "seed": 3,
+               "count": 2}
+        values = {**cls.VALUES, "run": run, "output": {"path": tmp_path / "out.csv"}}
+        return {section: dict(names) if isinstance(names, dict)
+                else {name: values[section][name] for name in names.split()}
+                for section, names in reads.items()}
+
+    @pytest.mark.parametrize("command, key", CASES)
+    def test_config_of_exactly_the_listed_names_runs(self, tmp_path, capsys, command, key):
+        cfg = write(tmp_path, "e.ini", ini(self.sections(tmp_path, command, key)))
+        assert main([command, "--config", cfg]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    MISSING = {"parameters": "missing parameter {!r}",
+               "matrices": "custom_matrix model needs matrix {!r}",
+               "space": "No option {!r} in section: 'space'"}
+
+    @pytest.mark.parametrize("command, key", [case for case in CASES if case[1]])
+    def test_each_model_input_is_read(self, tmp_path, capsys, command, key):
+        # dropping any one input gives the error of the code that reads it
+        sections = self.sections(tmp_path, command, key)
+        for section, names in cli._READS[command]["inputs"][key].items():
+            for name in names.split():
+                del sections[section][name]
+                cfg = write(tmp_path, "d.ini", ini(sections))
+                sections[section][name] = self.VALUES[section][name]
+                assert main([command, "--config", cfg]) == EXIT_CONFIG
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith("config error: ")
+                assert self.MISSING[section].format(name) in captured.err, (section, name)
+
+    @pytest.mark.parametrize("path", sorted(DATA.glob("*.ini")), ids=lambda p: p.stem)
+    def test_data_configs_load_under_their_mode(self, path):
+        mode = re.search(r"^mode = (\w+)$", path.read_text(), re.M).group(1)
+        assert cli.load_config(str(path), mode).model in ("two_spin", "custom_matrix")

@@ -582,7 +582,7 @@ class TestRunSweep:
         stack = two_spin_matrices(self.GRID, p.alpha, p.gamma, p.chi)
         return two_spin_hamiltonian(p), stack, reservoir_hamiltonian(p), p.beta
 
-    def test_two_global_eigh_for_41_points(self, eig_calls):
+    def test_one_global_eigh_for_41_points(self, eig_calls):
         h_a, stack, h_r, beta = self.system_sweep()
         ledger = run_sweep(h_a, stack, h_r, beta, SYSTEM_QUENCH)
         assert all(getattr(ledger, name).shape == (41,) for name in ThermoLedger.FIELDS)
