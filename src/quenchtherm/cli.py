@@ -33,10 +33,11 @@ from .quench import (
     VIOLATION_THRESHOLD,
     QuenchSpec,
     ThermoLedger,
+    _stack_ledgers,
     run_quench,
     run_sweep,
 )
-from .thermo import _check_beta, embed_reservoir, embed_system
+from .thermo import _check_beta, embed_reservoir, embed_system, gibbs
 from .twospin import (
     TwoSpinParams,
     interaction_quench_ledger,
@@ -119,6 +120,8 @@ def load_config(path: str, command: str) -> RunConfig:
     try:
         if not parser.read(path):
             raise ConfigError(f"cannot read config file {path}")
+        if not parser.has_section("run"):
+            raise ConfigError(f"bad config {path}: no [run] section")
         run, cfg, reads = parser["run"], RunConfig(), dict(_READS[command])
         if "inputs" in reads:  # the model and quench kind name the other inputs
             cfg.model = run.get("model", cfg.model)
@@ -157,10 +160,7 @@ def load_config(path: str, command: str) -> RunConfig:
         if parser.has_section("tolerances"):
             cfg.tolerances = {k: float(v) for k, v in parser["tolerances"].items()}
         if parser.has_section("space"):
-            cfg.space = (
-                parser.getint("space", "d_s"),
-                parser.getint("space", "d_r"),
-            )
+            cfg.space = (parser.getint("space", "d_s"), parser.getint("space", "d_r"))
         if parser.has_section("matrices"):
             d_s, d_r = cfg.space
             sides = {"h_s_a": d_s, "h_s_b": d_s, "h_s": d_s, "h_r": d_r}  # the rest are D x D
@@ -168,7 +168,7 @@ def load_config(path: str, command: str) -> RunConfig:
                 cfg.matrices[key] = _parse_matrix(
                     key, parser.get("matrices", key), sides.get(key, d_s * d_r)
                 )
-    except (ValueError, KeyError, configparser.Error) as exc:
+    except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
     return cfg
 
@@ -307,16 +307,21 @@ def cmd_audit(cfg: RunConfig) -> int:
 
 def cmd_compare(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
-    kinds, fields = (SYSTEM_QUENCH, INTERACTION_QUENCH), ThermoLedger.FIELDS
-    cells = []  # the (1, F) engine and oracle tables of each (kind, draw)
+    kinds, fields, n = (SYSTEM_QUENCH, INTERACTION_QUENCH), ThermoLedger.FIELDS, cfg.count
+    engine, oracle = [], []  # an (N, F) engine table per kind, a (1, F) oracle one per draw
     for kind in kinds:
-        for _ in range(cfg.count):
+        draws = []  # H_A, H_B, beta, ln Z_R and <H_R> of each draw
+        for _ in range(n):
             p = random_two_spin_params(rng)
             value = rng.uniform(-2, 2) if kind == SYSTEM_QUENCH else p.gamma
-            h_a, h_b, h_r, oracle = _two_spin_sweep(kind, p, np.array([value]))
-            engine = run_sweep(h_a, h_b, h_r, p.beta, kind)
-            cells.append((_table(engine), _table(oracle())))
-    frac = _oracle_fractions(*(np.vstack(side) for side in zip(*cells)), cfg.tolerances)
+            h_a, h_b, h_r, closed_form = _two_spin_sweep(kind, p, np.array([value]))
+            r = gibbs(h_r, p.beta)
+            draws.append((h_a.matrix, h_b[0], p.beta, r.log_partition, r.mean_energy))
+            oracle.append(_table(closed_form()))
+        h_as, h_bs, *numbers = zip(*draws)  # draw k's H_A is quenched to its H_B
+        engine.append(_table(_stack_ledgers(np.stack(h_as + h_bs), h_a.dims, *np.tile(numbers, 2),
+                                            slice(n), slice(n, None))))
+    frac = _oracle_fractions(np.vstack(engine), np.vstack(oracle), cfg.tolerances)
     # the first maximum over (kind, draw, field), named only when it is not 0
     row, col = divmod(int(frac.argmax()), len(fields))
     worst = float(frac[row, col])

@@ -32,7 +32,6 @@ from .thermo import (
     _check_reservoir,
     _trace_out_weighted,
     gibbs,
-    thermal_context,
     thermal_entropy,
 )
 
@@ -210,13 +209,13 @@ def _energies(ctx: ThermalContext, expectations: np.ndarray) -> np.ndarray:
 
 
 def _eigen_overlap(ctx_a: ThermalContext, ctx_b: ThermalContext) -> np.ndarray:
-    """C = U_B^dag U_A, (N, D, D), for ctx_a's one Hamiltonian and each of ctx_b's."""
+    """C = U_B^dag U_A, (N, D, D), of ctx_a's one or N Hamiltonians and ctx_b's N."""
     return dagger(ctx_b.evecs) @ ctx_a.evecs
 
 
 def _ledgers(ctx_a: ThermalContext, ctx_b: ThermalContext, overlap: np.ndarray,
              final_mode: str, t_f: float) -> ThermoLedger:
-    """Ledger of (N,) columns, of quenches from ctx_a's one Hamiltonian to each of ctx_b's.
+    """Ledger of (N,) columns, of quenches from ctx_a's one or N Hamiltonians to ctx_b's N.
 
     Quantities are (3, N) arrays, one row per definition (diff, H*, E*).
     Global energies come in eigen-coordinates from `overlap`, C = U_B^dag U_A:
@@ -285,17 +284,24 @@ def run_sweep(
                           f"{h_sur_a.side}) with N >= 1, got {stack.shape}")
     _check_quench(kind, h_sur_a, stack, h_r, beta)
     reservoir = gibbs(h_r, beta)
-    numbers = beta, reservoir.log_partition, reservoir.mean_energy
-    hams = np.concatenate((h_sur_a.matrix[None], stack))
+    return _stack_ledgers(np.concatenate((h_sur_a.matrix[None], stack)), h_sur_a.dims, beta,
+                          reservoir.log_partition, reservoir.mean_energy, slice(1), slice(1, None))
+
+
+def _stack_ledgers(hams: np.ndarray, dims: tuple[int, int], beta, log_z_r, u_r,
+                   pre: slice, post: slice) -> ThermoLedger:
+    """Equilibrated quenches of a (M, D, D) stack's `pre` members to its `post` ones: from one
+    to each, or member k to member k.  beta, ln Z_R and <H_R>_beta are shared or (M,) columns.
+    One context, so one broadcasting global `eigh`; when it fails, each side is redone alone,
+    so the error names a member by its index in its side, a one-member side without one."""
+    numbers = [np.full(len(hams), x, float) for x in (beta, log_z_r, u_r)]
     try:
-        ctx = ThermalContext.build(*eigh_stack(hams), h_sur_a.dims, *numbers)
+        ctx = ThermalContext.build(*eigh_stack(hams), dims, *numbers)
     except (QuenchThermError, ValueError):
-        # redo H_A and the stack apart, so that the error names H_A without
-        # an index, or the member by its index in the caller's stack
-        thermal_context(h_sur_a, h_r, beta)
-        ThermalContext.build(*eigh_stack(stack), h_sur_a.dims, *numbers)
+        for side in (pre, post):
+            ThermalContext.build(*eigh_stack(hams[side]), dims, *(x[side] for x in numbers))
         raise
-    ctx_a, ctx_b = ctx._members(slice(1)), ctx._members(slice(1, None))
+    ctx_a, ctx_b = ctx._members(pre), ctx._members(post)
     return _ledgers(ctx_a, ctx_b, _eigen_overlap(ctx_a, ctx_b), EQUILIBRATED, 0.0)
 
 

@@ -7,7 +7,13 @@ import pytest
 
 from quenchtherm import audits, cli, twospin
 from quenchtherm.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, main
-from quenchtherm.quench import ThermoLedger, _records, run_sweep
+from quenchtherm.quench import (
+    INTERACTION_QUENCH,
+    SYSTEM_QUENCH,
+    ThermoLedger,
+    _records,
+    run_sweep,
+)
 from quenchtherm.twospin import TwoSpinParams
 
 DATA = Path(__file__).parent / "data"
@@ -540,9 +546,11 @@ class TestCompare:
         assert out.endswith("RESULT FAIL\n")
 
     def test_zero_limit_passes_an_exact_match(self, tmp_path, capsys, monkeypatch):
-        ledger = twospin.system_quench_ledger(TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0),
-                                              np.array([0.5]))
-        monkeypatch.setattr(cli, "run_sweep", lambda *args: ledger)
+        p = TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0)
+        ledger = twospin.system_quench_ledger(p, np.array([0.5]))
+        # one engine batch of count = 2 draws per kind, one oracle call per draw
+        pair = twospin.system_quench_ledger(p, np.array([0.5, 0.5]))
+        monkeypatch.setattr(cli, "_stack_ledgers", lambda *args: pair)
         monkeypatch.setattr(cli, "system_quench_ledger", lambda *args: ledger)
         monkeypatch.setattr(cli, "interaction_quench_ledger", lambda *args: ledger)
         cfg = write(tmp_path, "c.ini", "[run]\nmode = compare\ncount = 2\n")
@@ -564,6 +572,45 @@ class TestCompare:
         assert captured.out.endswith("RESULT PASS\n")
         assert captured.err.startswith("write failure: ")
 
+    @staticmethod
+    def tables(tmp_path, monkeypatch, seed, count):
+        """compare's (2 count, F) engine and oracle tables, as its gate reads them."""
+        seen, gate = [], cli._oracle_fractions
+        monkeypatch.setattr(cli, "_oracle_fractions",
+                            lambda eng, ora, tol: seen.append((eng, ora)) or gate(eng, ora, tol))
+        cfg = write(tmp_path, "c.ini", f"[run]\ncount = {count}\n")
+        assert main(["compare", "--config", cfg, "--seed", str(seed)]) == EXIT_OK
+        [tables] = seen
+        return tables
+
+    @staticmethod
+    def per_draw_tables(seed, count):
+        """The same tables from one public `run_sweep` on a one-member stack per draw."""
+        rng, eng, ora = np.random.default_rng(seed), [], []
+        for kind in (SYSTEM_QUENCH, INTERACTION_QUENCH):
+            for _ in range(count):
+                p = audits.random_two_spin_params(rng)
+                value = rng.uniform(-2, 2) if kind == SYSTEM_QUENCH else p.gamma
+                h_a, h_b, h_r, oracle = cli._two_spin_sweep(kind, p, np.array([value]))
+                eng.append(cli._table(run_sweep(h_a, h_b, h_r, p.beta, kind)))
+                ora.append(cli._table(oracle()))
+        return np.vstack(eng), np.vstack(ora)
+
+    @pytest.mark.parametrize("count", [1, 25])
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    def test_batches_equal_per_draw_quenches(self, tmp_path, capsys, monkeypatch, seed, count):
+        eng, ora = self.tables(tmp_path, monkeypatch, seed, count)
+        ref_eng, ref_ora = self.per_draw_tables(seed, count)
+        assert eng.shape == (2 * count, len(ThermoLedger.FIELDS))
+        assert np.array_equal(eng, ref_eng) and np.array_equal(ora, ref_ora)
+        capsys.readouterr()
+
+    def test_one_global_eigh_per_kind(self, tmp_path, capsys, eig_calls):
+        cfg = write(tmp_path, "c.ini", "[run]\ncount = 25\n")
+        assert main(["compare", "--config", cfg, "--seed", "3"]) == EXIT_OK
+        assert eig_calls["eigh"].count(4) == 2
+        capsys.readouterr()
+
     def test_nan_cell_fails(self, tmp_path, capsys, monkeypatch):
         original = cli.system_quench_ledger
         monkeypatch.setattr(cli, "system_quench_ledger",
@@ -579,6 +626,14 @@ class TestErrors:
         code = main(["run", "--config", str(tmp_path / "nope.ini")])
         assert code == EXIT_CONFIG
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "audit", "compare"])
+    def test_config_without_run_section(self, tmp_path, capsys, command):
+        cfg = write(tmp_path, "x.ini", f"[output]\npath = {tmp_path / 'x'}\n")
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: bad config {cfg}: no [run] section\n"
 
     def test_malformed_tol_flag(self, tmp_path, capsys):
         cfg = write(tmp_path, "r.ini", RUN_TWO_SPIN)

@@ -691,6 +691,51 @@ class TestRunSweep:
                 run_sweep(h_a, bad, h_r, beta)
 
 
+class TestStackLedgers:
+    """The one stack -> ledger step: from one pre-quench member to each post-quench one,
+    as in a sweep, or member k to member k, as in compare."""
+
+    @staticmethod
+    def pairs(n, seed=29):
+        """n system quenches on 2 x 3 spaces, each with its own H_R and beta."""
+        rng, specs = np.random.default_rng(seed), []
+        for _ in range(n):
+            h_a, _, h_r, _ = random_bipartite(rng, 2, 3)
+            h_b = h_a + embed_system(random_bipartite(rng, 2, 1)[1], 3)
+            specs.append(QuenchSpec(h_a, h_b, h_r, float(rng.uniform(0.3, 2.0)),
+                                    kind=SYSTEM_QUENCH))
+        return specs
+
+    @staticmethod
+    def stack_of(specs):
+        """The (2 n, D, D) stack [H_A's; H_B's] and its (2 n,) beta, ln Z_R, <H_R>."""
+        reservoirs = [gibbs(s.h_r, s.beta) for s in specs]
+        numbers = [(s.beta, r.log_partition, r.mean_energy) for s, r in zip(specs, reservoirs)]
+        hams = np.stack([s.h_sur_a.matrix for s in specs] + [s.h_sur_b.matrix for s in specs])
+        return hams, *np.tile(np.transpose(numbers), 2)
+
+    def test_paired_members_equal_run_quench(self):
+        specs = self.pairs(6)
+        hams, *numbers = self.stack_of(specs)
+        columns = quench._stack_ledgers(hams, (2, 3), *numbers, slice(6), slice(6, None))
+        assert _records(columns) == [run_quench(spec) for spec in specs]
+
+    @pytest.mark.parametrize("member, named", [(2, 2), (4 + 3, 3)], ids=["pre", "post"])
+    def test_non_hermitian_member_named_in_its_side(self, member, named):
+        hams, *numbers = self.stack_of(self.pairs(4))
+        hams[member, 0, 1] += 1e-3
+        with pytest.raises(NotHermitian, match=f"at stack index {named}$"):
+            quench._stack_ledgers(hams, (2, 3), *numbers, slice(4), slice(4, None))
+
+    @pytest.mark.parametrize("bad", [0, 1], ids=["pre", "post"])
+    def test_one_member_side_named_without_index(self, bad):
+        hams, *numbers = self.stack_of(self.pairs(1))
+        hams[bad, 0, 1] += 1e-3
+        with pytest.raises(NotHermitian) as info:
+            quench._stack_ledgers(hams, (2, 3), *numbers, slice(1), slice(1, None))
+        assert str(info.value) == "hermiticity defect 1.000e-03 exceeds tolerance"
+
+
 class TestEvolveUnitary:
     def test_zero_time_identity(self):
         rho = gibbs(0.7 * pauli("z"), 1.0).state
