@@ -156,7 +156,7 @@ def run_invariant_audit(
         heat = np.maximum(led.q_diff - led.delta_s_diff / beta,
                           led.q_hstar - led.delta_s_hstar / beta)
         return (audit.residual_diff, audit.residual_hstar,
-                led.delta_f_s - led.w_diff, led.delta_f_s - led.w_hstar, heat)
+                -led.diss_diff, -led.diss_hstar, heat)
 
     def spin_case():
         # two-spin closed forms: diff and E* entropy changes coincide

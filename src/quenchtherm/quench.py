@@ -9,7 +9,7 @@ definitions (diff, H*, E*) give three parallel ledgers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -116,7 +116,14 @@ class QuenchSpec:
 
 @dataclass(frozen=True)
 class ThermoLedger:
-    """Full output record of one quench process, engine or closed form."""
+    """Full output record of one quench process, engine or closed form.
+
+    It stores what a quench computes and derives the rest on read: the
+    dissipated works W - dF_S and the second-law flags W >= dF_S and
+    Q <= dS / beta, each against VIOLATION_THRESHOLD; the heat flags are None
+    unless the final state is equilibrated.  Fields may hold (N,) columns of
+    N quenches, which `_records` splits; beta and equilibrated may be shared scalars.
+    """
 
     w_diff: float
     w_hstar: float
@@ -128,12 +135,8 @@ class ThermoLedger:
     delta_s_diff: float
     delta_s_hstar: float
     delta_s_estar: float
-    diss_diff: float
-    diss_hstar: float
-    diss_estar: float
-    second_law_w: tuple[bool, bool, bool]
-    second_law_q: tuple[bool, bool, bool] | None
     beta: float
+    equilibrated: bool
 
     FIELDS = (
         "w_diff", "w_hstar", "w_estar",
@@ -143,39 +146,31 @@ class ThermoLedger:
         "diss_diff", "diss_hstar", "diss_estar",
     )
 
+    diss_diff = property(lambda self: self.w_diff - self.delta_f_s)
+    diss_hstar = property(lambda self: self.w_hstar - self.delta_f_s)
+    diss_estar = property(lambda self: self.w_estar - self.delta_f_s)
+
+    @property
+    def second_law_w(self) -> tuple[bool, bool, bool]:
+        return tuple(d >= -VIOLATION_THRESHOLD
+                     for d in (self.diss_diff, self.diss_hstar, self.diss_estar))
+
+    @property
+    def second_law_q(self) -> tuple[bool, bool, bool] | None:
+        if not self.equilibrated:
+            return None
+        return tuple(ds / self.beta - q >= -VIOLATION_THRESHOLD for ds, q in (
+            (self.delta_s_diff, self.q_diff), (self.delta_s_hstar, self.q_hstar),
+            (self.delta_s_estar, self.q_estar)))
+
     def numeric_fields(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in self.FIELDS}
-
-    @classmethod
-    def assemble(cls, works, heats, delta_f_s: float, delta_s, beta: float,
-                 equilibrated: bool) -> ThermoLedger:
-        """Ledger from (diff, H*, E*) works, heats and entropy changes.
-
-        Derives the dissipated works W - dF_S and the second-law flags
-        W >= dF_S and Q <= dS / beta, each against VIOLATION_THRESHOLD; the
-        heat flags are None unless the final state is equilibrated.  Given
-        (3, N) arrays and (N,) dF_S and beta, the same expressions derive a ledger
-        of N quenches whose fields hold (N,) columns, which `_records` splits.
-        """
-        diss = [w - delta_f_s for w in works]
-        flags_q = None
-        if equilibrated:
-            flags_q = tuple(ds / beta - q >= -VIOLATION_THRESHOLD
-                            for ds, q in zip(delta_s, heats))
-        return cls(*works, *heats, delta_f_s, *delta_s, *diss,
-                   second_law_w=tuple(d >= -VIOLATION_THRESHOLD for d in diss),
-                   second_law_q=flags_q, beta=beta)
 
 
 def _records(columns: ThermoLedger) -> list[ThermoLedger]:
     """One record of Python scalars per quench of a ledger of (N,) columns."""
-    numbers = zip(*(getattr(columns, name).tolist() for name in ThermoLedger.FIELDS))
-    flags_w = zip(*(f.tolist() for f in columns.second_law_w))
-    flags_q = ([None] * len(columns.w_diff) if columns.second_law_q is None
-               else zip(*(f.tolist() for f in columns.second_law_q)))
-    betas = np.full(len(columns.w_diff), columns.beta, float).tolist()  # a column or a shared beta
-    return [ThermoLedger(*nums, second_law_w=w, second_law_q=q, beta=beta)
-            for nums, w, q, beta in zip(numbers, flags_w, flags_q, betas)]
+    values = np.broadcast_arrays(*(getattr(columns, f.name) for f in fields(columns)))
+    return [ThermoLedger(*record) for record in zip(*(v.tolist() for v in values))]
 
 
 def _propagate(evals: np.ndarray, evecs: np.ndarray, overlap: np.ndarray, t: float):
@@ -256,8 +251,8 @@ def _ledgers(ctx_a: ThermalContext, ctx_b: ThermalContext, overlap: np.ndarray,
     # Entropy changes between the equilibrium endpoints (independent of t_f).
     delta_s = (thermal_entropy(u_b, ctx_b.f_s, ctx_b.beta)
                - thermal_entropy(u_a, ctx_a.f_s, ctx_a.beta))
-    return ThermoLedger.assemble(works, heats, delta_f_s, delta_s, ctx_b.beta,
-                                 final_mode == EQUILIBRATED)
+    return ThermoLedger(*works, *heats, delta_f_s, *delta_s, ctx_b.beta,
+                        final_mode == EQUILIBRATED)
 
 
 def run_quench(spec: QuenchSpec) -> ThermoLedger:

@@ -157,11 +157,11 @@ def _quench_ledger(p_a: TwoSpinParams, values: float | np.ndarray, point) -> The
     (ha_p, ha_m), (hb_p, hb_m) = sa.h_star_diag, sb.h_star_diag
     (ea_p, ea_m), (eb_p, eb_m) = sa.e_star_diag, sb.e_star_diag
     (sa_d, sa_h, sa_e), (sb_d, sb_h, sb_e) = sa.entropies, sb.entropies
-    return ThermoLedger.assemble(
-        (w_diff, pa_p * (hb_p - ha_p) + pa_m * (hb_m - ha_m),
-         pa_p * (eb_p - ea_p) + pa_m * (eb_m - ea_m)),
-        (q_diff, dp * (hb_p - hb_m), dp * (eb_p - eb_m)),
-        sb.f_s - sa.f_s, (sb_d - sa_d, sb_h - sa_h, sb_e - sa_e), p_a.beta,
+    return ThermoLedger(
+        w_diff, pa_p * (hb_p - ha_p) + pa_m * (hb_m - ha_m),
+        pa_p * (eb_p - ea_p) + pa_m * (eb_m - ea_m),
+        q_diff, dp * (hb_p - hb_m), dp * (eb_p - eb_m),
+        sb.f_s - sa.f_s, sb_d - sa_d, sb_h - sa_h, sb_e - sa_e, p_a.beta,
         equilibrated=True,
     )
 

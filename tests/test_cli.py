@@ -167,8 +167,7 @@ class TestSweep:
     def test_non_finite_oracle_fails_the_gate(self, tmp_path, capsys, monkeypatch):
         def nan_ledger(p_a, eps_b):
             nan = np.full(len(eps_b), np.nan)
-            return ThermoLedger.assemble((nan,) * 3, (nan,) * 3, nan, (nan,) * 3, p_a.beta,
-                                         equilibrated=True)
+            return ThermoLedger(*(nan,) * 10, p_a.beta, equilibrated=True)
 
         monkeypatch.setattr(cli, "system_quench_ledger", nan_ledger)
         out = tmp_path / "nan.csv"
@@ -193,8 +192,10 @@ class TestSweep:
         assert main(["sweep", "--config", cfg]) == EXIT_TOLERANCE
         mismatches = [line for line in capsys.readouterr().out.splitlines()
                       if "MISMATCH" in line]
-        assert len(mismatches) == 1
+        # the shifted work moves its own dissipation
+        assert len(mismatches) == 2
         assert mismatches[0].startswith("ORACLE MISMATCH w_diff: worst tolerance fraction ")
+        assert mismatches[1].startswith("ORACLE MISMATCH diss_diff: worst tolerance fraction ")
 
     @pytest.mark.parametrize("variable", ["variable = alpha\n", ""])
     def test_label_names_the_swept_parameter(self, tmp_path, capsys, variable):

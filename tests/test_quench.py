@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,7 @@ from quenchtherm.thermo import embed_reservoir, embed_system
 from quenchtherm.twospin import (
     TwoSpinParams,
     reservoir_hamiltonian,
+    system_quench_ledger,
     two_spin_hamiltonian,
     two_spin_matrices,
 )
@@ -285,7 +288,7 @@ class TestRelativeEntropy:
 
 
 class TestThermoLedgerAssemble:
-    """The one place that derives dissipated works and second-law flags."""
+    """A ledger derives its dissipated works and second-law flags from its own fields."""
 
     EDGE = -VIOLATION_THRESHOLD
     BELOW = float(np.nextafter(-VIOLATION_THRESHOLD, -np.inf))
@@ -298,13 +301,13 @@ class TestThermoLedgerAssemble:
         return out
 
     def test_work_flag_threshold_is_inclusive(self):
-        led = ThermoLedger.assemble((self.EDGE, self.BELOW, 0.0), (0.0, 0.0, 0.0),
-                                    0.0, (0.0, 0.0, 0.0), 1.0, equilibrated=True)
+        led = ThermoLedger(self.EDGE, self.BELOW, 0.0, 0.0, 0.0, 0.0,
+                           0.0, 0.0, 0.0, 0.0, 1.0, equilibrated=True)
         assert (led.diss_diff, led.diss_hstar, led.diss_estar) == (self.EDGE, self.BELOW, 0.0)
         assert led.second_law_w == (True, False, True)
         zeros = np.zeros((3, 4))
-        cols = ThermoLedger.assemble(self.columns(self.EDGE, self.BELOW, 0.0), zeros,
-                                     np.zeros(4), zeros, 1.0, equilibrated=True)
+        cols = ThermoLedger(*self.columns(self.EDGE, self.BELOW, 0.0), *zeros,
+                            np.zeros(4), *zeros, 1.0, equilibrated=True)
         assert cols.diss_hstar.tolist() == [0.0, 0.0, self.BELOW, 0.0]
         assert np.array(cols.second_law_w).tolist() == [
             [True] * 4, [True, True, False, True], [True] * 4]
@@ -312,30 +315,51 @@ class TestThermoLedgerAssemble:
 
     def test_heat_flag_threshold_is_inclusive(self):
         # dS / beta - Q equals -Q here
-        led = ThermoLedger.assemble((0.0, 0.0, 0.0), (-self.EDGE, -self.BELOW, 0.0),
-                                    0.0, (0.0, 0.0, 0.0), 1.0, equilibrated=True)
+        led = ThermoLedger(0.0, 0.0, 0.0, -self.EDGE, -self.BELOW, 0.0,
+                           0.0, 0.0, 0.0, 0.0, 1.0, equilibrated=True)
         assert led.second_law_q == (True, False, True)
         zeros = np.zeros((3, 4))
-        cols = ThermoLedger.assemble(zeros, self.columns(-self.EDGE, -self.BELOW, 0.0),
-                                     np.zeros(4), zeros, 1.0, equilibrated=True)
+        cols = ThermoLedger(*zeros, *self.columns(-self.EDGE, -self.BELOW, 0.0),
+                            np.zeros(4), *zeros, 1.0, equilibrated=True)
         assert np.array(cols.second_law_q).tolist() == [
             [True] * 4, [True, True, False, True], [True] * 4]
         assert _records(cols)[2] == led
         assert _records(cols)[0].second_law_q == (True, True, True)
 
     def test_dissipated_work_subtracts_free_energy(self):
-        led = ThermoLedger.assemble((0.5, 0.25, -0.75), (0.1, 0.2, 0.5), 0.25,
-                                    (0.4, 0.5, 0.6), 2.0, equilibrated=True)
+        led = ThermoLedger(0.5, 0.25, -0.75, 0.1, 0.2, 0.5, 0.25,
+                           0.4, 0.5, 0.6, 2.0, equilibrated=True)
         assert (led.diss_diff, led.diss_hstar, led.diss_estar) == (0.25, 0.0, -1.0)
         assert led.second_law_w == (True, True, False)
         assert led.second_law_q == (True, True, False)
         assert led.beta == 2.0
 
     def test_unequilibrated_has_no_heat_flags(self):
-        led = ThermoLedger.assemble((0.5, 0.25, -0.75), (0.1, 0.2, 0.3), 0.25,
-                                    (0.4, 0.5, 0.6), 2.0, equilibrated=False)
+        led = ThermoLedger(0.5, 0.25, -0.75, 0.1, 0.2, 0.3, 0.25,
+                           0.4, 0.5, 0.6, 2.0, equilibrated=False)
         assert led.second_law_q is None
         assert led.second_law_w == (True, True, False)
+
+    # the oracle record of tests/data/run_two_spin.ini's quench
+    RECORD = system_quench_ledger(TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0), 1.5)
+
+    def test_replaced_work_moves_its_dissipation_and_flag(self):
+        led = self.RECORD
+        assert led.diss_diff > 0 and led.second_law_w == (True, True, True)
+        shifted = replace(led, w_diff=led.w_diff - 1.0)
+        assert shifted.diss_diff == (led.w_diff - 1.0) - led.delta_f_s < -VIOLATION_THRESHOLD
+        assert shifted.second_law_w == (False, True, True)
+        assert (shifted.diss_hstar, shifted.diss_estar) == (led.diss_hstar, led.diss_estar)
+
+    def test_replaced_heat_or_mode_moves_the_heat_flags(self):
+        led = self.RECORD
+        assert led.second_law_q == (True, True, True)
+        hot = replace(led, q_hstar=led.delta_s_hstar / led.beta + 1.0)
+        assert hot.second_law_q == (True, False, True)
+        unitary = replace(hot, equilibrated=False)
+        assert unitary.second_law_q is None
+        assert unitary.second_law_w == led.second_law_w
+        assert replace(unitary, w_estar=led.delta_f_s - 1.0).second_law_w == (True, True, False)
 
 
 class TestSecondLawAudit:
@@ -630,6 +654,30 @@ class TestRunSweep:
                 assert abs(getattr(ledger, name) - value) <= 1e-13, name
             assert (ledger.second_law_w, ledger.second_law_q) == (
                 single.second_law_w, single.second_law_q)
+
+    def test_column_sums_derive_their_own_flags(self):
+        # a totals record over the sweep: its dissipation is W - dF_S of the sums
+        h_a, stack, h_r, beta = self.system_sweep()
+        columns = run_sweep(h_a, stack, h_r, beta, SYSTEM_QUENCH)
+        sums = {f.name: float(getattr(columns, f.name).sum()) for f in fields(ThermoLedger)
+                if f.name not in ("beta", "equilibrated")}
+        total = ThermoLedger(**sums, beta=beta, equilibrated=True)
+        diss = [sums[f"w_{n}"] - sums["delta_f_s"] for n in ("diff", "hstar", "estar")]
+        assert [total.diss_diff, total.diss_hstar, total.diss_estar] == diss
+        assert total.diss_estar == pytest.approx(columns.diss_estar.sum(), abs=1e-12)
+        assert total.second_law_w == tuple(d >= -VIOLATION_THRESHOLD for d in diss)
+        assert total.second_law_q == tuple(
+            sums[f"delta_s_{n}"] / beta - sums[f"q_{n}"] >= -VIOLATION_THRESHOLD
+            for n in ("diff", "hstar", "estar"))
+
+    def test_records_hold_python_scalars(self):
+        h_a, stack, h_r, beta = self.system_sweep()
+        for ledger in _records(run_sweep(h_a, stack[:3], h_r, beta, SYSTEM_QUENCH)):
+            assert all(type(getattr(ledger, f.name)) is float for f in fields(ledger)
+                       if f.name != "equilibrated")
+            assert ledger.equilibrated is True
+            assert all(type(flag) is bool for flag in ledger.second_law_w + ledger.second_law_q)
+            assert all(type(v) is float for v in ledger.numeric_fields().values())
 
     @pytest.mark.parametrize("beta", [0.7, np.float64(0.7), 2], ids=["float", "float64", "int"])
     def test_each_record_carries_beta_as_a_float(self, beta):
