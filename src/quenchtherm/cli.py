@@ -8,7 +8,8 @@ Subcommands:
 
 Configs are INI files (key = value with [section] headers); the subcommand is
 the mode, and the quench kind names the swept parameter.  A subcommand accepts
-only the names, tolerances and --seed it reads (`_READS`).  Each command prints
+only the names, tolerances and --seed it reads (`_READS`, which also holds each
+name's default).  Each command prints
 its report and writes it to --out or [output] path when one is set.  Exit
 codes: 0 success, 1 invariant or tolerance failure or failed write, 2 config error.
 """
@@ -19,7 +20,8 @@ import argparse
 import configparser
 import functools
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -61,45 +63,36 @@ FMT = "%.17g"
 #: The H_B parameter a two_spin quench of each kind sets, and a sweep varies
 _SWEPT = {SYSTEM_QUENCH: "epsilon_b", INTERACTION_QUENCH: "gamma_b"}
 
-#: What each subcommand reads: config names by section, under "tolerances" the names
-#: and defaults of its tolerances, and under "inputs" the names each (model, quench
-#: kind) it takes adds.  mode and [sweep] variable are retired: they load, unread
+#: What each subcommand reads: by section, each config name with the default that also
+#: fixes its type; under "tolerances" its tolerance names and defaults; and under
+#: "inputs" the model inputs, all required, that each (model, quench kind) it takes adds
 _READS = {
-    "run": {"run": "mode model quench beta", "output": "path", "inputs": {
+    "run": {"run": {"mode": "run", "model": "two_spin", "quench": SYSTEM_QUENCH, "beta": 1.0},
+            "output": {"path": ""}, "inputs": {
         ("two_spin", SYSTEM_QUENCH): {"parameters": "epsilon_a alpha gamma chi epsilon_b"},
         ("two_spin", INTERACTION_QUENCH): {"parameters": "epsilon alpha chi_b gamma_b"},
         ("custom_matrix", SYSTEM_QUENCH): {"space": "d_s d_r", "matrices": "h_s_a h_s_b h_r v"},
         ("custom_matrix", INTERACTION_QUENCH): {"space": "d_s d_r", "matrices": "h_s h_r v"},
         ("custom_matrix", GENERAL_QUENCH): {"space": "d_s d_r",
                                             "matrices": "h_sur_a h_sur_b h_r"}}},
-    "sweep": {"run": "mode model quench beta", "sweep": "variable start stop count",
-              "output": "path", "tolerances": DEFAULT_TOL, "inputs": {
+    "sweep": {"run": {"mode": "sweep", "model": "two_spin", "quench": SYSTEM_QUENCH, "beta": 1.0},
+              "sweep": {"variable": "", "start": 0.0, "stop": 0.0, "count": 0},
+              "output": {"path": ""}, "tolerances": DEFAULT_TOL, "inputs": {
                   ("two_spin", SYSTEM_QUENCH): {"parameters": "epsilon_a alpha gamma chi"},
                   ("two_spin", INTERACTION_QUENCH): {"parameters": "epsilon alpha chi_b"}}},
-    "audit": {"run": "mode seed count", "output": "path", "tolerances": DEFAULT_TOLERANCES},
-    "compare": {"run": "mode seed count", "output": "path", "tolerances": DEFAULT_TOL},
+    "audit": {"run": {"mode": "audit", "seed": 1, "count": 100}, "output": {"path": ""},
+              "tolerances": DEFAULT_TOLERANCES},
+    "compare": {"run": {"mode": "compare", "seed": 1, "count": 100}, "output": {"path": ""},
+                "tolerances": DEFAULT_TOL},
 }
+
+#: The error for a model input a config leaves out; [space]'s is configparser's own
+_MISSING = {"parameters": "missing parameter {!r}",
+            "matrices": "custom_matrix model needs matrix {!r}"}
 
 
 class ConfigError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    model: str = "two_spin"
-    quench: str = SYSTEM_QUENCH
-    beta: float = 1.0
-    seed: int = 1
-    count: int = 100
-    parameters: dict[str, float] = field(default_factory=dict)
-    sweep_start: float = 0.0
-    sweep_stop: float = 0.0
-    sweep_count: int = 0
-    output_path: str = ""
-    tolerances: dict[str, float] = field(default_factory=dict)
-    matrices: dict[str, np.ndarray] = field(default_factory=dict)
-    space: tuple[int, int] = (2, 2)
 
 
 def _parse_matrix(key: str, text: str, side: int) -> np.ndarray:
@@ -114,70 +107,67 @@ def _parse_matrix(key: str, text: str, side: int) -> np.ndarray:
     return matrix
 
 
-def load_config(path: str, command: str) -> RunConfig:
-    """The config at `path` as `command` reads it; a name it does not read is an error."""
+def load_config(path: str | None, command: str) -> SimpleNamespace:
+    """The config at `path` (None: an empty one) as `command` reads it: one attribute per
+    name `_READS` lists for it, at its default when left out, plus `tolerances` and, for
+    the model inputs it reads, `parameters`, `space` and `matrices`.  A name it does not
+    read, or a model input left out, is an error."""
     parser = configparser.ConfigParser(interpolation=None)  # a % in a value is literal
     try:
-        if not parser.read(path):
+        if path is None:
+            parser.read_dict({"run": {}})
+        elif not parser.read(path):
             raise ConfigError(f"cannot read config file {path}")
         if not parser.has_section("run"):
             raise ConfigError(f"bad config {path}: no [run] section")
-        run, cfg, reads = parser["run"], RunConfig(), dict(_READS[command])
-        if "inputs" in reads:  # the model and quench kind name the other inputs
-            cfg.model = run.get("model", cfg.model)
-            cfg.quench = run.get("quench", cfg.quench)
-            cfg.beta = run.getfloat("beta", cfg.beta)
+        reads = dict(_READS[command])
+        inputs = reads.pop("inputs", {})
+        cfg = SimpleNamespace(tolerances={}, **{
+            name: type(default)(parser.get(section, name, fallback=default))
+            for section, names in reads.items() if section != "tolerances"
+            for name, default in names.items()})
+        if inputs:  # the model and quench kind name the other inputs
             if cfg.model not in ("two_spin", "custom_matrix"):
                 raise ConfigError(f"unknown model {cfg.model!r}")
             if cfg.quench not in (SYSTEM_QUENCH, INTERACTION_QUENCH, GENERAL_QUENCH):
                 raise ConfigError(f"unknown quench kind {cfg.quench!r}")
             _check_beta(cfg.beta, ConfigError)
-            inputs = reads.pop("inputs").get((cfg.model, cfg.quench))
-            if inputs is None:
+            if (cfg.model, cfg.quench) not in inputs:
                 raise ConfigError("sweep mode requires the two_spin model"
                                   if cfg.model != "two_spin" else
                                   "two_spin quenches are system or interaction quenches")
+            inputs = {section: names.split()
+                      for section, names in inputs[cfg.model, cfg.quench].items()}
             reads.update(inputs)
-        else:
-            cfg.seed = run.getint("seed", cfg.seed)
-            cfg.count = run.getint("count", cfg.count)
-            if cfg.count < 1:
-                raise ConfigError(f"count must be >= 1, got {cfg.count}")
+        elif cfg.count < 1:
+            raise ConfigError(f"count must be >= 1, got {cfg.count}")
         for section in parser.sections():
             if section not in reads:
                 raise ConfigError(f"unknown config section [{section}]")
             # tolerance names are checked in main, with those from --tol
             for key in parser.options(section) if section != "tolerances" else ():
-                if key not in reads[section].split():
+                if key not in reads[section]:
                     raise ConfigError(f"unknown key {key!r} in [{section}]")
+        if cfg.mode != command:
+            raise ConfigError(f"[run] mode = {cfg.mode}, but the subcommand is {command}")
+        for section, names in inputs.items():
+            for name in names:
+                if not parser.has_option(section, name):
+                    raise (ConfigError(_MISSING[section].format(name)) if section in _MISSING
+                           else configparser.NoOptionError(name, section))
 
-        if parser.has_section("parameters"):
-            cfg.parameters = {k: float(v) for k, v in parser["parameters"].items()}
-        cfg.sweep_start = parser.getfloat("sweep", "start", fallback=cfg.sweep_start)
-        cfg.sweep_stop = parser.getfloat("sweep", "stop", fallback=cfg.sweep_stop)
-        cfg.sweep_count = parser.getint("sweep", "count", fallback=cfg.sweep_count)
-        cfg.output_path = parser.get("output", "path", fallback=cfg.output_path)
         if parser.has_section("tolerances"):
             cfg.tolerances = {k: float(v) for k, v in parser["tolerances"].items()}
-        if parser.has_section("space"):
-            cfg.space = (parser.getint("space", "d_s"), parser.getint("space", "d_r"))
-        if parser.has_section("matrices"):
-            d_s, d_r = cfg.space
+        if "parameters" in reads:
+            cfg.parameters = {k: float(v) for k, v in parser["parameters"].items()}
+        if "space" in reads:  # then matrices too, whose sides it sets
+            cfg.space = d_s, d_r = parser.getint("space", "d_s"), parser.getint("space", "d_r")
             sides = {"h_s_a": d_s, "h_s_b": d_s, "h_s": d_s, "h_r": d_r}  # the rest are D x D
-            for key in parser.options("matrices"):
-                cfg.matrices[key] = _parse_matrix(
-                    key, parser.get("matrices", key), sides.get(key, d_s * d_r)
-                )
+            cfg.matrices = {key: _parse_matrix(key, text, sides.get(key, d_s * d_r))
+                            for key, text in parser["matrices"].items()}
     except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
     return cfg
-
-
-def _require(cfg: RunConfig, *names: str) -> list[float]:
-    for name in names:
-        if name not in cfg.parameters:
-            raise ConfigError(f"missing parameter {name!r}")
-    return [cfg.parameters[name] for name in names]
 
 
 def _two_spin_sweep(kind: str, p: TwoSpinParams, values: np.ndarray):
@@ -196,13 +186,13 @@ def _two_spin_sweep(kind: str, p: TwoSpinParams, values: np.ndarray):
     return two_spin_hamiltonian(p_a), h_b, reservoir_hamiltonian(p_a), oracle
 
 
-def _two_spin_config(cfg: RunConfig, values: np.ndarray):
+def _two_spin_config(cfg: SimpleNamespace, values: np.ndarray):
     """`_two_spin_sweep` with a two_spin config's parameters, at (N,) H_B `values`."""
+    q = cfg.parameters
     if cfg.quench == SYSTEM_QUENCH:
-        p = TwoSpinParams(*_require(cfg, "epsilon_a", "alpha", "gamma", "chi"), cfg.beta)
+        p = TwoSpinParams(q["epsilon_a"], q["alpha"], q["gamma"], q["chi"], cfg.beta)
     else:
-        eps, alpha, chi_b = _require(cfg, "epsilon", "alpha", "chi_b")
-        p = TwoSpinParams(eps, alpha, 0.0, chi_b, cfg.beta)
+        p = TwoSpinParams(q["epsilon"], q["alpha"], 0.0, q["chi_b"], cfg.beta)
     return _two_spin_sweep(cfg.quench, p, values)
 
 
@@ -243,15 +233,18 @@ def _oracle_fractions(eng: np.ndarray, ora: np.ndarray, tol: dict[str, float]) -
     return frac
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.sweep_count < 2:
-        raise ConfigError(f"sweep count must be >= 2, got {cfg.sweep_count}")
-    if not 0 < abs(cfg.sweep_stop - cfg.sweep_start) < np.inf:  # NaN fails too
+def cmd_sweep(cfg: SimpleNamespace) -> int:
+    if cfg.variable not in ("", _SWEPT[cfg.quench]):
+        raise ConfigError(f"[sweep] variable = {cfg.variable}, but {cfg.quench} quenches "
+                          f"sweep {_SWEPT[cfg.quench]}")
+    if cfg.count < 2:
+        raise ConfigError(f"sweep count must be >= 2, got {cfg.count}")
+    if not 0 < abs(cfg.stop - cfg.start) < np.inf:  # NaN fails too
         raise ConfigError("sweep start and stop must differ and span a finite range")
-    if not cfg.output_path:
+    if not cfg.path:
         raise ConfigError("sweep mode needs an output path")
 
-    grid = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
+    grid = np.linspace(cfg.start, cfg.stop, cfg.count)
     h_a, h_b, h_r, oracle = _two_spin_config(cfg, grid)
     columns = run_sweep(h_a, h_b, h_r, cfg.beta, cfg.quench)
     fields, eng, ora = ThermoLedger.FIELDS, _table(columns), _table(oracle())
@@ -275,12 +268,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
     violating = eng[:, fields.index("diss_estar")] < -VIOLATION_THRESHOLD
     edges = np.flatnonzero(np.diff(np.concatenate(([False], violating, [False]))))
 
-    if not _write(cfg.output_path, ",".join(header) + "\n" + rows):
+    if not _write(cfg.path, ",".join(header) + "\n" + rows):
         return EXIT_TOLERANCE
 
     summary = [f"sweep variable={_SWEPT[cfg.quench]} "
-               f"points={cfg.sweep_count} range=[{FMT % cfg.sweep_start},"
-               f"{FMT % cfg.sweep_stop}]"]
+               f"points={cfg.count} range=[{FMT % cfg.start},{FMT % cfg.stop}]"]
     for name, v in zip(fields, max_diff.tolist()):
         summary.append(f"max_abs_diff {name} = {FMT % v}")
     for name, v in zip(("diss_diff", "diss_hstar", "diss_estar"), min_diss.tolist()):
@@ -296,16 +288,16 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 f"worst tolerance fraction {frac:.3e}" if np.isfinite(diff)
                 else "non-finite engine or oracle value"))
     code = EXIT_OK if (worst <= 1.0).all() else EXIT_TOLERANCE
-    return _emit("\n".join(summary) + "\n", cfg.output_path + ".summary.txt", code)
+    return _emit("\n".join(summary) + "\n", cfg.path + ".summary.txt", code)
 
 
-def cmd_audit(cfg: RunConfig) -> int:
+def cmd_audit(cfg: SimpleNamespace) -> int:
     lines, passed = run_invariant_audit(cfg.seed, cfg.count, cfg.tolerances)
-    return _emit("\n".join(lines) + "\n", cfg.output_path,
+    return _emit("\n".join(lines) + "\n", cfg.path,
                  EXIT_OK if passed else EXIT_TOLERANCE)
 
 
-def cmd_compare(cfg: RunConfig) -> int:
+def cmd_compare(cfg: SimpleNamespace) -> int:
     rng = np.random.default_rng(cfg.seed)
     kinds, fields, n = (SYSTEM_QUENCH, INTERACTION_QUENCH), ThermoLedger.FIELDS, cfg.count
     engine, oracle = [], []  # an (N, F) engine table per kind, a (1, F) oracle one per draw
@@ -330,17 +322,14 @@ def cmd_compare(cfg: RunConfig) -> int:
     text = (f"compare seed={cfg.seed} points={cfg.count} per kind\n"
             f"worst tolerance fraction = {FMT % worst} at {where}\n"
             f"RESULT {'PASS' if status else 'FAIL'}\n")
-    return _emit(text, cfg.output_path, EXIT_OK if status else EXIT_TOLERANCE)
+    return _emit(text, cfg.path, EXIT_OK if status else EXIT_TOLERANCE)
 
 
-def _custom_spec(cfg: RunConfig) -> QuenchSpec:
+def _custom_spec(cfg: SimpleNamespace) -> QuenchSpec:
     d_s, d_r = cfg.space
-    m = cfg.matrices
 
     def op(key, dims):
-        if key not in m:
-            raise ConfigError(f"custom_matrix model needs matrix {key!r}")
-        return Operator(m[key], dims)
+        return Operator(cfg.matrices[key], dims)
 
     h_r = op("h_r", (d_r,))
     if cfg.quench == SYSTEM_QUENCH:
@@ -360,9 +349,9 @@ def _custom_spec(cfg: RunConfig) -> QuenchSpec:
         raise ConfigError(f"custom_matrix quench: {exc}") from exc
 
 
-def cmd_run(cfg: RunConfig) -> int:
+def cmd_run(cfg: SimpleNamespace) -> int:
     if cfg.model == "two_spin":  # the H_B value; a sweep's grid is checked by cmd_sweep
-        value = np.array(_require(cfg, _SWEPT[cfg.quench]))
+        value = np.array([cfg.parameters[_SWEPT[cfg.quench]]])
         if not np.isfinite(value[0]):
             raise ConfigError(f"{_SWEPT[cfg.quench]} must be finite")
         h_a, h_b, h_r, _ = _two_spin_config(cfg, value)
@@ -376,7 +365,7 @@ def cmd_run(cfg: RunConfig) -> int:
                         ("second_law_q", ledger.second_law_q)):
         if flags is not None:
             lines.append(f"{name} = " + " ".join("1" if f else "0" for f in flags))
-    return _emit("\n".join(lines) + "\n", cfg.output_path, EXIT_OK)
+    return _emit("\n".join(lines) + "\n", cfg.path, EXIT_OK)
 
 
 @functools.cache
@@ -400,23 +389,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        reads = _READS[args.command]
-        if args.config:
-            cfg = load_config(args.config, args.command)
-        else:
-            cfg = RunConfig()
+        cfg = load_config(args.config, args.command)
         if args.seed is not None:
-            if "seed" not in reads["run"].split():
+            if "seed" not in vars(cfg):
                 raise ConfigError(f"{args.command} does not read --seed")
             cfg.seed = args.seed
+        if vars(cfg).get("seed", 0) < 0:
+            raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
         if args.out is not None:
-            cfg.output_path = args.out
+            cfg.path = args.out
         for item in args.tol:
             if "=" not in item:
                 raise ConfigError(f"bad --tol override {item!r}")
             name, _, value = item.partition("=")
             cfg.tolerances[name] = float(value)
-        known = reads.get("tolerances", {})
+        known = _READS[args.command].get("tolerances", {})
         for name, value in cfg.tolerances.items():
             if name not in known:
                 raise ConfigError(

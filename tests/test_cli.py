@@ -199,11 +199,20 @@ class TestSweep:
 
     @pytest.mark.parametrize("variable", ["variable = alpha\n", ""])
     def test_label_names_the_swept_parameter(self, tmp_path, capsys, variable):
-        # the [sweep] variable key is not read: a system quench sweeps epsilon_b
+        # a system quench sweeps epsilon_b; a [sweep] variable naming another parameter
+        # used to load unread and sweep epsilon_b all the same
         text = SWEEP_SYSTEM.replace("variable = epsilon_b\n", variable)
         cfg = write(tmp_path, "s.ini", text.format(out=tmp_path / "s.csv"))
-        assert main(["sweep", "--config", cfg]) == EXIT_OK
-        assert capsys.readouterr().out.startswith("sweep variable=epsilon_b points=41 ")
+        if variable:
+            assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("config error: [sweep] variable = alpha, but system quenches "
+                                    "sweep epsilon_b\n")
+            assert not (tmp_path / "s.csv").exists()
+        else:
+            assert main(["sweep", "--config", cfg]) == EXIT_OK
+            assert capsys.readouterr().out.startswith("sweep variable=epsilon_b points=41 ")
 
     def test_beta800_oracle_is_finite_within_the_gate(self, tmp_path, capsys):
         # beta * spread ~ 1e3, where the oracle's hyperbolic products overflowed
@@ -245,7 +254,7 @@ class TestSweepColumns:
         cfg = cli.load_config(write(tmp_path, "s.ini", template.format(out=out)), "sweep")
         assert main(["sweep", "--config", str(tmp_path / "s.ini")]) == EXIT_OK
         capsys.readouterr()
-        grid = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
+        grid = np.linspace(cfg.start, cfg.stop, cfg.count)
         h_a, h_b, h_r, _ = cli._two_spin_config(cfg, grid)
         columns = run_sweep(h_a, h_b, h_r, cfg.beta, kind)
         lines = out.read_text().splitlines()
@@ -720,7 +729,7 @@ class TestErrors:
     def test_percent_in_a_value_is_literal(self, tmp_path, capsys):
         out = tmp_path / "a%b.csv"
         cfg = write(tmp_path, "p.ini", SWEEP_SYSTEM.format(out=out))
-        assert cli.load_config(cfg, "sweep").output_path == str(out)
+        assert cli.load_config(cfg, "sweep").path == str(out)
         assert main(["sweep", "--config", cfg]) == EXIT_OK
         assert capsys.readouterr().out == (tmp_path / "a%b.csv.summary.txt").read_text()
         assert out.read_text().startswith("value,")
@@ -780,10 +789,76 @@ class TestErrors:
         assert captured.err == f"config error: {message}\n"
 
 
-def test_run_config_owns_the_defaults(tmp_path):
-    text = "[run]\nmodel = custom_matrix\nquench = general\nbeta = 2.5\n"
-    cfg = cli.load_config(write(tmp_path, "d.ini", text), "run")
-    assert cfg == cli.RunConfig(model="custom_matrix", quench="general", beta=2.5)
+class TestDefaults:
+    """`cli._READS` is the one owner of each config name's section and default."""
+
+    # each name a subcommand reads, at its default
+    DEFAULTS = {
+        "run": {"mode": "run", "model": "two_spin", "quench": "system", "beta": 1.0, "path": ""},
+        "sweep": {"mode": "sweep", "model": "two_spin", "quench": "system", "beta": 1.0,
+                  "variable": "", "start": 0.0, "stop": 0.0, "count": 0, "path": ""},
+        "audit": {"mode": "audit", "seed": 1, "count": 100, "path": ""},
+        "compare": {"mode": "compare", "seed": 1, "count": 100, "path": ""},
+    }
+    # the model inputs that run and sweep require of a system quench
+    PARAMETERS = {"run": {"epsilon_a": 0.0, "alpha": 0.8, "gamma": 1.2, "chi": 1.8,
+                          "epsilon_b": 1.5},
+                  "sweep": {"epsilon_a": 0.0, "alpha": 0.8, "gamma": 1.2, "chi": 1.8}}
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "audit", "compare"])
+    def test_config_of_only_run_loads_each_listed_name_at_its_default(self, tmp_path, command):
+        # so audit's config has no beta, and sweep's has no seed
+        table = {name: default for section, names in cli._READS[command].items()
+                 if section not in ("tolerances", "inputs") for name, default in names.items()}
+        assert table == self.DEFAULTS[command]
+        parameters = self.PARAMETERS.get(command)
+        text = "[run]\n" + (ini({"parameters": parameters}) if parameters else "")
+        cfg = vars(cli.load_config(write(tmp_path, "d.ini", text), command))
+        expected = {**table, "tolerances": {}}
+        if parameters:
+            expected["parameters"] = parameters
+        assert cfg == expected
+        assert [type(cfg[name]) for name in table] == [type(v) for v in table.values()]
+        if command == "audit":  # which also runs without a config
+            assert vars(cli.load_config(None, command)) == expected
+
+    def test_custom_matrix_run_needs_its_space(self, tmp_path, capsys):
+        # it used to run as 2 x 2
+        text = RUN_CUSTOM.replace("[space]\nd_s = 2\nd_r = 2\n\n", "")
+        assert "[space]" not in text
+        cfg = write(tmp_path, "c.ini", text)
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: bad config {cfg}: No option 'd_s' in section: 'space'\n")
+
+    @pytest.mark.parametrize("command, text, mode", [
+        ("run", RUN_TWO_SPIN, "audit"), ("sweep", SWEEP_SYSTEM, "run"),
+        ("audit", AUDIT_CFG, "compare"), ("compare", "[run]\nmode = compare\n", "sweep")],
+        ids=["run", "sweep", "audit", "compare"])
+    def test_mode_other_than_the_subcommand_is_a_config_error(
+            self, tmp_path, capsys, command, text, mode):
+        # it used to load unread: mode = audit in a run config ran the quench
+        text = setting(text, "mode", mode).format(out=tmp_path / "x.csv")
+        assert main([command, "--config", write(tmp_path, "m.ini", text)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: [run] mode = {mode}, but the subcommand is "
+                                f"{command}\n")
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["audit", "compare"])
+    def test_negative_seed_names_itself(self, tmp_path, capsys, command, source):
+        # it used to print numpy's "expected non-negative integer"
+        text = f"[run]\nmode = {command}\ncount = 2\n"
+        args = ["--seed", "-1"] if source == "flag" else []
+        if source == "config":
+            text += "seed = -1\n"
+        assert main([command, "--config", write(tmp_path, "s.ini", text), *args]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: seed must be >= 0, got -1\n"
 
 
 def ini(sections: dict[str, dict[str, object]]) -> str:
@@ -843,9 +918,10 @@ class TestSubcommandReads:
         assert captured.out == ""
         assert captured.err == f"config error: {name} must be finite\n"
 
-    # a valid value for every name the table lists
+    # a valid value for every name the table lists; a sweep's variable is its kind's
     VALUES = {
-        "sweep": {"variable": "epsilon_b", "start": -1.0, "stop": 1.0, "count": 3},
+        "sweep": {"variable": {"system": "epsilon_b", "interaction": "gamma_b"},
+                  "start": -1.0, "stop": 1.0, "count": 3},
         "parameters": {"epsilon_a": 0.0, "alpha": 0.8, "gamma": 1.2, "chi": 1.8,
                        "epsilon_b": 1.5, "epsilon": 1.0, "chi_b": 1.2, "gamma_b": 0.7},
         "space": {"d_s": 2, "d_r": 2},
@@ -864,15 +940,17 @@ class TestSubcommandReads:
     @classmethod
     def sections(cls, tmp_path, command, key) -> dict[str, dict[str, object]]:
         """Every name `command` reads for `key` = (model, quench kind), with a valid value."""
-        reads = {**cli._READS[command], **cli._READS[command].get("inputs", {}).get(key, {})}
-        reads.pop("inputs", None)
+        reads = dict(cli._READS[command])
+        inputs = reads.pop("inputs", {}).get(key, {})
         model, kind = key or (None, None)
         run = {"mode": command, "model": model, "quench": kind, "beta": 1.0, "seed": 3,
                "count": 2}
-        values = {**cls.VALUES, "run": run, "output": {"path": tmp_path / "out.csv"}}
-        return {section: dict(names) if isinstance(names, dict)
-                else {name: values[section][name] for name in names.split()}
-                for section, names in reads.items()}
+        sweep = {**cls.VALUES["sweep"], "variable": cls.VALUES["sweep"]["variable"].get(kind)}
+        values = {**cls.VALUES, "run": run, "sweep": sweep,
+                  "output": {"path": tmp_path / "out.csv"}, "tolerances": reads.get("tolerances")}
+        names = {**reads, **{section: names.split() for section, names in inputs.items()}}
+        return {section: {name: values[section][name] for name in names[section]}
+                for section in names}
 
     @pytest.mark.parametrize("command, key", CASES)
     def test_config_of_exactly_the_listed_names_runs(self, tmp_path, capsys, command, key):
