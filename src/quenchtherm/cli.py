@@ -32,7 +32,6 @@ from .quench import (
     INTERACTION_QUENCH,
     SYSTEM_QUENCH,
     GENERAL_QUENCH,
-    VIOLATION_THRESHOLD,
     QuenchSpec,
     ThermoLedger,
     _stack_ledgers,
@@ -263,9 +262,9 @@ def cmd_sweep(cfg: SimpleNamespace) -> int:
     worst = _oracle_fractions(eng, ora, cfg.tolerances).max(axis=0)
     diss_cols = [fields.index(name) for name in ("diss_diff", "diss_hstar", "diss_estar")]
     min_diss = eng[:, diss_cols].min(axis=0)
-    # runs of violating points: a run starts and ends where the mask, padded
-    # with False at both ends, changes value
-    violating = eng[:, fields.index("diss_estar")] < -VIOLATION_THRESHOLD
+    # runs of points whose E* work flag fails: a run starts and ends where
+    # the mask, padded with False at both ends, changes value
+    violating = ~columns.second_law_w[2]
     edges = np.flatnonzero(np.diff(np.concatenate(([False], violating, [False]))))
 
     if not _write(cfg.path, ",".join(header) + "\n" + rows):

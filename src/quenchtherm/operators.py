@@ -53,9 +53,9 @@ class Operator:
     def eig(self) -> SpectralDecomposition:
         """Read-only eigenpairs, eigenvalues ascending: the one owner of them.
 
-        Seeded by `from_eig`, or else computed by one `eigh` on first access;
-        either way every eigenvalue is finite.  Raises on every access to a
-        non-Hermitian operator or a non-finite spectrum: a failure is not cached.
+        Seeded by `from_eig`, or else computed on first access by `eigh_stack`, of the
+        Hermitian matrix of the lower triangle; either way every eigenvalue is finite.
+        Raises on every access to a non-Hermitian operator or a non-finite spectrum.
         """
         evals, evecs = eigh_stack(self.matrix[None])
         evals.setflags(write=False)
@@ -163,10 +163,10 @@ def dagger(mat: np.ndarray) -> np.ndarray:
     return mat.conj().swapaxes(-1, -2)
 
 
-def _symmetrized(mat: np.ndarray, mat_h: np.ndarray | None = None) -> np.ndarray:
-    # (A + A^dag) / 2 absorbs round-off from tensor assembly before
-    # eigendecomposition; halving each term first keeps a finite sum finite
-    return 0.5 * mat + 0.5 * (dagger(mat) if mat_h is None else mat_h)
+def _symmetrized(mat: np.ndarray) -> np.ndarray:
+    # (A + A^dag) / 2 absorbs the round-off of a product the package formed;
+    # halving each term first keeps a finite sum finite
+    return 0.5 * mat + 0.5 * dagger(mat)
 
 
 def expectation(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -190,24 +190,24 @@ def _check_defect(mats: np.ndarray, target: np.ndarray, tol: float,
         raise error(message.format(defect[n]) + at_index(n, len(mats)))
 
 
-def require_hermitian_stack(mats: np.ndarray) -> np.ndarray:
+def require_hermitian_stack(mats: np.ndarray):
     """Raise NotHermitian naming the first member of a (N, d, d) stack that is not.
 
     A member passes when max |A - A^dag| <= HERMITICITY_TOL * max(1, max |A|).
-    Returns the conjugate transposes A^dag it computed.
     """
-    mats_h = dagger(mats)
-    _check_defect(mats, mats_h, HERMITICITY_TOL, NotHermitian,
+    _check_defect(mats, dagger(mats), HERMITICITY_TOL, NotHermitian,
                   "hermiticity defect {:.3e} exceeds tolerance")
-    return mats_h
 
 
 def eigh_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of each member of a (N, d, d) Hermitian stack, in one `eigh`.
 
     Checks hermiticity first and finite eigenvalues after; errors name the first bad member.
+    `eigh` reads only the lower triangle and the real diagonal, so a member A that
+    passes is decomposed as tril(A, -1) + tril(A, -1)^dag + Re diag(A).
     """
-    evals, evecs = np.linalg.eigh(_symmetrized(mats, require_hermitian_stack(mats)))
+    require_hermitian_stack(mats)
+    evals, evecs = np.linalg.eigh(mats)
     if not np.isfinite(evals).all():
         n = int(np.argmin(np.isfinite(evals).all(axis=-1)))
         raise ValueError(f"eigenvalues {evals[n]} are not finite{at_index(n, len(evals))}")

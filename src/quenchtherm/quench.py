@@ -43,7 +43,7 @@ EQUILIBRATED = "equilibrated"
 UNITARY = "unitary"
 
 #: Reported second-law violations must exceed this to count as physics,
-#: not round-off.
+#: not round-off.  Dimensionless (k_B = 1): it bounds beta (W - dF_S) and dS - beta Q.
 VIOLATION_THRESHOLD = 1e-6
 
 _STRUCTURE_TOL = 1e-10
@@ -119,8 +119,8 @@ class ThermoLedger:
     """Full output record of one quench process, engine or closed form.
 
     It stores what a quench computes and derives the rest on read: the
-    dissipated works W - dF_S and the second-law flags W >= dF_S and
-    Q <= dS / beta, each against VIOLATION_THRESHOLD; the heat flags are None
+    dissipated works W - dF_S and the second-law flags beta (W - dF_S) >= 0
+    and dS - beta Q >= 0, each against -VIOLATION_THRESHOLD; the heat flags are None
     unless the final state is equilibrated.  Fields may hold (N,) columns of
     N quenches, which `_records` splits; beta and equilibrated may be shared scalars.
     """
@@ -152,14 +152,14 @@ class ThermoLedger:
 
     @property
     def second_law_w(self) -> tuple[bool, bool, bool]:
-        return tuple(d >= -VIOLATION_THRESHOLD
+        return tuple(self.beta * d >= -VIOLATION_THRESHOLD
                      for d in (self.diss_diff, self.diss_hstar, self.diss_estar))
 
     @property
     def second_law_q(self) -> tuple[bool, bool, bool] | None:
         if not self.equilibrated:
             return None
-        return tuple(ds / self.beta - q >= -VIOLATION_THRESHOLD for ds, q in (
+        return tuple(ds - self.beta * q >= -VIOLATION_THRESHOLD for ds, q in (
             (self.delta_s_diff, self.q_diff), (self.delta_s_hstar, self.q_hstar),
             (self.delta_s_estar, self.q_estar)))
 

@@ -15,6 +15,7 @@ from quenchtherm import (
     pauli,
     tensor_product,
 )
+from quenchtherm.operators import HERMITICITY_TOL
 
 
 def rand_hermitian(rng, d):
@@ -107,9 +108,34 @@ class TestHermitianEig:
             Operator(np.full((4, 4), -5e307), (4,)).eig
 
     def test_finite_spectrum_near_the_float_limit(self):
-        # A + A^dag overflows here; (A + A^dag) / 2 is taken as A/2 + A^dag/2
+        # A + A^dag overflows here; `eigh` reads A itself, so no such sum is formed
         dec = Operator(np.diag([1e308, 1.5e308]).astype(complex), (2,)).eig
         np.testing.assert_array_equal(dec.eigenvalues, [1e308, 1.5e308])
+
+    def test_exactly_hermitian_input_is_decomposed_as_given(self):
+        two_spin = (0.2 * tensor_product(pauli("z"), identity(2))
+                    + 1.2 * tensor_product(pauli("z"), pauli("z"))
+                    + 1.8 * tensor_product(pauli("x"), pauli("x"))).matrix
+        for a in (two_spin, rand_hermitian(np.random.default_rng(11), 16).matrix):
+            assert np.array_equal(a, a.conj().T)
+            dec, (evals, evecs) = Operator(a, a.shape[:1]).eig, np.linalg.eigh(a)
+            np.testing.assert_array_equal(dec.eigenvalues, evals)
+            np.testing.assert_array_equal(dec.eigenvectors, evecs)
+
+    def test_within_tolerance_input_is_decomposed_as_its_lower_triangle(self):
+        # a defect in the upper triangle and the imaginary diagonal, under the
+        # tolerance; the average of the two triangles differs by half the defect
+        rng = np.random.default_rng(12)
+        a = rand_hermitian(rng, 16).matrix.copy()
+        upper = np.triu_indices(16, 1)
+        a[upper] += 1e-12 * np.exp(2j * np.pi * rng.random(len(upper[0])))
+        a[np.diag_indices(16)] += 0.5e-12j
+        defect = np.abs(a - a.conj().T).max()
+        assert 1e-12 < defect <= HERMITICITY_TOL * np.abs(a).max()
+        lower = np.tril(a) + np.tril(a, -1).conj().T
+        lower[np.diag_indices(16)] = lower.diagonal().real
+        dec = Operator(a, (16,)).eig
+        assert np.abs(dec.reconstruct() - lower).max() <= 1e-14 * np.abs(a).max()
 
     def test_reconstruction_many_sizes(self):
         # reconstruction invariant over seeded random Hermitians, sides 2-16

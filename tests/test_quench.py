@@ -362,6 +362,55 @@ class TestThermoLedgerAssemble:
         assert replace(unitary, w_estar=led.delta_f_s - 1.0).second_law_w == (True, True, False)
 
 
+class TestEnergyUnit:
+    """Scaling every Hamiltonian by 2^k and beta and t_f by 2^-k is exact in floating
+    point: each energy field scales by exactly 2^k, and each entropy and flag stays."""
+
+    ENERGIES = [name for name in ThermoLedger.FIELDS if not name.startswith("delta_s")]
+    P_A = TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0)
+    P_BARE = TwoSpinParams(1.0, 5.0, 0.0, 0.0, 1.0)
+
+    @classmethod
+    def case(cls, name):
+        """(H_A, H_B, H_R, beta, kind, final mode, t_f) of the case at k = 0."""
+        if name == "system":
+            # the system golden sweep's epsilon_B = -5 point: E* violates its work law
+            p = cls.P_A
+            return (two_spin_hamiltonian(p), two_spin_hamiltonian(replace(p, epsilon=-5.0)),
+                    reservoir_hamiltonian(p), p.beta, SYSTEM_QUENCH, EQUILIBRATED, 0.0)
+        if name == "interaction":
+            # the interaction golden sweep's first point, gamma_B = -3
+            p = cls.P_BARE
+            return (two_spin_hamiltonian(p), two_spin_hamiltonian(replace(p, gamma=-3.0, chi=1.2)),
+                    reservoir_hamiltonian(p), p.beta, INTERACTION_QUENCH, EQUILIBRATED, 0.0)
+        rng = np.random.default_rng(131)
+        h_a, _, h_r, _ = random_bipartite(rng, 4, 8, scale=0.5)
+        h_b = random_bipartite(rng, 4, 8, scale=0.5)[0]
+        mode = EQUILIBRATED if name == "general" else UNITARY
+        return h_a, h_b, h_r, 0.8, GENERAL_QUENCH, mode, 1.3
+
+    @classmethod
+    def ledger(cls, name, k):
+        h_a, h_b, h_r, beta, kind, mode, t_f = cls.case(name)
+        up, down = 2.0 ** k, 2.0 ** -k
+        return run_quench(QuenchSpec(up * h_a, up * h_b, up * h_r, down * beta,
+                                     kind=kind, final_mode=mode, t_f=down * t_f))
+
+    @pytest.mark.parametrize("k", [-40, -20, 0, 10])
+    @pytest.mark.parametrize("name", ["system", "interaction", "general", "general_unitary"])
+    def test_energies_scale_and_verdicts_stay(self, name, k):
+        unit, scaled = self.ledger(name, 0), self.ledger(name, k)
+        for field in self.ENERGIES:
+            assert getattr(scaled, field) == 2.0 ** k * getattr(unit, field), field
+        for field in ("delta_s_diff", "delta_s_hstar", "delta_s_estar"):
+            assert getattr(scaled, field) == getattr(unit, field), field
+        assert scaled.beta == 2.0 ** -k * unit.beta
+        assert (scaled.second_law_w, scaled.second_law_q) == (
+            unit.second_law_w, unit.second_law_q)
+        if name == "system":
+            assert unit.second_law_w == (True, True, False)
+
+
 class TestSecondLawAudit:
     def test_identity_quench(self):
         p = TwoSpinParams(0.3, 0.8, 1.2, 1.8, 1.0)
@@ -637,7 +686,7 @@ class TestRunSweep:
             for name, value in ledger.numeric_fields().items():
                 assert abs(value - expected[name]) <= 1e-12, name
             diss = [expected[f"diss_{n}"] for n in ("diff", "hstar", "estar")]
-            assert ledger.second_law_w == tuple(d >= -VIOLATION_THRESHOLD for d in diss)
+            assert ledger.second_law_w == tuple(beta * d >= -VIOLATION_THRESHOLD for d in diss)
 
     def test_general_ledgers_match_independent_assembly(self):
         rng = np.random.default_rng(103)
@@ -665,9 +714,9 @@ class TestRunSweep:
         diss = [sums[f"w_{n}"] - sums["delta_f_s"] for n in ("diff", "hstar", "estar")]
         assert [total.diss_diff, total.diss_hstar, total.diss_estar] == diss
         assert total.diss_estar == pytest.approx(columns.diss_estar.sum(), abs=1e-12)
-        assert total.second_law_w == tuple(d >= -VIOLATION_THRESHOLD for d in diss)
+        assert total.second_law_w == tuple(beta * d >= -VIOLATION_THRESHOLD for d in diss)
         assert total.second_law_q == tuple(
-            sums[f"delta_s_{n}"] / beta - sums[f"q_{n}"] >= -VIOLATION_THRESHOLD
+            sums[f"delta_s_{n}"] - beta * sums[f"q_{n}"] >= -VIOLATION_THRESHOLD
             for n in ("diff", "hstar", "estar"))
 
     def test_records_hold_python_scalars(self):
