@@ -100,7 +100,7 @@ def _parse_matrix(key: str, text: str, side: int) -> np.ndarray:
         raise ConfigError(
             f"matrix {key!r} needs {side * side} row-major entries, got {len(entries)}"
         )
-    matrix = np.array(entries, dtype=complex).reshape(side, side)
+    matrix = np.array(entries).reshape(side, side)
     if not np.isfinite(matrix).all():
         raise ConfigError(f"matrix {key!r} has a non-finite entry")
     return matrix
@@ -170,19 +170,21 @@ def load_config(path: str | None, command: str) -> SimpleNamespace:
 
 
 def _two_spin_sweep(kind: str, p: TwoSpinParams, values: np.ndarray):
-    """(H_A, (N, 4, 4) H_B stack, H_R, oracle) of two-spin quenches at (N,) `values`:
+    """(H_A, (N, 4, 4) H_B stack, H_R, oracle, scale) of two-spin quenches at (N,) `values`:
     a system quench sets p's epsilon to each value, an interaction quench switches gamma =
-    value and p.chi on from zero.  `oracle()`, run when called, returns (N,) columns."""
+    value and p.chi on from zero.  `oracle()`, run when called, returns (N,) columns; the (N,)
+    scale is max |E| over H_A and each H_B, |gamma| + hypot((|epsilon| + |alpha|)/2, chi)."""
     if kind == SYSTEM_QUENCH:
-        p_a = p
-        h_b = two_spin_matrices(values, p.alpha, p.gamma, p.chi)
+        p_a, params_b = p, (values, p.alpha, p.gamma, p.chi)
         oracle = functools.partial(system_quench_ledger, p, values)
     else:
-        p_a = replace(p, gamma=0.0, chi=0.0)
-        h_b = two_spin_matrices(p.epsilon, p.alpha, values, p.chi)
+        p_a, params_b = replace(p, gamma=0.0, chi=0.0), (p.epsilon, p.alpha, values, p.chi)
         oracle = functools.partial(interaction_quench_ledger, p.epsilon, p.alpha, values,
                                    p.chi, p.beta)
-    return two_spin_hamiltonian(p_a), h_b, reservoir_hamiltonian(p_a), oracle
+    level = lambda e, a, g, c: abs(g) + np.hypot((abs(e) + abs(a)) / 2, c)
+    scale = np.maximum(level(p_a.epsilon, p_a.alpha, p_a.gamma, p_a.chi), level(*params_b))
+    return (two_spin_hamiltonian(p_a), two_spin_matrices(*params_b), reservoir_hamiltonian(p_a),
+            oracle, scale)
 
 
 def _two_spin_config(cfg: SimpleNamespace, values: np.ndarray):
@@ -218,15 +220,19 @@ def _table(ledger: ThermoLedger) -> np.ndarray:
     return np.array([getattr(ledger, name) for name in ThermoLedger.FIELDS]).T
 
 
-def _oracle_fractions(eng: np.ndarray, ora: np.ndarray, tol: dict[str, float]) -> np.ndarray:
-    """|eng - ora| / (abs + rel * |ora|) per cell of (N, F) engine and oracle arrays.
+def _oracle_fractions(eng: np.ndarray, ora: np.ndarray, scale: np.ndarray,
+                      tol: dict[str, float]) -> np.ndarray:
+    """|eng - ora| / (abs + rel * |ora|) per cell of (N, F) engine and oracle arrays, where
+    an energy field's abs is oracle_match_abs times min(1, its row's energy scale).
 
     An exact match is 0; a cell that differs at a zero limit, or is not
     finite, is inf.
     """
+    energy = [not name.startswith("delta_s_") for name in ThermoLedger.FIELDS]
+    floor = tol["oracle_match_abs"] * np.where(energy, np.minimum(1.0, scale)[:, None], 1.0)
     with np.errstate(all="ignore"):
         diff = np.abs(eng - ora)
-        frac = diff / (tol["oracle_match_abs"] + tol["oracle_match_rel"] * np.abs(ora))
+        frac = diff / (floor + tol["oracle_match_rel"] * np.abs(ora))
     frac[diff == 0] = 0.0
     frac[np.isnan(frac)] = np.inf
     return frac
@@ -244,7 +250,7 @@ def cmd_sweep(cfg: SimpleNamespace) -> int:
         raise ConfigError("sweep mode needs an output path")
 
     grid = np.linspace(cfg.start, cfg.stop, cfg.count)
-    h_a, h_b, h_r, oracle = _two_spin_config(cfg, grid)
+    h_a, h_b, h_r, oracle, scale = _two_spin_config(cfg, grid)
     columns = run_sweep(h_a, h_b, h_r, cfg.beta, cfg.quench)
     fields, eng, ora = ThermoLedger.FIELDS, _table(columns), _table(oracle())
     header = ["value", *(f"{side}_{name}" for name in fields for side in ("eng", "ora")),
@@ -259,7 +265,7 @@ def cmd_sweep(cfg: SimpleNamespace) -> int:
     # NaN propagates through these reductions, so a non-finite engine or
     # oracle value shows in the summary and fails the gate below
     max_diff = np.abs(eng - ora).max(axis=0)
-    worst = _oracle_fractions(eng, ora, cfg.tolerances).max(axis=0)
+    worst = _oracle_fractions(eng, ora, scale, cfg.tolerances).max(axis=0)
     diss_cols = [fields.index(name) for name in ("diss_diff", "diss_hstar", "diss_estar")]
     min_diss = eng[:, diss_cols].min(axis=0)
     # runs of points whose E* work flag fails: a run starts and ends where
@@ -299,20 +305,21 @@ def cmd_audit(cfg: SimpleNamespace) -> int:
 def cmd_compare(cfg: SimpleNamespace) -> int:
     rng = np.random.default_rng(cfg.seed)
     kinds, fields, n = (SYSTEM_QUENCH, INTERACTION_QUENCH), ThermoLedger.FIELDS, cfg.count
-    engine, oracle = [], []  # an (N, F) engine table per kind, a (1, F) oracle one per draw
+    engine, oracle, scales = [], [], []  # (N, F) per kind; (1, F) and (1,) per draw
     for kind in kinds:
         draws = []  # H_A, H_B, beta, ln Z_R and <H_R> of each draw
         for _ in range(n):
             p = random_two_spin_params(rng)
             value = rng.uniform(-2, 2) if kind == SYSTEM_QUENCH else p.gamma
-            h_a, h_b, h_r, closed_form = _two_spin_sweep(kind, p, np.array([value]))
+            h_a, h_b, h_r, closed_form, scale = _two_spin_sweep(kind, p, np.array([value]))
             r = gibbs(h_r, p.beta)
             draws.append((h_a.matrix, h_b[0], p.beta, r.log_partition, r.mean_energy))
             oracle.append(_table(closed_form()))
+            scales.append(scale)
         h_as, h_bs, *numbers = zip(*draws)  # draw k's H_A is quenched to its H_B
         engine.append(_table(_stack_ledgers(np.stack(h_as + h_bs), h_a.dims, *np.tile(numbers, 2),
                                             slice(n), slice(n, None))))
-    frac = _oracle_fractions(np.vstack(engine), np.vstack(oracle), cfg.tolerances)
+    frac = _oracle_fractions(*map(np.concatenate, (engine, oracle, scales)), cfg.tolerances)
     # the first maximum over (kind, draw, field), named only when it is not 0
     row, col = divmod(int(frac.argmax()), len(fields))
     worst = float(frac[row, col])
@@ -353,7 +360,7 @@ def cmd_run(cfg: SimpleNamespace) -> int:
         value = np.array([cfg.parameters[_SWEPT[cfg.quench]]])
         if not np.isfinite(value[0]):
             raise ConfigError(f"{_SWEPT[cfg.quench]} must be finite")
-        h_a, h_b, h_r, _ = _two_spin_config(cfg, value)
+        h_a, h_b, h_r, *_ = _two_spin_config(cfg, value)
         spec = QuenchSpec(h_a, Operator(h_b[0], h_a.dims), h_r, cfg.beta, kind=cfg.quench)
     else:
         spec = _custom_spec(cfg)

@@ -179,12 +179,12 @@ def at_index(n: int, size: int) -> str:
     return f" at stack index {n}" if size > 1 else ""
 
 
-def _check_defect(mats: np.ndarray, target: np.ndarray, tol: float,
+def _check_defect(mats: np.ndarray, target: np.ndarray, bound: float | np.ndarray,
                   error: type[Exception], message: str):
     """Raise `error(message.format(defect))` naming the first member of a (N, d, d)
-    stack with defect max |A - target| > tol * max(1, max |A|); NaN fails."""
+    stack with defect max |A - target| > bound, a scalar or (N,); NaN fails."""
     defect = np.abs(mats - target).max(axis=(-2, -1))
-    ok = defect <= tol * np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
+    ok = defect <= bound
     if not np.all(ok):
         n = int(np.argmin(ok))
         raise error(message.format(defect[n]) + at_index(n, len(mats)))
@@ -193,10 +193,10 @@ def _check_defect(mats: np.ndarray, target: np.ndarray, tol: float,
 def require_hermitian_stack(mats: np.ndarray):
     """Raise NotHermitian naming the first member of a (N, d, d) stack that is not.
 
-    A member passes when max |A - A^dag| <= HERMITICITY_TOL * max(1, max |A|).
+    A member passes when max |A - A^dag| <= HERMITICITY_TOL * max |A|, in A's own unit.
     """
-    _check_defect(mats, dagger(mats), HERMITICITY_TOL, NotHermitian,
-                  "hermiticity defect {:.3e} exceeds tolerance")
+    _check_defect(mats, dagger(mats), HERMITICITY_TOL * np.abs(mats).max(axis=(-2, -1)),
+                  NotHermitian, "hermiticity defect {:.3e} exceeds tolerance")
 
 
 def eigh_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,9 +215,9 @@ def eigh_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 _PAULI = {
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    "x": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+    "z": np.array([[1.0, 0.0], [0.0, -1.0]]),
 }
 
 
@@ -232,7 +232,7 @@ def identity(dims: int | Sequence[int]) -> Operator:
     if isinstance(dims, int):
         dims = (dims,)
     side = math.prod(dims)
-    return Operator(np.eye(side, dtype=complex), tuple(dims))
+    return Operator(np.eye(side), tuple(dims))
 
 
 def tensor_product(a: Operator, b: Operator) -> Operator:

@@ -48,7 +48,7 @@ VIOLATION_THRESHOLD = 1e-6
 
 _STRUCTURE_TOL = 1e-10
 
-#: First-law residuals above this mean the ledger is inconsistent.
+#: A first-law residual above this times |W| + |Q| + |U_i| + |U_f| means an inconsistent ledger.
 _FIRST_LAW_TOL = 1e-9
 
 #: Sigma eigenvalues at or below this count as outside its support.
@@ -66,18 +66,19 @@ def _check_quench(kind: str, h_sur_a: Operator, h_sur_b: np.ndarray, h_r: Operat
         raise InvalidSpec(f"global Hamiltonians must share a bipartite space, got {h_sur_a.dims}")
     _check_reservoir(h_sur_a.dims, h_r)
     if kind == SYSTEM_QUENCH:
-        _check_acts_on_s_only(h_sur_b - h_sur_a.matrix, h_sur_a.dims)
+        _check_acts_on_s_only(h_sur_b, h_sur_a.matrix, h_sur_a.dims)
     elif kind == INTERACTION_QUENCH:
-        bare = h_sur_a.matrix - np.kron(np.eye(h_sur_a.dims[0]), h_r.matrix)
-        _check_acts_on_s_only(bare[None], h_sur_a.dims)
+        _check_acts_on_s_only(h_sur_a.matrix[None], np.kron(np.eye(h_sur_a.dims[0]), h_r.matrix),
+                              h_sur_a.dims)
 
 
-def _check_acts_on_s_only(ops: np.ndarray, dims: tuple[int, int]):
-    """Each member of a stack must be (S operator) x identity."""
-    d_r = dims[1]
+def _check_acts_on_s_only(b: np.ndarray, a: np.ndarray, dims: tuple[int, int]):
+    """Each member of a stack b - a must be (S operator) x identity, relative to max |a|, |b|."""
+    ops, d_r = b - a, dims[1]
     on_s = trace_out_reservoir(ops, dims) * (1.0 / d_r)
     lifted = (on_s[:, :, None, :, None] * np.eye(d_r)[:, None, :]).reshape(ops.shape)
-    _check_defect(ops, lifted, _STRUCTURE_TOL, InvalidSpec,
+    scale = np.maximum(np.abs(b).max(axis=(-2, -1)), np.abs(a).max(axis=(-2, -1)))
+    _check_defect(ops, lifted, _STRUCTURE_TOL * scale, InvalidSpec,
                   "operator is not of the form (S operator) x identity; defect {:.3e}")
 
 
@@ -273,7 +274,7 @@ def run_sweep(
     a `QuenchSpec` makes, and errors name H_A or the first bad member of the
     caller's stack.
     """
-    stack = np.asarray(h_sur_b_stack, dtype=complex)
+    stack = np.asarray(h_sur_b_stack)
     if stack.ndim != 3 or len(stack) == 0 or stack.shape[1:] != h_sur_a.matrix.shape:
         raise InvalidSpec(f"post-quench stack must have shape (N, {h_sur_a.side}, "
                           f"{h_sur_a.side}) with N >= 1, got {stack.shape}")
@@ -302,8 +303,9 @@ def _stack_ledgers(hams: np.ndarray, dims: tuple[int, int], beta, log_z_r, u_r,
 
 def _check_first_law(works, heats, u_initial, u_final):
     residual = np.abs(works + heats - (u_final - u_initial))
-    if not np.all(residual <= _FIRST_LAW_TOL):  # NaN fails too
-        k, n = np.unravel_index(np.argmin(residual <= _FIRST_LAW_TOL), residual.shape)
+    ok = residual <= _FIRST_LAW_TOL * (abs(works) + abs(heats) + abs(u_initial) + abs(u_final))
+    if not np.all(ok):  # NaN fails too
+        k, n = np.unravel_index(np.argmin(ok), residual.shape)
         name = ("diff", "hstar", "estar")[k]
         raise QuenchThermError(
             f"first-law residual {residual[k, n]:.3e} for definition "

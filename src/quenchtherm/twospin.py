@@ -182,9 +182,9 @@ def interaction_quench_ledger(
 
 
 def _kron_terms() -> tuple[np.ndarray, ...]:
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    eye = np.eye(2, dtype=complex)
+    sz = np.diag([1.0, -1.0])
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    eye = np.eye(2)
     return np.kron(sz, eye), np.kron(eye, sz), np.kron(sz, sz), np.kron(sx, sx)
 
 
@@ -206,5 +206,5 @@ def two_spin_hamiltonian(p: TwoSpinParams) -> Operator:
 
 def reservoir_hamiltonian(p: TwoSpinParams) -> Operator:
     """Bare reservoir term (alpha/2) sz_R."""
-    return Operator((p.alpha / 2) * np.diag([1.0, -1.0]).astype(complex), (2,))
+    return Operator((p.alpha / 2) * np.diag([1.0, -1.0]), (2,))
 

@@ -255,7 +255,7 @@ class TestSweepColumns:
         assert main(["sweep", "--config", str(tmp_path / "s.ini")]) == EXIT_OK
         capsys.readouterr()
         grid = np.linspace(cfg.start, cfg.stop, cfg.count)
-        h_a, h_b, h_r, _ = cli._two_spin_config(cfg, grid)
+        h_a, h_b, h_r, *_ = cli._two_spin_config(cfg, grid)
         columns = run_sweep(h_a, h_b, h_r, cfg.beta, kind)
         lines = out.read_text().splitlines()
         header = lines[0].split(",")
@@ -357,6 +357,58 @@ class TestGoldenSweep:
         assert out.read_bytes() == (DATA / f"{tag}.csv").read_bytes()
         summary = tmp_path / f"{tag}.csv.summary.txt"
         assert summary.read_bytes() == (DATA / f"{tag}.csv.summary.txt").read_bytes()
+
+
+class TestOracleGateUnit:
+    """The gate's absolute floor of an energy field is in the model's energy unit: the
+    golden system sweep with its energies scaled by 2^k and beta by 2^-k passes, and a
+    1e-6 relative error in one oracle cell fails at every k."""
+
+    ENERGIES = {"system": ("alpha", "gamma", "chi", "start", "stop"),  # epsilon_a is 0
+                "interaction": ("epsilon", "alpha", "chi_b", "start", "stop")}
+
+    @classmethod
+    def config(cls, tmp_path, k, kind="system"):
+        text = (DATA / f"sweep_{kind}.ini").read_text()
+        for key in cls.ENERGIES[kind]:
+            value = float(re.search(rf"^{key} = (.*)$", text, flags=re.M).group(1))
+            text = setting(text, key, repr(2.0 ** k * value))
+        text = setting(text, "beta", repr(2.0 ** -k))
+        return write(tmp_path, "s.ini", text.format(out=tmp_path / "s.csv"))
+
+    @pytest.mark.parametrize("error", [0.0, 1e-6])
+    @pytest.mark.parametrize("k", [-40, 0])
+    def test_relative_error_fails_in_any_unit(self, tmp_path, capsys, monkeypatch, k, error):
+        original = cli.system_quench_ledger
+
+        def perturbed(*args):
+            ledger = original(*args)
+            w_diff = ledger.w_diff.copy()
+            w_diff[7] *= 1 + error
+            return replace(ledger, w_diff=w_diff)
+
+        monkeypatch.setattr(cli, "system_quench_ledger", perturbed)
+        code = main(["sweep", "--config", self.config(tmp_path, k)])
+        out = capsys.readouterr().out
+        assert code == (EXIT_TOLERANCE if error else EXIT_OK)
+        # diss_diff = w_diff - delta_f_s carries the same error
+        mismatched = ["w_diff", "diss_diff"] if error else []
+        assert re.findall(r"ORACLE MISMATCH (\w+)", out) == mismatched
+
+    def test_larger_unit_states_its_floor_in_that_unit(self, tmp_path, capsys):
+        # the engine's checks accept the interaction golden sweep in a unit 2^20 larger,
+        # with every flag kept; min(1, scale) never raises the gate's absolute floor, so
+        # the zero work at gamma_B = 0 (1.1e-16 * 2^20 off) fails it unless the config
+        # states that floor in its own unit
+        cfg = self.config(tmp_path, 20, "interaction")
+        assert main(["sweep", "--config", cfg]) == EXIT_TOLERANCE
+        assert re.findall(r"ORACLE MISMATCH (\w+)", capsys.readouterr().out) == ["w_diff"]
+        floor = f"oracle_match_abs={1e-10 * 2 ** 20!r}"
+        assert main(["sweep", "--config", cfg, "--tol", floor]) == EXIT_OK
+        assert "ORACLE MISMATCH" not in capsys.readouterr().out
+        flags = [line.split(",")[-6:] for line in (tmp_path / "s.csv").read_text().splitlines()]
+        golden = (DATA / "sweep_interaction.csv").read_text().splitlines()
+        assert flags == [line.split(",")[-6:] for line in golden]
 
 
 class TestGoldenOutputs:
@@ -587,7 +639,7 @@ class TestCompare:
         """compare's (2 count, F) engine and oracle tables, as its gate reads them."""
         seen, gate = [], cli._oracle_fractions
         monkeypatch.setattr(cli, "_oracle_fractions",
-                            lambda eng, ora, tol: seen.append((eng, ora)) or gate(eng, ora, tol))
+                            lambda *args: seen.append(args[:2]) or gate(*args))
         cfg = write(tmp_path, "c.ini", f"[run]\ncount = {count}\n")
         assert main(["compare", "--config", cfg, "--seed", str(seed)]) == EXIT_OK
         [tables] = seen
@@ -601,7 +653,7 @@ class TestCompare:
             for _ in range(count):
                 p = audits.random_two_spin_params(rng)
                 value = rng.uniform(-2, 2) if kind == SYSTEM_QUENCH else p.gamma
-                h_a, h_b, h_r, oracle = cli._two_spin_sweep(kind, p, np.array([value]))
+                h_a, h_b, h_r, oracle, _ = cli._two_spin_sweep(kind, p, np.array([value]))
                 eng.append(cli._table(run_sweep(h_a, h_b, h_r, p.beta, kind)))
                 ora.append(cli._table(oracle()))
         return np.vstack(eng), np.vstack(ora)

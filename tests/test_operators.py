@@ -49,6 +49,24 @@ class TestPauli:
             pauli("w")
 
 
+class TestMatrixDtype:
+    """`Operator` alone decides the dtype: every matrix it holds is complex128."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: Operator(np.eye(2), (2,)),
+        lambda: Operator(np.eye(2, dtype=int), (2,)),
+        lambda: Operator([[0.0, 1.0], [1.0, 0.0]], (2,)),
+        lambda: Operator(np.eye(2, dtype=np.complex64), (2,)),
+        lambda: pauli("x"), lambda: pauli("y"), lambda: pauli("z"),
+        lambda: identity((2, 3)),
+        lambda: tensor_product(pauli("z"), identity(2)),
+        lambda: partial_trace(tensor_product(pauli("x"), identity(3)), "S"),
+    ], ids=["float", "int", "list", "complex64", "x", "y", "z", "identity", "kron",
+            "partial_trace"])
+    def test_matrix_is_complex128(self, make):
+        assert make().matrix.dtype == np.complex128
+
+
 class TestTensorProduct:
     def test_identity_case(self):
         out = tensor_product(identity(2), identity(2))
@@ -136,6 +154,15 @@ class TestHermitianEig:
         lower[np.diag_indices(16)] = lower.diagonal().real
         dec = Operator(a, (16,)).eig
         assert np.abs(dec.reconstruct() - lower).max() <= 1e-14 * np.abs(a).max()
+
+    @pytest.mark.parametrize("k", [-40, 0, 40])
+    def test_defect_bound_in_the_matrix_unit(self, k):
+        # a 1e-3 relative defect fails at any scale, and a zero matrix passes with defect 0
+        a = 2.0 ** k * np.array([[1.0, 0.3 * (1 + 1e-3)], [0.3, -1.0]])
+        with pytest.raises(NotHermitian):
+            Operator(a, (2,)).eig
+        zero = Operator(np.zeros((2, 2)), (2,)).eig
+        assert not zero.eigenvalues.any()
 
     def test_reconstruction_many_sizes(self):
         # reconstruction invariant over seeded random Hermitians, sides 2-16

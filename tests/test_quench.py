@@ -212,6 +212,14 @@ class TestRunQuench:
             _check_first_law(zeros, heats, zeros, zeros)
         _check_first_law(zeros, zeros, zeros, zeros)
 
+    @pytest.mark.parametrize("k", [-40, 0, 40])
+    def test_first_law_bound_in_the_energy_unit(self, k):
+        # exact at any scale; a 5e-7 residual against terms of size 3 fails at any scale
+        works, heats, u_a = (np.full((3, 2), 2.0 ** k * v) for v in (1.0, 0.5, -0.25))
+        _check_first_law(works, heats, u_a, u_a + works + heats)
+        with pytest.raises(QuenchThermError, match="first-law residual .* for definition diff"):
+            _check_first_law(works, heats * (1 + 1e-6), u_a, u_a + works + heats)
+
     def test_first_law_random(self):
         rng = np.random.default_rng(67)
         for _ in range(30):
@@ -396,7 +404,7 @@ class TestEnergyUnit:
         return run_quench(QuenchSpec(up * h_a, up * h_b, up * h_r, down * beta,
                                      kind=kind, final_mode=mode, t_f=down * t_f))
 
-    @pytest.mark.parametrize("k", [-40, -20, 0, 10])
+    @pytest.mark.parametrize("k", [-40, -20, 0, 10, 20, 40])
     @pytest.mark.parametrize("name", ["system", "interaction", "general", "general_unitary"])
     def test_energies_scale_and_verdicts_stay(self, name, k):
         unit, scaled = self.ledger(name, 0), self.ledger(name, k)
@@ -409,6 +417,28 @@ class TestEnergyUnit:
             unit.second_law_w, unit.second_law_q)
         if name == "system":
             assert unit.second_law_w == (True, True, False)
+
+    @pytest.mark.parametrize("k", [-40, 0])
+    def test_coupled_start_refused_as_interaction_quench(self, k):
+        # the structure defect is chi = 0.8 in H_A's own unit, so no floor lets it through
+        p = replace(self.P_BARE, chi=0.8)
+        h_a, h_r = two_spin_hamiltonian(p), reservoir_hamiltonian(p)
+        with pytest.raises(InvalidSpec, match="not of the form"):
+            QuenchSpec(2.0 ** k * h_a, 2.0 ** k * h_a, 2.0 ** k * h_r, 2.0 ** -k,
+                       kind=INTERACTION_QUENCH)
+
+    def test_all_zero_hamiltonians_pass_the_input_checks(self):
+        zero = Operator(np.zeros((4, 4)), (2, 2))
+        ledger = run_quench(QuenchSpec(zero, zero, Operator(np.zeros((2, 2)), (2,)), 1.0,
+                                       kind=INTERACTION_QUENCH))
+        assert all(v == 0.0 for v in ledger.numeric_fields().values())
+
+    def test_small_system_change_checked_against_its_operands(self):
+        # H_B - H_A is 5e-7 sz_S: a defect bound on the difference's own entries
+        # (about 5e-17) refuses its 1.1e-16 round-off; one on H_A's and H_B's passes it
+        p = TwoSpinParams(0.3, 0.8, 1.2, 1.8, 1.0)
+        ledger = run_quench(two_spin_spec(p, replace(p, epsilon=0.3 + 1e-6), SYSTEM_QUENCH))
+        assert abs(ledger.w_diff) < 1e-6
 
 
 class TestSecondLawAudit:
@@ -655,6 +685,13 @@ class TestRunSweep:
         stack = two_spin_matrices(self.GRID, p.alpha, p.gamma, p.chi)
         return two_spin_hamiltonian(p), stack, reservoir_hamiltonian(p), p.beta
 
+    def test_real_stack_equals_its_complex_cast(self):
+        # the stack turns complex where it joins H_A's matrix, so its dtype moves no bit
+        h_a, stack, h_r, beta = self.system_sweep()
+        assert stack.dtype == np.float64
+        assert _records(run_sweep(h_a, stack, h_r, beta, SYSTEM_QUENCH)) == _records(
+            run_sweep(h_a, stack.astype(complex), h_r, beta, SYSTEM_QUENCH))
+
     def test_one_global_eigh_for_41_points(self, eig_calls):
         h_a, stack, h_r, beta = self.system_sweep()
         ledger = run_sweep(h_a, stack, h_r, beta, SYSTEM_QUENCH)
@@ -816,6 +853,27 @@ class TestStackLedgers:
         hams, *numbers = self.stack_of(specs)
         columns = quench._stack_ledgers(hams, (2, 3), *numbers, slice(6), slice(6, None))
         assert _records(columns) == [run_quench(spec) for spec in specs]
+
+    def test_real_stack_matches_its_complex_cast(self):
+        # downstream of `eigh` the step takes either dtype: a real symmetric stack is
+        # decomposed in real arithmetic and agrees with its complex cast to round-off
+        rng = np.random.default_rng(31)
+
+        def sym(d):
+            x = rng.standard_normal((d, d))
+            return x + x.T
+
+        h_r, betas = sym(4), rng.uniform(0.3, 2.0, 3)
+        h_as = [sym(8) + np.kron(np.eye(2), h_r) for _ in betas]
+        hams = np.stack(h_as + [h + np.kron(sym(2), np.eye(4)) for h in h_as])
+        reservoirs = [gibbs(Operator(h_r, (4,)), b) for b in betas]
+        numbers = np.tile([betas, [r.log_partition for r in reservoirs],
+                           [r.mean_energy for r in reservoirs]], 2)
+        real, cast = (quench._stack_ledgers(h, (2, 4), *numbers, slice(3), slice(3, None))
+                      for h in (hams, hams.astype(complex)))
+        for name in ThermoLedger.FIELDS:
+            ref = getattr(cast, name)
+            assert np.all(np.abs(getattr(real, name) - ref) <= 1e-13 * np.maximum(1, abs(ref)))
 
     @pytest.mark.parametrize("member, named", [(2, 2), (4 + 3, 3)], ids=["pre", "post"])
     def test_non_hermitian_member_named_in_its_side(self, member, named):

@@ -290,6 +290,14 @@ class TestTwoSpinHamiltonian:
             p = TwoSpinParams(*(rng.standard_normal(4) * 10.0 ** rng.integers(-8, 9)), 1.0)
             assert np.array_equal(two_spin_hamiltonian(p).matrix, self.kron_build(p))
 
+    def test_matrices_are_real_and_operators_complex(self):
+        # the model is real; only `Operator` makes its matrix complex128
+        p = TwoSpinParams(0.3, 0.8, 1.2, 1.8, 1.0)
+        assert two_spin_matrices(0.3, 0.8, 1.2, 1.8).dtype == np.float64
+        assert two_spin_matrices(np.linspace(-1, 1, 5), 0.8, 1.2, 1.8).dtype == np.float64
+        assert two_spin_hamiltonian(p).matrix.dtype == np.complex128
+        assert reservoir_hamiltonian(p).matrix.dtype == np.complex128
+
     def test_stack_bit_identical_to_points(self):
         rng = np.random.default_rng(101)
         eps = rng.uniform(-5, 5, 41)
