@@ -38,7 +38,7 @@ from .quench import (
     run_quench,
     run_sweep,
 )
-from .thermo import _check_beta, embed_reservoir, embed_system, gibbs
+from .thermo import _check_beta, embed_reservoir, embed_system
 from .twospin import (
     TwoSpinParams,
     interaction_quench_ledger,
@@ -307,18 +307,17 @@ def cmd_compare(cfg: SimpleNamespace) -> int:
     kinds, fields, n = (SYSTEM_QUENCH, INTERACTION_QUENCH), ThermoLedger.FIELDS, cfg.count
     engine, oracle, scales = [], [], []  # (N, F) per kind; (1, F) and (1,) per draw
     for kind in kinds:
-        draws = []  # H_A, H_B, beta, ln Z_R and <H_R> of each draw
+        draws = []  # H_A, H_B, beta and H_R's spectrum of each draw
         for _ in range(n):
             p = random_two_spin_params(rng)
             value = rng.uniform(-2, 2) if kind == SYSTEM_QUENCH else p.gamma
             h_a, h_b, h_r, closed_form, scale = _two_spin_sweep(kind, p, np.array([value]))
-            r = gibbs(h_r, p.beta)
-            draws.append((h_a.matrix, h_b[0], p.beta, r.log_partition, r.mean_energy))
+            draws.append((h_a.matrix, h_b[0], p.beta, h_r.eig.eigenvalues))
             oracle.append(_table(closed_form()))
             scales.append(scale)
-        h_as, h_bs, *numbers = zip(*draws)  # draw k's H_A is quenched to its H_B
-        engine.append(_table(_stack_ledgers(np.stack(h_as + h_bs), h_a.dims, *np.tile(numbers, 2),
-                                            slice(n), slice(n, None))))
+        h_as, h_bs, betas, spectra = zip(*draws)  # draw k's H_A is quenched to its H_B
+        engine.append(_table(_stack_ledgers(np.stack(h_as + h_bs), h_a.dims, np.tile(betas, 2),
+                                            np.stack(spectra * 2), slice(n), slice(n, None))))
     frac = _oracle_fractions(*map(np.concatenate, (engine, oracle, scales)), cfg.tolerances)
     # the first maximum over (kind, draw, field), named only when it is not 0
     row, col = divmod(int(frac.argmax()), len(fields))

@@ -31,7 +31,7 @@ from .thermo import (
     _check_beta,
     _check_reservoir,
     _trace_out_weighted,
-    gibbs,
+    thermal_context,
     thermal_entropy,
 )
 
@@ -107,11 +107,9 @@ class QuenchSpec:
     @cached_property
     def _contexts(self) -> tuple[ThermalContext, ThermalContext, np.ndarray]:
         """The contexts of H_A and H_B and their overlap C = U_B^dag U_A, (1, D, D),
-        computed once for `run_quench` and `second_law_audit`, from one `gibbs` of H_R."""
-        reservoir = gibbs(self.h_r, self.beta)
-        ctx_a, ctx_b = (ThermalContext.build(
-            h.eig.eigenvalues[None], h.eig.eigenvectors[None], h.dims, self.beta,
-            reservoir.log_partition, reservoir.mean_energy) for h in (self.h_sur_a, self.h_sur_b))
+        computed once for `run_quench` and `second_law_audit`, from the cached eigenpairs."""
+        ctx_a, ctx_b = (thermal_context(h, self.h_r, self.beta)
+                        for h in (self.h_sur_a, self.h_sur_b))
         return ctx_a, ctx_b, _eigen_overlap(ctx_a, ctx_b)
 
 
@@ -279,23 +277,24 @@ def run_sweep(
         raise InvalidSpec(f"post-quench stack must have shape (N, {h_sur_a.side}, "
                           f"{h_sur_a.side}) with N >= 1, got {stack.shape}")
     _check_quench(kind, h_sur_a, stack, h_r, beta)
-    reservoir = gibbs(h_r, beta)
     return _stack_ledgers(np.concatenate((h_sur_a.matrix[None], stack)), h_sur_a.dims, beta,
-                          reservoir.log_partition, reservoir.mean_energy, slice(1), slice(1, None))
+                          h_r.eig.eigenvalues, slice(1), slice(1, None))
 
 
-def _stack_ledgers(hams: np.ndarray, dims: tuple[int, int], beta, log_z_r, u_r,
+def _stack_ledgers(hams: np.ndarray, dims: tuple[int, int], beta, reservoir: np.ndarray,
                    pre: slice, post: slice) -> ThermoLedger:
     """Equilibrated quenches of a (M, D, D) stack's `pre` members to its `post` ones: from one
-    to each, or member k to member k.  beta, ln Z_R and <H_R>_beta are shared or (M,) columns.
+    to each, or member k to member k.  beta is shared or an (M,) column, the bare H_R's
+    spectrum shared (d_r,) or (M, d_r); the context derives ln Z_R and <H_R>_beta from them.
     One context, so one broadcasting global `eigh`; when it fails, each side is redone alone,
     so the error names a member by its index in its side, a one-member side without one."""
-    numbers = [np.full(len(hams), x, float) for x in (beta, log_z_r, u_r)]
+    beta = np.full(len(hams), beta, float)
+    reservoir = np.broadcast_to(reservoir, (len(hams), reservoir.shape[-1]))
     try:
-        ctx = ThermalContext.build(*eigh_stack(hams), dims, *numbers)
+        ctx = ThermalContext.build(*eigh_stack(hams), dims, beta, reservoir)
     except (QuenchThermError, ValueError):
         for side in (pre, post):
-            ThermalContext.build(*eigh_stack(hams[side]), dims, *(x[side] for x in numbers))
+            ThermalContext.build(*eigh_stack(hams[side]), dims, beta[side], reservoir[side])
         raise
     ctx_a, ctx_b = ctx._members(pre), ctx._members(post)
     return _ledgers(ctx_a, ctx_b, _eigen_overlap(ctx_a, ctx_b), EQUILIBRATED, 0.0)

@@ -9,8 +9,8 @@ come from one `ThermalContext`, built from one broadcasting eigendecomposition,
 which stores each Gibbs spectrum once, with its log.  The public statics read
 the context that `thermal_context` builds from the Hamiltonian's cached
 `Operator.eig`, so statics on one `Operator` share one `eigh`.  A context is built
-from beta and two numbers of the bare reservoir, ln Z_R and <H_R>_beta = sum_k p_k E_k,
-which `gibbs` reads off its spectrum, building the Gibbs state only on `.state`.
+from beta and the bare reservoir's spectrum, from which it computes ln Z_R and
+<H_R>_beta = sum_k p_k E_k as `gibbs` does; `gibbs` builds the Gibbs state only on `.state`.
 Gibbs populations of an `Operator`'s finite spectrum are a distribution by
 construction, so nothing here re-checks them; `DensityMatrix` checks a state.
 """
@@ -162,19 +162,20 @@ class ThermalContext:
 
     @classmethod
     def build(
-        cls, evals: np.ndarray, evecs: np.ndarray, dims: tuple[int, ...],
-        beta, log_z_r, u_r,
+        cls, evals: np.ndarray, evecs: np.ndarray, dims: tuple[int, ...], beta, reservoir,
     ) -> "ThermalContext":
         """Contexts of a (N, D, D) stack on `dims` against a bare reservoir.
 
-        `evals` (N, D) and `evecs` (N, D, D) are the stack's eigenpairs, from
-        `eigh_stack` or a stack of one `Operator.eig`.  beta, ln Z_R and
-        <H_R>_beta are each a scalar that every member shares or an (N,) column.
+        `evals` (N, D) and `evecs` (N, D, D) are the stack's eigenpairs, from `eigh_stack` or a
+        stack of one `Operator.eig`; beta is shared or an (N,) column.  ln Z_R and <H_R>_beta
+        come as in `gibbs` from the bare H_R's spectrum `reservoir`, (d_r,) shared or (N, d_r).
         """
         if len(dims) != 2:
             raise BadFactorCount(f"need exactly two factors, got dims {dims}")
-        beta, u_r = np.full(len(evals), beta, float), np.full(len(evals), u_r, float)
+        beta = np.full(len(evals), beta, float)
         b = beta[:, None]
+        _, r_weights, r_z, _, log_z_r = _gibbs_weights(reservoir, b)
+        u_r = (reservoir * (r_weights / r_z)).sum(axis=-1)
         log_w, weights, z, log_z, _ = _gibbs_weights(evals, b)
         m, x = _trace_out_weighted(evecs, np.stack((weights, weights * evals)), dims)
         mvals, v = np.linalg.eigh(m)
@@ -205,11 +206,13 @@ def _check_reservoir(dims: tuple[int, ...], h_r: Operator):
 
 
 def thermal_context(h_sur: Operator, h_r: Operator, beta: float) -> ThermalContext:
-    """Context of one bipartite Hamiltonian, from its cached eigenpairs, over `h_r` at beta."""
-    dec, reservoir = h_sur.eig, gibbs(h_r, beta)
+    """Context of one bipartite Hamiltonian at beta, from its and `h_r`'s cached eigenpairs;
+    the one builder of a single Hamiltonian's context, which `QuenchSpec` uses too."""
+    dec = h_sur.eig
+    _check_beta(beta)
     _check_reservoir(h_sur.dims, h_r)
     return ThermalContext.build(dec.eigenvalues[None], dec.eigenvectors[None], h_sur.dims,
-                                beta, reservoir.log_partition, reservoir.mean_energy)
+                                beta, h_r.eig.eigenvalues)
 
 
 def mean_force_bundle(h_sur: Operator, h_r: Operator, beta: float) -> MeanForceBundle:

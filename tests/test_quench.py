@@ -616,19 +616,19 @@ class TestEigenCoordinates:
         assert not hasattr(spec._contexts[0], "rho")
 
     @pytest.mark.parametrize("mode", [EQUILIBRATED, UNITARY])
-    def test_one_reservoir_gibbs_per_quench_and_audit(self, monkeypatch, mode):
-        # both contexts read ln Z_R and <H_R>_beta off one Gibbs ensemble of H_R
+    def test_no_gibbs_and_one_reservoir_eigh_per_quench_and_audit(self, monkeypatch, eig_calls,
+                                                                   mode):
+        # both contexts derive ln Z_R and <H_R>_beta from H_R's one cached spectrum
         calls = []
         original = thermo.gibbs
-        for module in (thermo, quench):  # thermal_context reads thermo's name
-            monkeypatch.setattr(module, "gibbs",
-                                lambda h, beta: calls.append(h) or original(h, beta))
+        monkeypatch.setattr(thermo, "gibbs", lambda h, beta: calls.append(h) or original(h, beta))
         rng = np.random.default_rng(127)
         h_a, _, h_r, _ = random_bipartite(rng, 2, 4, scale=0.5)
         h_b, _, _, _ = random_bipartite(rng, 2, 4, scale=0.5)
         spec = QuenchSpec(h_a, h_b, h_r, 0.8, final_mode=mode, t_f=1.3)
         second_law_audit(spec, run_quench(spec))
-        assert len(calls) == 1 and calls[0] is h_r
+        assert calls == [] and not hasattr(quench, "gibbs")
+        assert eig_calls["eigh"].count(4) == 1  # d_s = 2 and D = 8 differ from d_r
 
     def test_one_overlap_per_sweep(self, monkeypatch):
         calls = self.count_overlaps(monkeypatch)
@@ -842,11 +842,10 @@ class TestStackLedgers:
 
     @staticmethod
     def stack_of(specs):
-        """The (2 n, D, D) stack [H_A's; H_B's] and its (2 n,) beta, ln Z_R, <H_R>."""
-        reservoirs = [gibbs(s.h_r, s.beta) for s in specs]
-        numbers = [(s.beta, r.log_partition, r.mean_energy) for s, r in zip(specs, reservoirs)]
+        """The (2 n, D, D) stack [H_A's; H_B's], its (2 n,) beta and (2 n, d_r) H_R spectra."""
         hams = np.stack([s.h_sur_a.matrix for s in specs] + [s.h_sur_b.matrix for s in specs])
-        return hams, *np.tile(np.transpose(numbers), 2)
+        return (hams, np.tile([s.beta for s in specs], 2),
+                np.stack([s.h_r.eig.eigenvalues for s in specs] * 2))
 
     def test_paired_members_equal_run_quench(self):
         specs = self.pairs(6)
@@ -866,10 +865,9 @@ class TestStackLedgers:
         h_r, betas = sym(4), rng.uniform(0.3, 2.0, 3)
         h_as = [sym(8) + np.kron(np.eye(2), h_r) for _ in betas]
         hams = np.stack(h_as + [h + np.kron(sym(2), np.eye(4)) for h in h_as])
-        reservoirs = [gibbs(Operator(h_r, (4,)), b) for b in betas]
-        numbers = np.tile([betas, [r.log_partition for r in reservoirs],
-                           [r.mean_energy for r in reservoirs]], 2)
-        real, cast = (quench._stack_ledgers(h, (2, 4), *numbers, slice(3), slice(3, None))
+        spectrum = Operator(h_r, (4,)).eig.eigenvalues  # shared by every member
+        real, cast = (quench._stack_ledgers(h, (2, 4), np.tile(betas, 2), spectrum,
+                                            slice(3), slice(3, None))
                       for h in (hams, hams.astype(complex)))
         for name in ThermoLedger.FIELDS:
             ref = getattr(cast, name)

@@ -244,20 +244,20 @@ class TestMeanForce:
         dec = h_sur.eig
         evals = np.stack([dec.eigenvalues, dec.eigenvalues])
         evals[1, 2] = np.nan
-        res = gibbs(h_r, 0.7)
         with pytest.raises(NotPositiveDefinite, match="stack index 1$"):
             ThermalContext.build(evals, np.stack([dec.eigenvectors] * 2), h_sur.dims,
-                                 0.7, res.log_partition, res.mean_energy)
+                                 0.7, h_r.eig.eigenvalues)
 
     def test_per_member_numbers_equal_one_member_builds(self):
         rng = np.random.default_rng(43)
-        hams = np.stack([random_bipartite(rng, 2, 3)[0].matrix for _ in range(3)])
-        evals, evecs = eigh_stack(hams)
-        beta, log_z_r, u_r = np.array([[0.3, 0.7, 2.1], [1.2, -0.4, 0.0], [-0.5, 0.25, 0.9]])
-        ctx = ThermalContext.build(evals, evecs, (2, 3), beta, log_z_r, u_r)
+        bipartite = [random_bipartite(rng, 2, 3) for _ in range(3)]
+        evals, evecs = eigh_stack(np.stack([h.matrix for h, *_ in bipartite]))
+        spectra = np.stack([h_r.eig.eigenvalues for _, _, h_r, _ in bipartite])
+        beta = np.array([0.3, 0.7, 2.1])
+        ctx = ThermalContext.build(evals, evecs, (2, 3), beta, spectra)
         for k in range(3):
             one = ThermalContext.build(evals[k:k + 1], evecs[k:k + 1], (2, 3),
-                                       float(beta[k]), float(log_z_r[k]), float(u_r[k]))
+                                       float(beta[k]), spectra[k])
             for f in fields(ThermalContext):
                 if f.name != "dims":
                     assert np.array_equal(getattr(ctx, f.name)[k], getattr(one, f.name)[0]), f.name
@@ -495,6 +495,39 @@ class TestReservoirSpace:
         h = two_spin_hamiltonian(BENCH)
         with pytest.raises(DimensionMismatch, match=r"reservoir dims \(3,\)"):
             internal_energy_diff(gibbs(h, BENCH.beta).state, h, self.H_R3, BENCH.beta)
+
+
+class TestReservoirSpectrum:
+    """A context derives ln Z_R and <H_R>_beta from the bare reservoir's spectrum, at each
+    member's beta, with the bits `gibbs` gives them."""
+
+    @pytest.mark.parametrize("d_r", [2, 8, 32])  # at 32, numpy sums pairwise
+    def test_beta_column_equals_one_member_contexts(self, d_r):
+        h, _, h_r, _ = random_bipartite(np.random.default_rng(47 + d_r), 2, d_r)
+        evals, evecs = h.eig.eigenvalues, h.eig.eigenvectors
+        betas = np.logspace(-2, 3, 7) / (evals[-1] - evals[0])
+        n = len(betas)
+        # broadcast views of one cached eigendecomposition, one member per beta
+        ctx = ThermalContext.build(np.broadcast_to(evals, (n,) + evals.shape),
+                                   np.broadcast_to(evecs, (n,) + evecs.shape), h.dims, betas,
+                                   h_r.eig.eigenvalues)
+        for k, beta in enumerate(betas.tolist()):
+            assert ctx.u_r[k] == gibbs(h_r, beta).mean_energy
+            one = thermal_context(h, h_r, beta)
+            for f in fields(ThermalContext):
+                if f.name != "dims":
+                    assert np.array_equal(getattr(ctx, f.name)[k], getattr(one, f.name)[0]), f.name
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("static", [gibbs, log_partition, thermal_context, mean_force_bundle],
+                             ids=lambda f: f.__name__)
+    def test_statics_refuse_beta_outside_domain(self, static, beta):
+        h = two_spin_hamiltonian(BENCH)
+        args = (h, beta) if static in (gibbs, log_partition) else (
+            h, reservoir_hamiltonian(BENCH), beta)
+        with pytest.raises(ValueError, match="^beta must be positive and finite") as info:
+            static(*args)
+        assert info.type is ValueError
 
 
 class TestSharedEigendecomposition:
