@@ -9,7 +9,10 @@ throughout is row-major ordering with the system factor leading, i.e.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -19,6 +22,7 @@ import numpy as np
 from .errors import BadFactorCount, DimensionMismatch, NotHermitian
 
 HERMITICITY_TOL = 1e-12
+_CONCURRENT_SIDE = 64  # two `eigh` on two threads: slower at side 32, faster from 48
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,14 +57,11 @@ class Operator:
     def eig(self) -> SpectralDecomposition:
         """Read-only eigenpairs, eigenvalues ascending: the one owner of them.
 
-        Seeded by `from_eig`, or else computed on first access by `eigh_stack`, of the
-        Hermitian matrix of the lower triangle; either way every eigenvalue is finite.
+        Seeded by `from_eig` or `_decomposing` only, else computed on first access by
+        `eigh_stack` of the Hermitian matrix of the lower triangle; all are finite.
         Raises on every access to a non-Hermitian operator or a non-finite spectrum.
         """
-        evals, evecs = eigh_stack(self.matrix[None])
-        evals.setflags(write=False)
-        evecs.setflags(write=False)
-        return SpectralDecomposition(evals[0], evecs[0], self.dims)
+        return _decomposed(self)
 
     @classmethod
     def from_eig(cls, dec: SpectralDecomposition) -> "Operator":
@@ -111,6 +112,44 @@ class Operator:
     def _check_same_space(self, other: "Operator"):
         if self.dims != other.dims:
             raise DimensionMismatch(f"dims {self.dims} vs {other.dims}")
+
+
+def _decomposed(op: Operator) -> SpectralDecomposition:
+    """The checked, read-only eigenpairs that `Operator.eig` caches."""
+    evals, evecs = eigh_stack(op.matrix[None])
+    evals.setflags(write=False)
+    evecs.setflags(write=False)
+    return SpectralDecomposition(evals[0], evecs[0], op.dims)
+
+
+@contextmanager
+def _decomposing(op: Operator):
+    """Run the block while a worker thread decomposes `op`, then seed `op.eig`.
+
+    The worker calls `_decomposed`, not `op.eig` (its lock spans every instance up to
+    Python 3.11), in a copy of this context, so numpy's error state carries over.  A failed
+    worker or block seeds nothing, and the block's error wins over the worker's.  With `op`
+    decomposed or of side below `_CONCURRENT_SIDE`, no thread runs."""
+    if "eig" in vars(op) or op.side < _CONCURRENT_SIDE:
+        yield
+        return
+    out = []
+
+    def work():
+        try:
+            out.append(_decomposed(op))
+        except Exception as exc:  # raised on the caller's thread after the join
+            out.append(exc)
+
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+    worker.start()
+    try:
+        yield
+    finally:
+        worker.join()
+    if isinstance(out[0], Exception):
+        raise out[0]
+    vars(op)["eig"] = out[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,6 +20,7 @@ from .operators import (
     Operator,
     SpectralDecomposition,
     _check_defect,
+    _decomposing,
     at_index,
     dagger,
     eigh_stack,
@@ -84,7 +85,10 @@ def _check_acts_on_s_only(b: np.ndarray, a: np.ndarray, dims: tuple[int, int]):
 
 @dataclass(frozen=True)
 class QuenchSpec:
-    """Pre/post global Hamiltonians, bare reservoir Hamiltonian, and protocol."""
+    """Pre/post global Hamiltonians, bare reservoir Hamiltonian, and protocol.
+
+    Construction checks the inputs, then caches H_A's, H_B's and H_R's eigenpairs, raising
+    in that order; H_B's `eigh` may run meanwhile on a worker thread (`_decomposing`)."""
 
     h_sur_a: Operator
     h_sur_b: Operator
@@ -100,9 +104,12 @@ class QuenchSpec:
         if self.final_mode not in (EQUILIBRATED, UNITARY):
             raise InvalidSpec(f"unknown final mode {self.final_mode!r}")
         self.h_sur_a._check_same_space(self.h_sur_b)
-        _check_quench(self.kind, self.h_sur_a, self.h_sur_b.matrix[None], self.h_r, self.beta)
         # NotHermitian here; the contexts read these cached eigenpairs anyway
-        self.h_sur_a.eig, self.h_sur_b.eig, self.h_r.eig
+        with _decomposing(self.h_sur_b):
+            _check_quench(self.kind, self.h_sur_a, self.h_sur_b.matrix[None], self.h_r, self.beta)
+            if self.h_sur_a is not self.h_sur_b:
+                self.h_sur_a.eig
+        self.h_sur_b.eig, self.h_r.eig
 
     @cached_property
     def _contexts(self) -> tuple[ThermalContext, ThermalContext, np.ndarray]:

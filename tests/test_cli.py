@@ -345,10 +345,11 @@ class TestRepeatedMainCalls:
 
 
 class TestGoldenSweep:
-    """Sweep CSVs and summaries against the committed files; every byte must match."""
+    """Sweep CSVs and summaries against the committed files; every byte must match.
+    Every golden has D <= 8, so none starts a thread."""
 
     @pytest.mark.parametrize("tag", ["sweep_system", "sweep_interaction", "sweep_beta800"])
-    def test_matches_committed_output(self, tmp_path, capsys, tag):
+    def test_matches_committed_output(self, tmp_path, capsys, no_threads, tag):
         out = tmp_path / f"{tag}.csv"
         template = (DATA / f"{tag}.ini").read_text()
         cfg = write(tmp_path, f"{tag}.ini", template.format(out=out))
@@ -414,7 +415,8 @@ class TestOracleGateUnit:
 class TestGoldenOutputs:
     """run, audit and compare output against files generated before the
     ledger record, the two-spin sampler and the quench pairing each got a
-    single owner; every byte must match."""
+    single owner; every byte must match. Every golden has D <= 8, so none starts a
+    thread."""
 
     COMPARE_25 = "[run]\nmode = compare\ncount = 25\n"
     COMPARE_100 = "[run]\nmode = compare\ncount = 100\n"
@@ -427,7 +429,7 @@ class TestGoldenOutputs:
         ("run_interaction", ["run"], RUN_INTERACTION),
         ("run_custom", ["run"], RUN_CUSTOM),
     ])
-    def test_matches_committed_output(self, tmp_path, capsys, tag, args, config):
+    def test_matches_committed_output(self, tmp_path, capsys, no_threads, tag, args, config):
         if config is not None:
             args = args + ["--config", write(tmp_path, f"{tag}.ini", config)]
         assert main(args) == EXIT_OK

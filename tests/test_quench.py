@@ -1,3 +1,4 @@
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
@@ -563,6 +564,100 @@ class TestThermalContextSharing:
                            - abs(beta * expected["diss_diff"] - d_global)) <= 1e-12, case
                 assert abs(audit.residual_hstar
                            - abs(beta * expected["diss_hstar"] - d_reduced)) <= 1e-12, case
+
+
+class TestConcurrentDecomposition:
+    """A spec of side 64 or more decomposes H_B on a worker thread while its own thread
+    checks the kind and decomposes H_A; nothing else changes."""
+
+    BETA = 0.8
+    DEFECTS = {"a": 0.5, "b": 0.25, "r": 0.125}
+
+    @staticmethod
+    def operators(d_s, d_r=32):
+        """Random H_A, H_B and H_R of a general quench on a d_s x d_r space."""
+        rng = np.random.default_rng(103)
+        h_a, _, h_r, _ = random_bipartite(rng, d_s, d_r, scale=0.5)
+        return h_a, random_bipartite(rng, d_s, d_r, scale=0.5)[0], h_r
+
+    @staticmethod
+    def eigh_threads(monkeypatch, op) -> list:
+        """The thread id of each `np.linalg.eigh` call on `op`'s matrix, in order."""
+        threads, original = [], np.linalg.eigh
+
+        def recorded(a, *args, **kwargs):
+            if np.shares_memory(a, op.matrix):
+                threads.append(threading.get_ident())
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        return threads
+
+    @pytest.mark.parametrize("mode", [EQUILIBRATED, UNITARY])
+    def test_worker_matches_the_callers_thread_bit_for_bit(self, monkeypatch, mode):
+        h_a, h_b, h_r = self.operators(4)
+        threads, alive = self.eigh_threads(monkeypatch, h_b), threading.active_count()
+        spec = QuenchSpec(h_a, h_b, h_r, self.BETA, final_mode=mode, t_f=1.3)
+        ledger = run_quench(spec)
+        audit = second_law_audit(spec, ledger)
+        assert len(threads) == 1 and threads[0] != threading.get_ident()
+        assert threading.active_count() == alive
+
+        # H_B decomposed before the spec: `_decomposing` runs on the caller's thread
+        h_a, h_b, h_r = (Operator(op.matrix.copy(), op.dims) for op in (h_a, h_b, h_r))
+        threads = self.eigh_threads(monkeypatch, h_b)
+        h_b.eig
+        spec = QuenchSpec(h_a, h_b, h_r, self.BETA, final_mode=mode, t_f=1.3)
+        assert repr(run_quench(spec)) == repr(ledger)
+        assert repr(second_law_audit(spec, ledger)) == repr(audit)
+        assert threads == [threading.get_ident()]
+
+    def test_structure_defect_named_before_h_b_hermiticity(self):
+        h_a, h_b, h_r = self.operators(2)
+        bad = h_b.matrix.copy()
+        bad[0, 1] += self.DEFECTS["b"]
+        with pytest.raises(InvalidSpec, match="not of the form"):
+            QuenchSpec(h_a, Operator(bad, h_b.dims), h_r, self.BETA, kind=SYSTEM_QUENCH)
+
+    @pytest.mark.parametrize("sides, named", [("ab", "a"), ("abr", "a"), ("br", "b")])
+    def test_first_hermiticity_defect_named(self, sides, named):
+        ops = dict(zip("abr", self.operators(2)))
+        for side in sides:
+            bad = ops[side].matrix.copy()
+            bad[0, 1] += self.DEFECTS[side]
+            ops[side] = Operator(bad, ops[side].dims)
+        with pytest.raises(NotHermitian, match=f"defect {self.DEFECTS[named]:.3e}"):
+            QuenchSpec(ops["a"], ops["b"], ops["r"], self.BETA)
+
+    def test_failed_h_b_seeds_no_cache(self):
+        h_a, h_b, h_r = self.operators(2)
+        bad = h_b.matrix.copy()
+        bad[0, 1] += self.DEFECTS["b"]
+        h_b = Operator(bad, h_b.dims)
+        for _ in range(2):
+            with pytest.raises(NotHermitian, match="defect 2.500e-01"):
+                QuenchSpec(h_a, h_b, h_r, self.BETA)
+        assert "eig" not in vars(h_b)
+        with pytest.raises(NotHermitian, match="defect 2.500e-01"):
+            h_b.eig
+
+    def test_worker_keeps_the_callers_numpy_error_state(self):
+        h_a, h_b, h_r = self.operators(2)
+        huge = h_b.matrix.copy()
+        huge[0, 1], huge[1, 0] = 1e308, -1e308
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            QuenchSpec(h_a, Operator(huge, h_b.dims), h_r, self.BETA)
+
+    def test_same_h_a_and_h_b_decomposed_once(self, eig_calls):
+        h_a, _, h_r = self.operators(4)
+        spec = QuenchSpec(h_a, h_a, h_r, self.BETA)
+        second_law_audit(spec, run_quench(spec))
+        assert eig_calls["eigh"].count(128) == 1
+
+    @pytest.mark.parametrize("mode", [EQUILIBRATED, UNITARY])
+    def test_side_32_starts_no_thread(self, no_threads, mode):
+        spec = QuenchSpec(*self.operators(2, 16), self.BETA, final_mode=mode, t_f=1.3)
+        second_law_audit(spec, run_quench(spec))
 
 
 class TestEigenCoordinates:
