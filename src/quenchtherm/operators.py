@@ -14,7 +14,6 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -53,15 +52,20 @@ class Operator:
     def side(self) -> int:
         return self.matrix.shape[0]
 
-    @cached_property
+    @property
     def eig(self) -> SpectralDecomposition:
         """Read-only eigenpairs, eigenvalues ascending: the one owner of them.
 
-        Seeded by `from_eig` or `_decomposing` only, else computed on first access by
+        Seeded by `from_eig` only, else computed on first access, on any thread, by
         `eigh_stack` of the Hermitian matrix of the lower triangle; all are finite.
         Raises on every access to a non-Hermitian operator or a non-finite spectrum.
         """
-        return _decomposed(self)
+        if "eig" not in vars(self):
+            evals, evecs = eigh_stack(self.matrix[None])
+            evals.setflags(write=False)
+            evecs.setflags(write=False)
+            vars(self).setdefault("eig", SpectralDecomposition(evals[0], evecs[0], self.dims))
+        return vars(self)["eig"]
 
     @classmethod
     def from_eig(cls, dec: SpectralDecomposition) -> "Operator":
@@ -96,10 +100,6 @@ class Operator:
         self._check_same_space(other)
         return Operator(self.matrix + other.matrix, self.dims)
 
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._check_same_space(other)
-        return Operator(self.matrix - other.matrix, self.dims)
-
     def __mul__(self, scalar) -> "Operator":
         return Operator(self.matrix * scalar, self.dims)
 
@@ -114,32 +114,22 @@ class Operator:
             raise DimensionMismatch(f"dims {self.dims} vs {other.dims}")
 
 
-def _decomposed(op: Operator) -> SpectralDecomposition:
-    """The checked, read-only eigenpairs that `Operator.eig` caches."""
-    evals, evecs = eigh_stack(op.matrix[None])
-    evals.setflags(write=False)
-    evecs.setflags(write=False)
-    return SpectralDecomposition(evals[0], evecs[0], op.dims)
-
-
 @contextmanager
 def _decomposing(op: Operator):
-    """Run the block while a worker thread decomposes `op`, then seed `op.eig`.
-
-    The worker calls `_decomposed`, not `op.eig` (its lock spans every instance up to
-    Python 3.11), in a copy of this context, so numpy's error state carries over.  A failed
-    worker or block seeds nothing, and the block's error wins over the worker's.  With `op`
-    decomposed or of side below `_CONCURRENT_SIDE`, no thread runs."""
+    """Run the block while a worker thread fills `op.eig`, in a copy of this context so
+    numpy's error state carries over.  The worker keeps only its exception, raised after the
+    join; the block's error wins over it, and a refused block keeps `op`'s checked eigenpairs.
+    With `op` decomposed or of side below `_CONCURRENT_SIDE`, no thread runs."""
     if "eig" in vars(op) or op.side < _CONCURRENT_SIDE:
         yield
         return
-    out = []
+    errors = []
 
     def work():
         try:
-            out.append(_decomposed(op))
+            op.eig
         except Exception as exc:  # raised on the caller's thread after the join
-            out.append(exc)
+            errors.append(exc)
 
     worker = threading.Thread(target=contextvars.copy_context().run, args=(work,))
     worker.start()
@@ -147,9 +137,8 @@ def _decomposing(op: Operator):
         yield
     finally:
         worker.join()
-    if isinstance(out[0], Exception):
-        raise out[0]
-    vars(op)["eig"] = out[0]
+    if errors:
+        raise errors[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -752,6 +752,33 @@ class TestErrors:
         assert captured.err == (f"config error: tolerance {name!r} must be finite and "
                                 f">= 0, got {float(value)}\n")
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("model", "ising", "unknown model 'ising'"),
+        ("quench", "adiabatic", "unknown quench kind 'adiabatic'"),
+    ])
+    def test_unknown_model_or_quench_kind(self, tmp_path, capsys, key, value, message):
+        cfg = write(tmp_path, "r.ini", setting(RUN_TWO_SPIN, key, value))
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_sweep_without_output_path(self, tmp_path, capsys):
+        cfg = write(tmp_path, "s.ini", SWEEP_SYSTEM.split("[output]")[0])
+        assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: sweep mode needs an output path\n"
+
+    def test_unwritable_sweep_csv(self, tmp_path, capsys):
+        # the CSV path is a directory: the write fails and no summary is written or printed
+        csv = tmp_path / "out.csv"
+        csv.mkdir()
+        cfg = write(tmp_path, "s.ini", SWEEP_SYSTEM.format(out=csv))
+        assert main(["sweep", "--config", cfg]) == EXIT_TOLERANCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("write failure: ")
+        assert not (tmp_path / "out.csv.summary.txt").exists()
+
     def test_bad_beta(self, tmp_path, capsys):
         cfg = write(tmp_path, "r.ini", RUN_TWO_SPIN.replace("beta = 1.0", "beta = -1"))
         assert main(["run", "--config", cfg]) == EXIT_CONFIG

@@ -67,6 +67,20 @@ class TestMatrixDtype:
         assert make().matrix.dtype == np.complex128
 
 
+class TestOperatorShape:
+    def test_shape_must_match_dims(self):
+        message = r"^matrix shape \(3, 3\) inconsistent with dims \(2,\)$"
+        with pytest.raises(ValueError, match=message):
+            Operator(np.eye(3), (2,))
+
+    @pytest.mark.parametrize("dims, side, shown", [
+        ((0,), 0, r"\(0,\)"), ((-2, -2), 4, r"\(-2, -2\)")])
+    def test_dims_must_be_positive(self, dims, side, shown):
+        # the shape matches prod(dims), so only the sign check refuses them
+        with pytest.raises(ValueError, match=f"^dims must be positive, got {shown}$"):
+            Operator(np.eye(side), dims)
+
+
 class TestTensorProduct:
     def test_identity_case(self):
         out = tensor_product(identity(2), identity(2))
@@ -309,6 +323,10 @@ class TestPartialTrace:
     def test_rejects_non_bipartite(self):
         with pytest.raises(BadFactorCount):
             partial_trace(identity((2, 2, 2)), "S")
+
+    def test_rejects_unknown_factor(self):
+        with pytest.raises(ValueError, match="^keep must be 'S' or 'R', got 'B'$"):
+            partial_trace(identity((2, 2)), "B")
 
 
 class TestDensityMatrix:

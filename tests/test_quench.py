@@ -139,6 +139,22 @@ class TestQuenchSpecValidation:
         with pytest.raises(NotHermitian, match="hermiticity defect 5.000e-01"):
             QuenchSpec(ops["a"], ops["b"], ops["r"], 1.0)
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("kind", "quasistatic", "unknown quench kind 'quasistatic'"),
+        ("final_mode", "thermalized", "unknown final mode 'thermalized'"),
+    ])
+    def test_unknown_kind_or_final_mode_rejected(self, name, value, message):
+        p = TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0)
+        h_a, h_r = two_spin_hamiltonian(p), reservoir_hamiltonian(p)
+        with pytest.raises(InvalidSpec, match=f"^{message}$"):
+            QuenchSpec(h_a, h_a, h_r, 1.0, **{name: value})
+
+    def test_non_bipartite_space_rejected(self):
+        h = Operator(np.diag([0.0, 1.0, 2.0, 3.0]), (4,))
+        message = r"^global Hamiltonians must share a bipartite space, got \(4,\)$"
+        with pytest.raises(InvalidSpec, match=message):
+            QuenchSpec(h, h, Operator(np.zeros((2, 2)), (2,)), 1.0)
+
     def test_negative_t_f_accepted(self):
         p_a = TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0)
         p_b = TwoSpinParams(1.5, 0.8, 1.2, 1.8, 1.0)
@@ -284,6 +300,13 @@ class TestRelativeEntropy:
         mixed = DensityMatrix(Operator(np.diag([0.0, 1.0]), (2,)))
         with pytest.raises(SupportMismatch):
             relative_entropy(mixed, pure)
+
+    def test_value_below_round_off_raises(self):
+        # rho = |0><0| against log-spectrum (1, 0) in the same basis: 0 - 1 = -1
+        p, overlap = np.array([1.0, 0.0]), np.eye(2)
+        with pytest.raises(QuenchThermError, match="^relative entropy -1.000e\\+00 below -1e-12$"):
+            quench._relative_entropy(p, np.zeros(2), overlap, np.array([1.0, 0.0]))
+        assert quench._relative_entropy(p, np.zeros(2), overlap, np.array([1e-13, 0.0])) == 0.0
 
     def test_matches_dissipated_work_identity(self):
         p_a = TwoSpinParams(0.0, 0.8, 1.2, 1.8, 1.0)
@@ -640,6 +663,20 @@ class TestConcurrentDecomposition:
         assert "eig" not in vars(h_b)
         with pytest.raises(NotHermitian, match="defect 2.500e-01"):
             h_b.eig
+
+    def test_refused_spec_keeps_h_b_eigenpairs(self, eig_calls):
+        # H_B is Hermitian but differs from H_A off the S factor: the worker's checked
+        # eigenpairs stay cached though the kind check refuses the spec
+        h_a, h_b, h_r = self.operators(2)
+        with pytest.raises(InvalidSpec, match="not of the form"):
+            QuenchSpec(h_a, h_b, h_r, self.BETA, kind=SYSTEM_QUENCH)
+        assert "eig" in vars(h_b)
+        eig_calls["eigh"].clear()
+        dec = h_b.eig
+        assert eig_calls["eigh"] == []
+        fresh = Operator(h_b.matrix, h_b.dims).eig
+        np.testing.assert_array_equal(dec.eigenvalues, fresh.eigenvalues)
+        np.testing.assert_array_equal(dec.eigenvectors, fresh.eigenvectors)
 
     def test_worker_keeps_the_callers_numpy_error_state(self):
         h_a, h_b, h_r = self.operators(2)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from quenchtherm import (
     EQUILIBRATED,
     UNITARY,
+    BadFactorCount,
     DensityMatrix,
     DimensionMismatch,
     NotHermitian,
@@ -528,6 +529,15 @@ class TestReservoirSpectrum:
         with pytest.raises(ValueError, match="^beta must be positive and finite") as info:
             static(*args)
         assert info.type is ValueError
+
+
+class TestContextSpace:
+    def test_build_needs_two_factors(self):
+        h = Operator(np.diag([0.0, 1.0, 2.0, 3.0]), (4,))
+        dec = h.eig
+        with pytest.raises(BadFactorCount, match=r"^need exactly two factors, got dims \(4,\)$"):
+            ThermalContext.build(dec.eigenvalues[None], dec.eigenvectors[None], h.dims, 1.0,
+                                 np.array([0.0, 1.0]))
 
 
 class TestSharedEigendecomposition:

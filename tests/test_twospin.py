@@ -38,6 +38,13 @@ def assert_ledgers_match(engine, oracle):
         )
 
 
+class TestTwoSpinParams:
+    @pytest.mark.parametrize("beta", [0.0, -0.5])
+    def test_beta_must_be_positive(self, beta):
+        with pytest.raises(ValueError, match=f"^beta must be positive, got {beta}$"):
+            TwoSpinParams(0.0, 0.8, 1.2, 1.8, beta)
+
+
 class TestClosedFormStatics:
     def test_decoupled_limit(self):
         p = TwoSpinParams(0.9, 0.8, 0.0, 0.0, 1.3)
@@ -227,6 +234,93 @@ class TestSystemQuenchLedger:
                 reservoir_hamiltonian(p_a), p_a.beta, kind=SYSTEM_QUENCH,
             )
             assert_ledgers_match(run_quench(spec), oracle)
+
+
+class TestSmallQuenchLimit:
+    """The system quench eps_A -> eps_A + lambda at small lambda: beta diss_diff and
+    beta diss_H* are (lambda^2 beta^2 / 2) times a Kubo-Mori variance, of d_eps H in
+    pi_A and of d_eps H* in pi_S, while beta diss_E* is lambda c_1 with
+    c_1 = beta Tr(rho_S d_eps (E* - H*)), so one sign of lambda violates the second
+    law for E*.  The coefficients come by Richardson over the means of +-lambda."""
+
+    P = TwoSpinParams(-1.0, 1.0, 0.6, 0.8, 2.0)
+    LAMBDAS = (1e-3, 1e-4)
+    # absolute error of one ledger's beta * diss, ~50 ulps of its O(1) terms; the
+    # Richardson value carries about twice it over lambda^k at the smaller lambda
+    ROUNDOFF = 1e-14
+
+    @classmethod
+    def quenches(cls, source: str) -> list:
+        """(lambda, ledger) at lambda = +-LAMBDAS[0], then +-LAMBDAS[1], from the oracle
+        or from `run_quench`; lambda is each quench's own eps_B - eps_A."""
+        p, out = cls.P, []
+        h_a, h_r = two_spin_hamiltonian(p), reservoir_hamiltonian(p)
+        for eps_b in (p.epsilon + s * lam for lam in cls.LAMBDAS for s in (1, -1)):
+            out.append((eps_b - p.epsilon, system_quench_ledger(p, eps_b) if source == "oracle"
+                        else run_quench(QuenchSpec(
+                            h_a, two_spin_hamiltonian(replace(p, epsilon=eps_b)), h_r, p.beta,
+                            kind=SYSTEM_QUENCH))))
+        return out
+
+    @classmethod
+    def d_eps(cls, row: str) -> np.ndarray:
+        """d_eps of a `closed_form_statics` pair over sz_S at P, by central differences."""
+        h = 1e-5
+        up, down = (np.array(getattr(closed_form_statics(replace(cls.P, epsilon=cls.P.epsilon
+                                                                  + s * h)), row))
+                    for s in (1, -1))
+        return (up - down) / (2 * h)
+
+    @classmethod
+    def kubo_mori_diff(cls) -> float:
+        """(beta^2 / 2) Var_KM(d_eps H) in pi_A, from H_A's own eigenpairs."""
+        p = cls.P
+        e, u = np.linalg.eigh(two_spin_matrices(p.epsilon, p.alpha, p.gamma, p.chi))
+        assert np.diff(e).min() > 0.1  # no degenerate levels
+        log_w = -p.beta * (e - e[0])
+        log_w -= np.log(np.exp(log_w).sum())
+        w = np.exp(log_w)
+        x = u.conj().T @ two_spin_matrices(1.0, 0.0, 0.0, 0.0) @ u  # d_eps H = sz_S / 2
+        x -= (w @ x.diagonal().real) * np.eye(4)
+        # the Kubo-Mori weight int_0^1 w_i^s w_j^(1-s) ds, the logarithmic mean of w_i, w_j
+        same = np.eye(4, dtype=bool)
+        mean = np.where(same, w[:, None],
+                        (w[:, None] - w) / np.where(same, 1.0, log_w[:, None] - log_w))
+        return p.beta ** 2 / 2 * float((np.abs(x) ** 2 * mean).sum())
+
+    @classmethod
+    def expected(cls, name: str) -> float:
+        pops = np.array(closed_form_statics(cls.P).populations)
+        d_h = cls.d_eps("h_star_diag")
+        if name == "diss_diff":
+            return cls.kubo_mori_diff()
+        if name == "diss_hstar":  # H* and pi_S are diagonal: a classical variance
+            return cls.P.beta ** 2 / 2 * float(pops @ d_h ** 2 - (pops @ d_h) ** 2)
+        return cls.P.beta * float(pops @ (cls.d_eps("e_star_diag") - d_h))
+
+    def test_expected_coefficients(self):
+        assert self.expected("diss_diff") == pytest.approx(0.0995427, abs=5e-8)
+        assert self.expected("diss_hstar") == pytest.approx(0.0445182, abs=5e-8)
+        assert self.expected("diss_estar") == pytest.approx(0.0744551, abs=5e-8)
+
+    @pytest.mark.parametrize("source", ["oracle", "engine"])
+    @pytest.mark.parametrize("name, order", [
+        ("diss_diff", 2), ("diss_hstar", 2), ("diss_estar", 1)])
+    def test_leading_coefficient(self, source, name, order):
+        quenches, b = self.quenches(source), self.P.beta
+        # the mean over +-lambda drops the next order, and Richardson the one after it
+        s_1, s_2 = (np.mean([b * getattr(ledger, name) / lam ** order for lam, ledger in pair])
+                    for pair in (quenches[:2], quenches[2:]))
+        lam_1, lam_2 = self.LAMBDAS
+        value = (lam_1 ** 2 * s_2 - lam_2 ** 2 * s_1) / (lam_1 ** 2 - lam_2 ** 2)
+        tol = 2 * self.ROUNDOFF / lam_2 ** order
+        assert abs(value - self.expected(name)) <= tol, (value, self.expected(name), tol)
+
+    @pytest.mark.parametrize("source", ["oracle", "engine"])
+    def test_only_estar_dissipation_changes_sign(self, source):
+        for lam, ledger in self.quenches(source):
+            assert ledger.diss_diff > 0 and ledger.diss_hstar > 0, lam
+            assert np.sign(ledger.diss_estar) == np.sign(lam), lam
 
 
 class TestInteractionQuenchLedger:
